@@ -1,13 +1,10 @@
 """Dataclass configs for the model, the trainer, and the simulator.
 
 Every run is fully described by (ModelConfig, TrainConfig, SimConfig, seed).
-The CLI can override any field from a flat ``key = value`` text file; see
-`load_kv_file` / `apply_overrides`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 
@@ -33,8 +30,6 @@ class ModelConfig:
     head_hidden: int = 32
     pool: str = "mean"            # mean | max pooling over sequence positions
     predict_gripper: bool = False
-    # numerics
-    dtype: str = "float32"        # float32 | float64
 
     @property
     def d_inner(self) -> int:
@@ -55,7 +50,7 @@ class StageHyperparams:
 
 @dataclass
 class TrainConfig:
-    # per-stage defaults; acceptance-style overfit runs override lr via the CLI/config
+    # per-stage defaults; overfit runs pass their own StageHyperparams to run_stage
     align: StageHyperparams = field(
         default_factory=lambda: StageHyperparams(lr=2e-5, weight_decay=0.0, epochs=1)
     )
@@ -69,9 +64,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 8
-    grad_accum: int = 1
     train_encoder: bool = False   # when True the align stage also warm-starts the toy encoder
-    log_every: int = 10
 
 
 @dataclass
@@ -90,66 +83,3 @@ class SimConfig:
     # success thresholds on the achieved joint displacement
     prismatic_threshold: float = 0.1  # metres
     revolute_threshold: float = 0.1   # radians
-
-
-# ---------------------------------------------------------------------------
-# flat key=value config files
-
-
-def load_kv_file(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` UTF-8 text file.
-
-    Blank lines and lines starting with '#' are ignored.  Raises ValueError
-    on a line without '='.
-    """
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _coerce(raw: str, target_type: type):
-    if target_type is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse {raw!r} as bool")
-    return target_type(raw)
-
-
-def apply_overrides(configs: tuple, overrides: dict[str, str]) -> None:
-    """Apply flat key=value overrides onto dataclass configs in place.
-
-    Keys address either a top-level field (``d_model``) or a nested stage
-    field (``align.lr``).  Unknown keys raise ValueError so typos fail loudly.
-    """
-    for key, raw in overrides.items():
-        head, _, tail = key.partition(".")
-        applied = False
-        for cfg in configs:
-            if not dataclasses.is_dataclass(cfg):
-                continue
-            names = {f.name: f for f in dataclasses.fields(cfg)}
-            if head not in names:
-                continue
-            if tail:
-                sub = getattr(cfg, head)
-                subnames = {f.name: f for f in dataclasses.fields(sub)}
-                if tail not in subnames:
-                    raise ValueError(f"unknown config key {key!r}")
-                setattr(sub, tail, _coerce(raw, type(getattr(sub, tail))))
-            else:
-                setattr(cfg, head, _coerce(raw, type(getattr(cfg, head))))
-            applied = True
-            break
-        if not applied:
-            raise ValueError(f"unknown config key {key!r}")

@@ -32,6 +32,7 @@ __all__ = [
     "ScanState",
     "selective_scan_tape",
     "generate_greedy",
+    "greedy_continue",
 ]
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -321,6 +322,17 @@ def generate_greedy(lm: LanguageModel, prefix_ids: list[int], max_new: int,
     if len(prefix_ids) == 0:
         raise ValueError("generate_greedy: empty prefix")
     logits, state = lm.lm_forward(prefix_ids)
+    return greedy_continue(lm, logits, state, max_new, eos_id)
+
+
+def greedy_continue(lm: LanguageModel, logits: Tensor, state: ScanState,
+                    max_new: int, eos_id: int | None = None) -> list[int]:
+    """Greedy decode loop after a prefill that returned (logits, state).
+
+    The first new id is the argmax of the prefill's last logits row; each
+    later one feeds the previous id through `lm_forward` with the carried
+    state.  Returns only the new ids, stopping after eos_id if given.
+    """
     out: list[int] = []
     next_id = int(np.argmax(logits.data[-1]))
     for _ in range(max_new):

@@ -95,6 +95,9 @@ class EndEffectorPose:
 
     def validate(self) -> None:
         R = np.asarray(self.a_dir)
+        # every comparison with NaN is False, so the bounds below cannot catch it
+        if not np.all(np.isfinite(R)):
+            raise ValueError("pose: a_dir has non-finite entries")
         if R.shape != (3, 3) or np.max(np.abs(R.T @ R - np.eye(3))) > 1e-5:
             raise ValueError("pose: a_dir is not orthonormal within 1e-5")
         if abs(np.linalg.det(R) - 1.0) > 1e-5:
@@ -110,18 +113,10 @@ class EndEffectorPose:
 
 
 def pool_global_token(hidden: Tensor, mode: str = "mean") -> Tensor:
-    """[L, d_model] -> [d_model] global token (mean by default, max optional)."""
-    if hidden.data.ndim != 2 or hidden.shape[0] < 1:
-        raise ShapeError(f"pool: expected non-empty [L, d_model], got {hidden.shape}")
-    if mode == "mean":
-        return dc.mean_pool(hidden, axis=0)
-    if mode == "max":
-        return dc.max_pool(hidden, axis=0)
-    raise ValueError(f"pool: unknown mode {mode!r} (expected 'mean' or 'max')")
+    """[L, d_model] -> [1, d_model] global token (mean by default, max optional).
 
-
-def _pool_row(hidden: Tensor, mode: str) -> Tensor:
-    # same reduction as pool_global_token but kept 2-D for matmul branches
+    The row stays 2-D so the head branches can matmul it directly.
+    """
     if hidden.data.ndim != 2 or hidden.shape[0] < 1:
         raise ShapeError(f"pool: expected non-empty [L, d_model], got {hidden.shape}")
     if mode == "mean":
@@ -262,7 +257,7 @@ class PoseHead:
         """Full LM hidden states [L, d_model] -> pose outputs (on tape)."""
         # standardize the pooled feature (parameter-free) so the branch
         # activations start at unit scale regardless of backbone statistics
-        pooled = dc.layer_norm(_pool_row(hidden, self.cfg.pool))
+        pooled = dc.layer_norm(pool_global_token(hidden, self.cfg.pool))
         variant = self.cfg.head_variant
         grip = None
         if variant == "mlp2":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mambavla.config import SimConfig
-from mambavla.policy import EndEffectorPose, lift_to_3d
+from mambavla.policy import EndEffectorPose, lift_to_3d, rotation_about_axis
 
 __all__ = [
     "Box",
@@ -49,12 +49,6 @@ PART_BACKGROUND, PART_BASE, PART_MOVABLE = 0, 1, 2
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    kx, ky, kz = axis
-    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +124,7 @@ class ArticulatedObject:
         """World pose of the movable part at joint value q: p' = R p + t."""
         if self.joint_kind == "prismatic":
             return np.eye(3), q * self.axis
-        R = _axis_angle(self.axis, q)
+        R = rotation_about_axis(self.axis, q)
         return R, self.pivot - R @ self.pivot
 
     def to_canonical(self, p: np.ndarray) -> np.ndarray:
@@ -483,8 +477,9 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
 
     Scenes cycle the archetypes (or stay on ``kind`` when given); per-episode
     seeds are seed+index, so results are independent of execution order.  A
-    policy that raises on a sample or emits an invalid pose scores a failure
-    for that episode, not an exception.
+    policy that raises a ValueError or an ArithmeticError (such as
+    `diffcore.NonFiniteError`) on a sample, or emits an invalid pose, scores a
+    failure for that episode, not an exception.
     """
     if episodes < 1:
         raise ValueError("evaluate: episodes must be >= 1")
@@ -507,7 +502,7 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
                 pose.a_pos = lift_to_3d(pose.contact_pixel, buf.depth, cam)
             success, dq = interact(scene, pose)
             entry["success"], entry["dq"] = bool(success), float(dq)
-        except ValueError as err:
+        except (ValueError, ArithmeticError) as err:
             entry["error"] = str(err)
         successes += entry["success"]
         log.append(entry)

@@ -1,9 +1,8 @@
-"""Selective SSM kernels: ZOH discretization and linear-recurrence scans.
+"""Selective SSM kernels: ZOH discretization and the linear-recurrence scan.
 
-These are plain-numpy reference kernels (no autodiff): the verified
-numerical layer that the benchmark times and the tests oracle against.
-The differentiable model path composes the same math from `diffcore`
-primitives inside `mamba`.
+These are plain-numpy reference kernels (no autodiff) that the tests check
+against.  The differentiable model path composes the same math from
+`diffcore` primitives inside `mamba`.
 
 Shapes follow the per-channel diagonal convention:
   A     [D, N]        diagonal continuous-time state matrix per channel
@@ -23,7 +22,6 @@ import numpy as np
 __all__ = [
     "discretize_zoh",
     "scan_sequential",
-    "scan_parallel",
     "continuous_ode_oracle",
     "ZOH_SERIES_CUTOFF",
 ]
@@ -131,64 +129,6 @@ def scan_sequential(Abar: np.ndarray, Bbar: np.ndarray, C: np.ndarray,
         if return_states:
             states[t] = h
     return (y, h, states) if return_states else (y, h)
-
-
-def scan_parallel(Abar: np.ndarray, Bbar: np.ndarray, C: np.ndarray,
-                  x: np.ndarray, h0: np.ndarray | None = None,
-                  block_size: int = 64, return_states: bool = False):
-    """Chunked associative scan over the affine-map monoid.
-
-    Each step is the map h -> a h + b with a = Abar_t, b = Bbar_t x_t; maps
-    compose as (a2, b2) o (a1, b1) = (a2 a1, a2 b1 + b2).  Positions inside
-    each block are combined with a vectorized Hillis-Steele sweep (log2
-    passes); block carries chain sequentially.  Matches scan_sequential to
-    reassociation rounding.
-    """
-    Abar, Bbar, C, x = map(np.asarray, (Abar, Bbar, C, x))
-    L, D = _check_scan_args(Abar, Bbar, C, x)
-    if block_size < 1:
-        raise ValueError(f"scan: block_size must be >= 1, got {block_size}")
-    N = Abar.shape[-1]
-    dtype = np.result_type(Abar, Bbar, C, x)
-
-    a = np.broadcast_to(Abar, (L, D, N)).astype(dtype, copy=True)
-    if Bbar.ndim == 3:
-        b = Bbar * x[:, :, None]
-    else:
-        b = Bbar[None, :, :] * x[:, :, None]
-    b = b.astype(dtype, copy=False)
-
-    nb = -(-L // block_size)
-    pad = nb * block_size - L
-    if pad:
-        # identity map elements: a = 1, b = 0
-        a = np.concatenate([a, np.ones((pad, D, N), dtype=dtype)], axis=0)
-        b = np.concatenate([b, np.zeros((pad, D, N), dtype=dtype)], axis=0)
-    a = a.reshape(nb, block_size, D, N)
-    b = b.reshape(nb, block_size, D, N).copy()
-
-    # inclusive in-block scan, vectorized across blocks
-    s = 1
-    while s < block_size:
-        b[:, s:] = b[:, s:] + a[:, s:] * b[:, :-s]
-        a[:, s:] = a[:, s:] * a[:, :-s]
-        s *= 2
-
-    # carry the state across blocks
-    h = (np.zeros((D, N), dtype=dtype) if h0 is None
-         else np.asarray(h0).astype(dtype))
-    states = np.empty((nb, block_size, D, N), dtype=dtype)
-    for k in range(nb):
-        states[k] = a[k] * h + b[k]
-        h = states[k, -1]
-    states = states.reshape(nb * block_size, D, N)[:L]
-    h_final = states[-1]
-
-    if C.ndim == 2:
-        y = np.einsum("ldn,ln->ld", states, C)
-    else:
-        y = states @ C
-    return (y, h_final, states) if return_states else (y, h_final)
 
 
 def continuous_ode_oracle(A: np.ndarray, B: np.ndarray, C: np.ndarray,

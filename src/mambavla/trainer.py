@@ -336,7 +336,13 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
 
 
 def save_checkpoint(model: VlaModel, path: str) -> None:
+    """Write the weights and config as RMCK, which stores float32 only."""
     tensors = {name: p.data for name, p in model.named_params()}
+    for name, arr in tensors.items():
+        if arr.dtype != np.float32:
+            raise ValueError(
+                f"save_checkpoint: parameter {name!r} is {arr.dtype.name}; "
+                f"RMCK stores float32 only, so the weights would lose precision")
     config = {"model": vars(model.cfg).copy(),
               "stage": model.stage or ""}
     fileio.write_rmck(path, tensors, config)

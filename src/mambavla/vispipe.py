@@ -15,7 +15,7 @@ import numpy as np
 from mambavla import diffcore as dc
 from mambavla.config import ModelConfig
 from mambavla.diffcore import ShapeError, Tensor
-from mambavla.mamba import LanguageModel, ScanState
+from mambavla.mamba import LanguageModel, ScanState, greedy_continue
 
 __all__ = [
     "PatchEncoder",
@@ -142,13 +142,4 @@ def generate_greedy_multimodal(encoder: PatchEncoder, projector: MlpProjector,
                                eos_id: int | None = None) -> list[int]:
     """Greedy decode conditioned on an image prefix; returns only new ids."""
     out_mm = multimodal_forward(encoder, projector, lm, image, prompt_ids)
-    state = out_mm.state
-    next_id = int(np.argmax(out_mm.text_logits.data[-1]))
-    out: list[int] = []
-    for _ in range(max_new):
-        out.append(next_id)
-        if eos_id is not None and next_id == eos_id:
-            break
-        logits, state = lm.lm_forward([next_id], state)
-        next_id = int(np.argmax(logits.data[-1]))
-    return out
+    return greedy_continue(lm, out_mm.text_logits, out_mm.state, max_new, eos_id)

@@ -35,26 +35,26 @@ def t64(values):
 def test_pool_singleton_returns_token():
     v = RNG.standard_normal((1, 6))
     np.testing.assert_array_equal(
-        policy.pool_global_token(t64(v)).data, v[0])
+        policy.pool_global_token(t64(v)).data[0], v[0])
 
 
 def test_pool_constant_sequence_returns_constant():
     row = RNG.standard_normal(6)
     seq = np.tile(row, (7, 1))
-    np.testing.assert_allclose(policy.pool_global_token(t64(seq)).data, row,
+    np.testing.assert_allclose(policy.pool_global_token(t64(seq)).data[0], row,
                                rtol=0, atol=1e-15)
 
 
 def test_pool_mean_of_opposites_is_zero():
     v = RNG.standard_normal(5)
     out = policy.pool_global_token(t64(np.stack([v, -v])))
-    np.testing.assert_allclose(out.data, np.zeros(5), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(out.data[0], np.zeros(5), rtol=0, atol=1e-16)
 
 
 def test_pool_max_mode_and_errors():
     x = np.array([[1.0, -5.0], [0.5, 2.0]])
     np.testing.assert_array_equal(
-        policy.pool_global_token(t64(x), mode="max").data, [1.0, 2.0])
+        policy.pool_global_token(t64(x), mode="max").data[0], [1.0, 2.0])
     with pytest.raises(dc.ShapeError):
         policy.pool_global_token(t64(np.zeros((0, 4))))
     with pytest.raises(ValueError):
@@ -108,6 +108,16 @@ def test_zero_weights_predict_center_pixel_and_identity():
         head, dc.tensor(RNG.standard_normal((4, 16)), dtype=np.float32))
     assert pose.contact_pixel == (0.5, 0.5)
     np.testing.assert_allclose(pose.a_dir, np.eye(3), rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan),
+                                 np.where(np.eye(3) == 1, np.nan, 0.0),
+                                 np.diag([1.0, 1.0, np.inf])])
+def test_validate_rejects_non_finite_rotation(bad):
+    # every comparison with NaN is False, so a range check alone accepts it
+    pose = policy.EndEffectorPose(a_dir=bad, contact_pixel=(0.5, 0.5))
+    with pytest.raises(ValueError, match="non-finite"):
+        pose.validate()
 
 
 def test_gripper_mode_adds_flag():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mambavla.config import SimConfig
+from mambavla.diffcore import NonFiniteError
 from mambavla.policy import EndEffectorPose, lift_to_3d
 from mambavla import simworld as sw
 
@@ -401,6 +402,16 @@ def test_evaluate_invalid_rotation_counted_not_raised():
     rate, log = sw.evaluate(bad_policy, episodes=3, seed=0)
     assert rate == 0.0
     assert all("error" in e and not e["success"] for e in log)
+
+
+def test_evaluate_non_finite_policy_error_counted_not_raised():
+    def nan_policy(obs):
+        raise NonFiniteError("matmul: non-finite output")
+    rate, log = sw.evaluate(nan_policy, episodes=3, seed=0)
+    assert rate == 0.0
+    assert len(log) == 3
+    assert all(e["error"] == "matmul: non-finite output" and not e["success"]
+               for e in log)
 
 
 def test_evaluate_zero_depth_contact_is_failure():

@@ -381,6 +381,15 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert np.array_equal(p.data, orig[name].data), name
 
 
+def test_checkpoint_refuses_float64_model(tmp_path):
+    # RMCK stores float32 only: saving a float64 model would drop precision
+    model = trainer.VlaModel(tiny_cfg(), seed=0, dtype=np.float64)
+    path = tmp_path / "model.rmck"
+    with pytest.raises(ValueError, match="float64"):
+        trainer.save_checkpoint(model, str(path))
+    assert not path.exists()
+
+
 def test_checkpoint_tensor_count_matches_model(tmp_path):
     model = tiny_model()
     path = str(tmp_path / "model.rmck")
