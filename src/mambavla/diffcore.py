@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from mambavla import ssm
+
 __all__ = [
     "Tensor",
     "ShapeError",
@@ -41,6 +43,7 @@ __all__ = [
     "softmax_rows",
     "concat",
     "tslice",
+    "selective_scan",
     "backward",
     "grad_check",
 ]
@@ -505,6 +508,87 @@ def tslice(x: Tensor, axis: int, start: int, stop: int, squeeze: bool = False) -
     return _make_node("slice", out_data, (x,), backward_fn)
 
 
+def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
+                   h0: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Selective SSM over one sequence: ZOH discretization, scan and readout.
+
+    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; h0: [E, N] carried state
+    (zeros when None).  With A = -exp(A_log) and 1/A = -exp(-A_log):
+
+        Abar_t = exp(delta_t A),  Bbar_t = (Abar_t - 1) (1/A) B_t   (exact ZOH)
+        h_t = Abar_t h_{t-1} + Bbar_t u_t,  y_t = C_t . h_t
+
+    Returns (y [L, E], h_final [E, N]); the final state is a plain array for
+    the generation carry and gets no gradient.  The forward pass is
+    `ssm.scan_sequential`, which keeps the states; backward runs the
+    reverse-time adjoint dh_t = dy_t C_t + Abar_{t+1} dh_{t+1} once and
+    everything else vectorised over [L, E, N].
+    """
+    kind = "selective-scan"
+    inputs = (u, delta, A_log, B, C)
+    dtype = _common_dtype(kind, inputs)
+    if any(t.data.ndim != 2 for t in inputs):
+        raise ShapeError(f"{kind}: expects 2-D inputs, got {[t.shape for t in inputs]}")
+    L, E = u.shape
+    N = A_log.shape[1]
+    expected = ((L, E), (L, E), (E, N), (L, N), (L, N))
+    if L == 0 or any(t.shape != s for t, s in zip(inputs, expected)):
+        raise ShapeError(f"{kind}: expects u, delta [L, E], A_log [E, N], B, C [L, N] "
+                         f"with L >= 1; got {[t.shape for t in inputs]}")
+    _check_finite_inputs(kind, inputs)
+    if h0 is not None:
+        h0 = np.asarray(h0)
+        if h0.shape != (E, N):
+            raise ShapeError(f"{kind}: h0 must be [E, N] = {(E, N)}, got {h0.shape}")
+        if h0.dtype != dtype:
+            raise ShapeError(f"{kind}: mixed dtypes {dtype} vs h0 {h0.dtype}")
+        if not np.isfinite(h0).all():
+            raise NonFiniteError(f"{kind}: h0 contains non-finite values")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = -np.exp(A_log.data)              # never crosses zero, so 1/A is exact
+        inv_A = -np.exp(-A_log.data)
+        if not (np.isfinite(A).all() and np.isfinite(inv_A).all()):
+            raise NonFiniteError(f"{kind}: exp(+-A_log) overflows")
+        Abar = np.exp(delta.data[:, :, None] * A)                   # [L, E, N]
+        Bbar = (Abar - 1.0) * inv_A * B.data[:, None, :]
+        y, h_final, states = ssm.scan_sequential(Abar, Bbar, C.data, u.data, h0,
+                                                 return_states=True)
+    _check_finite_output(kind, h_final)
+
+    def backward_fn(g: np.ndarray) -> None:
+        # reductions go through einsum: summing a short trailing axis with
+        # .sum() is several times slower in numpy
+        need_u, need_delta, need_A_log, need_B, need_C = (
+            t.requires_grad or t._backward_fn is not None for t in inputs)
+        if need_C:
+            _accumulate(C, np.einsum("le,len->ln", g, states))
+        if not (need_u or need_delta or need_A_log or need_B):
+            return
+        dh = np.einsum("le,ln->len", g, C.data)                    # dy_t C_t
+        for t in range(L - 2, -1, -1):
+            dh[t] += Abar[t + 1] * dh[t + 1]
+        if need_u:
+            _accumulate(u, np.einsum("len,len->le", dh, Bbar))
+        dBbar = dh * u.data[:, :, None]
+        coef = (Abar - 1.0) * inv_A
+        if need_B:
+            _accumulate(B, np.einsum("len,len->ln", dBbar, coef))
+        if need_delta or need_A_log:
+            dcoef = dBbar * B.data[:, None, :]
+            h_prev = np.concatenate([np.zeros((1, E, N), dtype) if h0 is None else h0[None],
+                                     states[:-1]])
+            dz = (dh * h_prev + dcoef * inv_A) * Abar               # d/d(delta A)
+            if need_delta:
+                _accumulate(delta, np.einsum("len,en->le", dz, A))
+            if need_A_log:
+                # dA/dA_log = A and d(1/A)/dA_log = -1/A
+                _accumulate(A_log, np.einsum("len,le->en", dz, delta.data) * A
+                            - np.einsum("len,len->en", dcoef, Abar - 1.0) * inv_A)
+
+    return _make_node(kind, y, inputs, backward_fn), h_final
+
+
 PRIMITIVES: dict[str, Callable] = {
     "matmul": matmul,
     "add": add,
@@ -522,14 +606,18 @@ PRIMITIVES: dict[str, Callable] = {
     "softmax-rows": softmax_rows,
     "concat": concat,
     "slice": tslice,
+    "selective-scan": selective_scan,
 }
 
 
-def apply_primitive(kind: str, inputs: Sequence[Tensor], **params) -> Tensor:
+def apply_primitive(kind: str, inputs: Sequence[Tensor],
+                    **params) -> Tensor | tuple[Tensor, np.ndarray]:
     """Dispatch a primitive by kind string.
 
     `concat` takes its operand list as a single argument; everything else is
-    positional.  Unknown kinds raise ShapeError.
+    positional.  Every kind returns one Tensor except `selective-scan`, which
+    returns (y Tensor, final state ndarray) and takes its carried state as the
+    `h0` keyword.  Unknown kinds raise ShapeError.
     """
     fn = PRIMITIVES.get(kind)
     if fn is None:

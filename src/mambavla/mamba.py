@@ -4,9 +4,10 @@ A block is: pre-norm -> in_proj -> split into (signal, gate); the signal
 passes a causal depthwise conv, SiLU, and a selective scan whose (B_t, C_t,
 delta_t) are projected pointwise from the post-conv activations; the scan
 output plus a learned skip D.u is gated by silu(gate) and projected back,
-with a residual connection.  Discretization inside the block is exact ZOH
-rewritten as Bbar = (Abar - 1) . B / A, which composes from the primitive
-set because A = -exp(A_log) never crosses zero.
+with a residual connection.  Discretization, scan and readout are one
+diffcore `selective-scan` node: exact ZOH rewritten as
+Bbar = (Abar - 1) . B / A, exact because A = -exp(A_log) never crosses zero,
+then the recurrence, whose backward is one reverse-time adjoint sweep.
 
 Generation carries a ScanState (per-block SSM state + conv context), so
 decoding one token costs O(1) in sequence length and reuses the exact same
@@ -112,25 +113,17 @@ class WordTokenizer:
 # differentiable selective scan
 
 
-def selective_scan_tape(Abar: Tensor, Bx: Tensor, C: Tensor,
+def selective_scan_tape(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
                         h0: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Run h_t = Abar_t . h_{t-1} + Bx_t, y_t = C_t . h_t on the tape.
+    """Selective scan of one block on the tape: one `selective-scan` node.
 
-    Abar, Bx: [L, E, N]; C: [L, N].  Returns (y [L, E], final state [E, N]
-    as a detached array for generation carry).
+    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; h0: carried state [E, N]
+    or None.  Discretizes with exact ZOH under A = -exp(A_log), runs
+    h_t = Abar_t . h_{t-1} + Bbar_t u_t and reads out y_t = C_t . h_t.
+    Returns (y [L, E], final state [E, N] as a detached array for generation
+    carry).
     """
-    L, E, N = Abar.shape
-    dtype = Abar.dtype
-    h = dc.tensor(np.zeros((E, N)) if h0 is None else h0, dtype=dtype)
-    ys = []
-    for t in range(L):
-        At = dc.tslice(Abar, 0, t, t + 1, squeeze=True)
-        Bt = dc.tslice(Bx, 0, t, t + 1, squeeze=True)
-        h = dc.add(dc.mul(At, h), Bt)
-        Ct = dc.tslice(C, 0, t, t + 1)                      # [1, N]
-        ys.append(dc.matmul(Ct, h, transpose_b=True))       # [1, E]
-    y = dc.concat(ys, axis=0)
-    return y, h.data.copy()
+    return dc.selective_scan(u, delta, A_log, B, C, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +192,7 @@ class MambaBlock:
     def forward(self, x: Tensor, state: BlockState | None = None
                 ) -> tuple[Tensor, BlockState]:
         cfg = self.cfg
-        E, N, w = cfg.d_inner, cfg.d_state, cfg.d_conv
+        E, w = cfg.d_inner, cfg.d_conv
         L = x.shape[0]
 
         xn = dc.add(dc.mul(dc.layer_norm(x), self.ln_g), self.ln_b)
@@ -220,17 +213,7 @@ class MambaBlock:
 
         B, C, delta = self.select_params(u)
 
-        # exact ZOH: Abar = exp(delta A), Bbar = (Abar - 1) B / A
-        negA = dc.mul(dc.exp(self.A_log), dc.tensor(-1.0, dtype=self.dtype))
-        invA = dc.mul(dc.exp(dc.mul(self.A_log, dc.tensor(-1.0, dtype=self.dtype))),
-                      dc.tensor(-1.0, dtype=self.dtype))    # 1/A = -exp(-A_log)
-        z = dc.mul(delta, negA, a_axes=(0, 1), b_axes=(1, 2))   # [L, E, N]
-        Abar = dc.exp(z)
-        coef = dc.mul(dc.add(Abar, dc.tensor(-1.0, dtype=self.dtype)),
-                      invA, b_axes=(1, 2))
-        Bxu = dc.mul(dc.mul(coef, B, b_axes=(0, 2)), u, b_axes=(0, 1))
-
-        ys, h_final = selective_scan_tape(Abar, Bxu, C,
+        ys, h_final = selective_scan_tape(u, delta, self.A_log, B, C,
                                           None if state is None else state.h)
         y = dc.add(ys, dc.mul(u, self.D_skip))              # learned skip D.u
         out = dc.matmul(dc.mul(y, dc.silu(gate)), self.out_proj)

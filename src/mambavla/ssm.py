@@ -1,8 +1,8 @@
 """Selective SSM kernels: ZOH discretization and the linear-recurrence scan.
 
 These are plain-numpy reference kernels (no autodiff) that the tests check
-against.  The differentiable model path composes the same math from
-`diffcore` primitives inside `mamba`.
+against.  The differentiable model path uses the same recurrence: diffcore's
+`selective-scan` primitive runs `scan_sequential` as its forward pass.
 
 Shapes follow the per-channel diagonal convention:
   A     [D, N]        diagonal continuous-time state matrix per channel

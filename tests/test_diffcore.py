@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mambavla import diffcore as dc
+from mambavla import ssm
 
 RNG = np.random.default_rng(0)
 
@@ -169,6 +170,75 @@ def test_grad_every_primitive(trial):
                                             t64(w32))),
            p23 + np.arange(6).reshape(2, 3))
 
+    # selective-scan, with respect to each input in turn, from a carried state
+    scan_args = _scan_inputs(rng)
+    readout = rng.standard_normal(scan_args[0].shape)
+    h0 = rng.standard_normal((3, 2))
+    for i in range(5):
+        def scan_loss(x, i=i):
+            args = [t64(a) for a in scan_args]
+            args[i] = x
+            y, _ = dc.selective_scan(*args, h0=h0)
+            return dc.mean_pool(dc.mul(y, t64(readout)))
+        _check(scan_loss, scan_args[i])
+
+
+def _scan_inputs(rng, L=4, E=3, N=2):
+    """(u, delta, A_log, B, C) for selective-scan, with delta > 0."""
+    return (rng.standard_normal((L, E)),
+            np.abs(rng.standard_normal((L, E))) * 0.5 + 0.05,
+            rng.standard_normal((E, N)) * 0.5,
+            rng.standard_normal((L, N)),
+            rng.standard_normal((L, N)))
+
+
+def _scan_composition(u, delta, A_log, B, C, h0):
+    """The selective scan as a per-step composition of primitives: ZOH
+    discretization with A = -exp(A_log), then one slice/mul/add/matmul step
+    per token."""
+    minus = t64(-1.0)
+    negA = dc.mul(dc.exp(A_log), minus)
+    invA = dc.mul(dc.exp(dc.mul(A_log, minus)), minus)
+    Abar = dc.exp(dc.mul(delta, negA, a_axes=(0, 1), b_axes=(1, 2)))
+    coef = dc.mul(dc.add(Abar, minus), invA, b_axes=(1, 2))
+    Bx = dc.mul(dc.mul(coef, B, b_axes=(0, 2)), u, b_axes=(0, 1))
+    h = t64(h0)
+    ys = []
+    for t in range(u.shape[0]):
+        h = dc.add(dc.mul(dc.tslice(Abar, 0, t, t + 1, squeeze=True), h),
+                   dc.tslice(Bx, 0, t, t + 1, squeeze=True))
+        ys.append(dc.matmul(dc.tslice(C, 0, t, t + 1), h, transpose_b=True))
+    return dc.concat(ys, axis=0), h.data
+
+
+def test_selective_scan_matches_per_step_composition():
+    rng = np.random.default_rng(7)
+    arrays = _scan_inputs(rng, L=9, E=5, N=3)
+    h0 = rng.standard_normal((5, 3))
+    readout = t64(rng.standard_normal((9, 5)))
+    results = []
+    for scan in (dc.selective_scan, _scan_composition):
+        leaves = [t64(a, requires_grad=True) for a in arrays]
+        y, h_final = scan(*leaves, h0)
+        dc.backward(dc.mean_pool(dc.mul(y, readout)))
+        results.append((y.data, h_final, [leaf.grad for leaf in leaves]))
+    (y, h_final, grads), (y_ref, h_ref, grads_ref) = results
+    np.testing.assert_allclose(y, y_ref, rtol=1e-10)
+    np.testing.assert_allclose(h_final, h_ref, rtol=1e-10)
+    for grad, grad_ref in zip(grads, grads_ref):
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-10)
+
+
+def test_selective_scan_matches_reference_kernels():
+    rng = np.random.default_rng(8)
+    u, delta, A_log, B, C = _scan_inputs(rng, L=12, E=4, N=3)
+    h0 = rng.standard_normal((4, 3))
+    y, h_final = dc.selective_scan(t64(u), t64(delta), t64(A_log), t64(B), t64(C), h0=h0)
+    Abar, Bbar = ssm.discretize_zoh(-np.exp(A_log), B, delta)
+    y_ref, h_ref = ssm.scan_sequential(Abar, Bbar, C, u, h0)
+    np.testing.assert_allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(h_final, h_ref, rtol=1e-12, atol=1e-12)
+
 
 def test_pool_keepdims_shapes():
     x = t64(RNG.standard_normal((4, 3)))
@@ -271,6 +341,39 @@ def test_mixed_dtype_rejected():
     b = dc.tensor([1.0], dtype=np.float64)
     with pytest.raises(dc.ShapeError):
         dc.add(a, b)
+
+
+def test_selective_scan_rejects_bad_shapes_and_dtypes():
+    args = [t64(a) for a in _scan_inputs(np.random.default_rng(9), L=4, E=3, N=2)]
+    h0 = np.zeros((3, 2))
+    bad_shapes = {0: (4, 2),      # u: E differs
+                  1: (5, 3),      # delta: L differs
+                  2: (3, 3),      # A_log: N differs from B and C
+                  4: (4, 3)}      # C: N differs
+    for i, shape in bad_shapes.items():
+        broken = list(args)
+        broken[i] = t64(np.zeros(shape))
+        with pytest.raises(dc.ShapeError):
+            dc.selective_scan(*broken, h0=h0)
+    with pytest.raises(dc.ShapeError):
+        dc.selective_scan(*args, h0=np.zeros((2, 3)))
+    with pytest.raises(dc.ShapeError):
+        dc.selective_scan(*args[:4], dc.tensor(args[4].data, dtype=np.float32))
+    with pytest.raises(dc.ShapeError):
+        dc.selective_scan(*args, h0=h0.astype(np.float32))
+
+
+def test_selective_scan_rejects_non_finite_inputs_and_carry():
+    arrays = _scan_inputs(np.random.default_rng(10), L=4, E=3, N=2)
+    for i in range(5):
+        args = [t64(a) for a in arrays]
+        args[i].data[0, 0] = np.nan
+        with pytest.raises(dc.NonFiniteError, match="selective-scan"):
+            dc.selective_scan(*args)
+    h0 = np.zeros((3, 2))
+    h0[1, 1] = np.nan
+    with pytest.raises(dc.NonFiniteError, match="selective-scan"):
+        dc.selective_scan(*[t64(a) for a in arrays], h0=h0)
 
 
 def test_apply_primitive_dispatch():

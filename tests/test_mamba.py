@@ -242,6 +242,38 @@ def test_lm_overfit_memorizes_continuation():
     assert out == [4, 9, 2]
 
 
+def _tape_nodes(out: dc.Tensor) -> int:
+    """Primitive nodes on the tape behind `out`, found by walking _parents."""
+    seen, stack, nodes = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        nodes += t._backward_fn is not None
+        stack.extend(t._parents)
+    return nodes
+
+
+def test_block_tape_nodes_do_not_grow_with_length():
+    blk = mamba.MambaBlock(tiny_cfg(), np.random.default_rng(16))
+    rng = np.random.default_rng(17)
+    counts = [_tape_nodes(blk.forward(dc.tensor(rng.standard_normal((L, 16))))[0])
+              for L in (4, 64)]
+    assert counts[0] == counts[1] > 0, counts
+
+
+def test_decode_step_tape_nodes_do_not_grow_with_prefix():
+    lm = tiny_lm(seed=18)
+    rng = np.random.default_rng(19)
+    counts = []
+    for n in (2, 40):
+        _, state = lm.lm_forward(rng.integers(0, 16, size=n).tolist())
+        logits, _ = lm.lm_forward([5], state)
+        counts.append(_tape_nodes(logits))
+    assert counts[0] == counts[1] > 0, counts
+
+
 def test_lm_forward_time_scales_linearly():
     lm = tiny_lm(seed=15, d_model=32, n_blocks=2, d_state=4, vocab_size=32)
     lengths = [512, 1024, 2048, 4096, 8192]
