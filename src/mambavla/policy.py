@@ -44,11 +44,6 @@ HEAD_VARIANTS = ("mlp2", "mlp1", "ssm-mlp")
 # scales while small trunks would need far more optimizer steps
 _GAIN_DIR = 8.0
 
-
-def _sigmoid(x: Tensor) -> Tensor:
-    """Logistic squash on tape: sigmoid(x) = exp(-softplus(-x))."""
-    neg1 = dc.tensor(-1.0, dtype=x.data.dtype)
-    return dc.exp(dc.mul(dc.softplus(dc.mul(x, neg1)), neg1))
 _ROT_TOL = 1e-3          # orthonormality tolerance for loss inputs
 
 
@@ -287,7 +282,7 @@ class PoseHead:
         # inside the image and its vanishing tails damp the optimizer during
         # excursions, so the L1 fit settles instead of cycling; a zero readout
         # decodes to the image centre (0.5, 0.5)
-        pixel = _sigmoid(pos_out)
+        pixel = dc.sigmoid(pos_out)
         # fixed identity offset: zero branch output decodes to the identity
         # rotation instead of a degenerate 6D representation
         rot6 = dc.add(rot6, dc.tensor(

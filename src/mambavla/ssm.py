@@ -114,21 +114,26 @@ def scan_sequential(Abar: np.ndarray, Bbar: np.ndarray, C: np.ndarray,
     """Reference recurrence h_t = Abar_t h_{t-1} + Bbar_t x_t, y_t = C_t . h_t.
 
     Returns (y [L, D], h_final [D, N]); with return_states=True appends the
-    full state trajectory [L, D, N].
+    full state trajectory [L, D, N].  h_final is an array of its own, never a
+    view into the trajectory, so a carried state does not keep it alive.
     """
     Abar, Bbar, C, x = map(np.asarray, (Abar, Bbar, C, x))
     L, D = _check_scan_args(Abar, Bbar, C, x)
     N = Abar.shape[-1]
     dtype = np.result_type(Abar, Bbar, C, x)
+    # states[t] starts as the input term Bbar_t x_t and the loop adds the
+    # decayed carry Abar_t h_{t-1} into it in place
+    states = np.multiply(Bbar, x[:, :, None], dtype=dtype)             # [L, D, N]
     h = np.zeros((D, N), dtype=dtype) if h0 is None else np.asarray(h0).astype(dtype)
-    y = np.empty((L, D), dtype=dtype)
-    states = np.empty((L, D, N), dtype=dtype) if return_states else None
+    decay = np.empty((D, N), dtype=dtype)
     for t in range(L):
-        h = _at(Abar, t, 2) * h + _at(Bbar, t, 2) * x[t][:, None]
-        y[t] = h @ _at(C, t, 1)
-        if return_states:
-            states[t] = h
-    return (y, h, states) if return_states else (y, h)
+        states[t] += np.multiply(_at(Abar, t, 2), h, out=decay)
+        h = states[t]
+    # y_t = h_t . C_t for every t at once; the same matrix-vector products
+    # as one per step
+    y = states @ C if C.ndim == 1 else np.matmul(states, C[:, :, None])[:, :, 0]
+    h_final = states[-1].copy()
+    return (y, h_final, states) if return_states else (y, h_final)
 
 
 def continuous_ode_oracle(A: np.ndarray, B: np.ndarray, C: np.ndarray,

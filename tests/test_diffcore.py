@@ -148,6 +148,7 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.add(x, t64(bias))), p23)
     _check(lambda x: dc.mean_pool(dc.mul(x, t64(rows), b_axes=(0,))), p23)
     _check(lambda x: dc.mean_pool(dc.silu(x)), p23)
+    _check(lambda x: dc.mean_pool(dc.sigmoid(x)), p23)
     _check(lambda x: dc.mean_pool(dc.softplus(x)), p23)
     _check(lambda x: dc.mean_pool(dc.exp(x)), p23 * 0.5)
     _check(lambda x: dc.mean_pool(dc.log(x)), np.abs(p23) + 0.5)
@@ -238,6 +239,135 @@ def test_selective_scan_matches_reference_kernels():
     y_ref, h_ref = ssm.scan_sequential(Abar, Bbar, C, u, h0)
     np.testing.assert_allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(h_final, h_ref, rtol=1e-12, atol=1e-12)
+
+
+def _capture_scan_kernel(monkeypatch):
+    """Record the arrays `selective_scan` hands to `ssm.scan_sequential`
+    and the trajectory it gets back."""
+    seen = {}
+    scan = ssm.scan_sequential
+
+    def spy(Abar, Bbar, C, x, h0=None, return_states=False):
+        out = scan(Abar, Bbar, C, x, h0, return_states)
+        seen.update(Abar=Abar, Bbar=Bbar, states=out[2])
+        return out
+
+    monkeypatch.setattr(dc.ssm, "scan_sequential", spy)
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_selective_scan_discretization_is_bit_identical(dtype, monkeypatch):
+    # the in-place discretization must keep the operation order of
+    # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B
+    seen = _capture_scan_kernel(monkeypatch)
+    u, delta, A_log, B, C = (a.astype(dtype) for a in
+                             _scan_inputs(np.random.default_rng(11), L=16, E=6, N=4))
+    dc.selective_scan(*(dc.tensor(a, dtype=dtype) for a in (u, delta, A_log, B, C)))
+    A, inv_A = -np.exp(A_log), -np.exp(-A_log)
+    Abar = np.exp(delta[:, :, None] * A)
+    Bbar = (Abar - 1.0) * inv_A * B[:, None, :]
+    assert seen["Abar"].dtype == dtype and seen["Bbar"].dtype == dtype
+    assert np.array_equal(seen["Abar"], Abar)
+    assert np.array_equal(seen["Bbar"], Bbar)
+
+
+def test_selective_scan_final_state_owns_its_memory(monkeypatch):
+    # generation carries h_final; a view would keep the whole trajectory alive
+    seen = _capture_scan_kernel(monkeypatch)
+    _, h_final = dc.selective_scan(*(t64(a) for a in _scan_inputs(np.random.default_rng(12))))
+    np.testing.assert_array_equal(h_final, seen["states"][-1])
+    assert not np.shares_memory(h_final, seen["states"])
+
+
+# ---------------------------------------------------------------------------
+# elementwise kernels at extreme inputs
+
+STRESS_X = (-1000.0, -100.0, -30.0, -1e-8, 0.0, 30.0, 100.0, 1000.0)
+
+
+def _sigmoid_ref(x):
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+# kind -> (primitive, value reference, slope reference), in float64 math
+ELEMENTWISE_REFS = {
+    "sigmoid": (dc.sigmoid, _sigmoid_ref, lambda x: _sigmoid_ref(x) * _sigmoid_ref(-x)),
+    "silu": (dc.silu, lambda x: x * _sigmoid_ref(x),
+             lambda x: _sigmoid_ref(x) * (1.0 + x * _sigmoid_ref(-x))),
+    "softplus": (dc.softplus, lambda x: max(x, 0.0) + math.log1p(math.exp(-abs(x))),
+                 _sigmoid_ref),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", sorted(ELEMENTWISE_REFS))
+def test_elementwise_kernels_at_extreme_inputs(kind, dtype):
+    fn, value_ref, slope_ref = ELEMENTWISE_REFS[kind]
+    x = dc.tensor(STRESS_X, dtype=dtype, requires_grad=True)
+    out = fn(x)
+    dc.backward(dc.mean_pool(out))
+    slope = x.grad * len(STRESS_X)                    # undo the mean; exact for 8
+    finfo = np.finfo(dtype)
+    for got, ref_fn in ((out.data, value_ref), (slope, slope_ref)):
+        assert got.dtype == dtype and np.isfinite(got).all()
+        for xi, gi in zip(x.data, got):
+            ref = ref_fn(float(xi))
+            # silu's slope sig (1 + x (1 - sig)) rounds 1 - sig to within
+            # eps / 2, an error that x multiplies
+            growth = max(1.0, abs(float(xi))) if kind == "silu" and got is slope else 1.0
+            if abs(ref) >= finfo.tiny:
+                assert abs(gi - ref) <= 8 * finfo.eps * growth * abs(ref), (kind, xi, gi, ref)
+            else:                                     # below the normal range
+                assert abs(gi - ref) <= finfo.tiny, (kind, xi, gi, ref)
+
+
+def test_elementwise_kernels_exact_points():
+    for dtype in (np.float32, np.float64):
+        assert dc.softplus(dc.tensor([0.0], dtype=dtype)).data[0] == dtype(math.log(2.0))
+        assert dc.sigmoid(dc.tensor([0.0], dtype=dtype)).data[0] == 0.5
+        for fn in (dc.silu, dc.sigmoid):
+            x = dc.tensor([0.0], dtype=dtype, requires_grad=True)
+            dc.backward(dc.mean_pool(fn(x)))
+            assert x.grad[0] == (0.5 if fn is dc.silu else 0.25)
+
+
+# central differences next to sigmoid(30) = 1 - 9e-14 are below float64's
+# resolution, so sigmoid's slope there is checked against the math reference
+# above and its finite-difference check stops at 15
+GRAD_POINTS = {"sigmoid": (-30.0, -1e-8, 0.0, 15.0),
+               "silu": (-30.0, -1e-8, 0.0, 30.0),
+               "softplus": (-30.0, -1e-8, 0.0, 30.0)}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAD_POINTS))
+def test_elementwise_kernels_grad_check_up_to_30(kind):
+    fn = ELEMENTWISE_REFS[kind][0]
+    for point in GRAD_POINTS[kind]:                  # one at a time: a tiny slope
+        _check(lambda x: dc.mean_pool(fn(x)), [point])  # is lost in a shared mean
+
+
+def _sigmoid_composition(x):
+    """The pose head's former on-tape sigmoid: exp(-softplus(-x)), 4 nodes."""
+    minus = t64(-1.0)
+    return dc.exp(dc.mul(dc.softplus(dc.mul(x, minus)), minus))
+
+
+def test_sigmoid_matches_composition_it_replaces():
+    values = np.random.default_rng(13).standard_normal((5, 7)) * 6.0
+    readout = t64(np.random.default_rng(14).standard_normal((5, 7)))
+    results = []
+    for fn in (dc.sigmoid, _sigmoid_composition):
+        x = t64(values, requires_grad=True)
+        out = fn(x)
+        dc.backward(dc.mean_pool(dc.mul(out, readout)))
+        results.append((out.data, x.grad))
+    (out, grad), (out_ref, grad_ref) = results
+    np.testing.assert_allclose(out, out_ref, rtol=1e-14)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-13)
 
 
 def test_pool_keepdims_shapes():

@@ -140,6 +140,29 @@ def test_scan_state_carry_composes():
     np.testing.assert_allclose(h_b, h_full, rtol=1e-12)
 
 
+def _scan_per_step(Abar, Bbar, C, x, h0):
+    """The recurrence one step at a time, a fresh array per step."""
+    h, ys, states = h0, [], []
+    for t in range(x.shape[0]):
+        h = Abar[t] * h + Bbar[t] * x[t][:, None]
+        ys.append(h @ C[t])
+        states.append(h)
+    return np.stack(ys), h, np.stack(states)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_in_place_matches_per_step_loop(dtype):
+    rng = np.random.default_rng(17)
+    Abar, Bbar, C, x = _random_stable_system(rng, 33, 5, 4, True, dtype)
+    for h0 in (None, rng.standard_normal((5, 4)).astype(dtype)):
+        y, h, states = ssm.scan_sequential(Abar, Bbar, C, x, h0, return_states=True)
+        ref = _scan_per_step(Abar, Bbar, C, x, np.zeros((5, 4), dtype) if h0 is None else h0)
+        for got, want in zip((y, h, states), ref):
+            assert got.dtype == dtype and np.array_equal(got, want)
+        # a carried state must not keep the whole trajectory alive
+        assert not np.shares_memory(h, states)
+
+
 def test_scan_stability_bound():
     rng = np.random.default_rng(13)
     for trial in range(20):
