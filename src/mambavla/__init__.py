@@ -1,8 +1,8 @@
 """Desk-scale selective state-space vision-language-action stack.
 
 Everything here runs on CPU with numpy as the only array dependency:
-a reverse-mode autodiff core (`diffcore`), selective-SSM scan kernels
-(`ssm`), a Mamba-style language model (`mamba`), a patch-embed vision
+a reverse-mode autodiff core with a fused selective-scan primitive
+(`diffcore`), a Mamba-style language model (`mamba`), a patch-embed vision
 pipeline (`vispipe`), a 6-DoF pose policy head (`policy`), a staged
 trainer (`trainer`), and a procedural articulated-object simulator
 (`simworld`).

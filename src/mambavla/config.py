@@ -29,7 +29,6 @@ class ModelConfig:
     head_variant: str = "mlp2"    # mlp2 | mlp1 | ssm-mlp
     head_hidden: int = 32
     pool: str = "mean"            # mean | max pooling over sequence positions
-    predict_gripper: bool = False
 
     @property
     def d_inner(self) -> int:

@@ -192,7 +192,6 @@ def episode_rows(episodes: list[simworld.ManipEpisode]) -> list[dict]:
             "pos_uv": (float(pose.contact_pixel[0]),
                        float(pose.contact_pixel[1])),
             "rot": np.asarray(pose.a_dir, dtype=np.float64),
-            "gripper": None if pose.gripper is None else int(pose.gripper),
             "success": bool(ep.success),
             "dq": float(ep.dq),
             "seed": int(ep.seed),
@@ -238,7 +237,6 @@ def write_manip_dataset(out_dir: str,
             "pos_uv": [float(pose.contact_pixel[0]),
                        float(pose.contact_pixel[1])],
             "rot": [float(x) for x in np.asarray(pose.a_dir).reshape(-1)],
-            "gripper": None if pose.gripper is None else int(pose.gripper),
             "success": bool(ep.success),
             "dq": float(ep.dq),
             "seed": int(ep.seed),
@@ -279,7 +277,6 @@ def load_manip_dataset(out_dir: str) -> list[dict]:
         out.append({"image": rgb, "depth": depth, "prompt": row["prompt"],
                     "pos_uv": tuple(row["pos_uv"]),
                     "rot": rot.reshape(3, 3),
-                    "gripper": row.get("gripper"),
                     "success": bool(row["success"]),
                     "dq": float(row.get("dq", 0.0)),
                     "seed": int(row.get("seed", 0))})

@@ -17,15 +17,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from mambavla import ssm
-
 __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
     "TapeError",
     "tensor",
-    "apply_primitive",
     "PRIMITIVES",
     "matmul",
     "add",
@@ -103,12 +100,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def backward(self) -> dict["Tensor", np.ndarray]:
-        return backward(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag})"
@@ -155,10 +146,13 @@ def _make_node(kind: str, out_data: np.ndarray, parents: Sequence[Tensor],
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # grads accumulate in the tensor's own dtype; lazily allocated
+    # grads accumulate in the tensor's own dtype.  The first gradient is
+    # stored as a copy, never as g itself: add's backward hands the same g to
+    # both operands, and a later += into one would change the other's
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False).reshape(t.data.shape)
+        t.grad = np.array(g, dtype=t.data.dtype, order="C").reshape(t.data.shape)
+    else:
+        t.grad += g.astype(t.data.dtype, copy=False).reshape(t.data.shape)
 
 
 # Broadcast helpers: `axes` maps each axis of a small operand onto axes of the
@@ -547,11 +541,11 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
         Abar_t = exp(delta_t A),  Bbar_t = (Abar_t - 1) (1/A) B_t   (exact ZOH)
         h_t = Abar_t h_{t-1} + Bbar_t u_t,  y_t = C_t . h_t
 
-    Returns (y [L, E], h_final [E, N]); the final state is a plain array for
-    the generation carry and gets no gradient.  The forward pass is
-    `ssm.scan_sequential`, which keeps the states; backward runs the
-    reverse-time adjoint dh_t = dy_t C_t + Abar_{t+1} dh_{t+1} once and
-    everything else vectorised over [L, E, N].
+    Returns (y [L, E], h_final [E, N]); the final state is a plain array of
+    its own for the generation carry (never a view into the trajectory) and
+    gets no gradient.  The forward pass keeps the state trajectory [L, E, N];
+    backward runs the reverse-time adjoint dh_t = dy_t C_t + Abar_{t+1}
+    dh_{t+1} once and everything else vectorised over [L, E, N].
     """
     kind = "selective-scan"
     inputs = (u, delta, A_log, B, C)
@@ -585,10 +579,18 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
         np.exp(Abar, out=Abar)
         coef = Abar - 1.0                                           # (Abar - 1) / A
         coef *= inv_A
-        Bbar = coef * B.data[:, None, :]
-        y, h_final, states = ssm.scan_sequential(Abar, Bbar, C.data, u.data, h0,
-                                                 return_states=True)
-    _check_finite_output(kind, h_final)
+        # states[t] starts as the input term Bbar_t u_t and the loop adds the
+        # decayed carry Abar_t h_{t-1} into it in place
+        states = coef * B.data[:, None, :]
+        states *= u.data[:, :, None]
+        h = np.zeros((E, N), dtype) if h0 is None else h0
+        decay = np.empty((E, N), dtype)
+        for t in range(L):
+            states[t] += np.multiply(Abar[t], h, out=decay)
+            h = states[t]
+        # y_t = C_t . h_t for every t at once: the same products as one per step
+        y = np.matmul(states, C.data[:, :, None])[:, :, 0]
+    h_final = _check_finite_output(kind, states[-1].copy())
 
     def backward_fn(g: np.ndarray) -> None:
         # reductions go through einsum: summing a short trailing axis with
@@ -653,23 +655,6 @@ PRIMITIVES: dict[str, Callable] = {
     "selective-scan": selective_scan,
 }
 
-
-def apply_primitive(kind: str, inputs: Sequence[Tensor],
-                    **params) -> Tensor | tuple[Tensor, np.ndarray]:
-    """Dispatch a primitive by kind string.
-
-    `concat` takes its operand list as a single argument; everything else is
-    positional.  Every kind returns one Tensor except `selective-scan`, which
-    returns (y Tensor, final state ndarray) and takes its carried state as the
-    `h0` keyword.  Unknown kinds raise ShapeError.
-    """
-    fn = PRIMITIVES.get(kind)
-    if fn is None:
-        raise ShapeError(f"unknown primitive kind {kind!r}; "
-                         f"known: {sorted(PRIMITIVES)}")
-    if kind == "concat":
-        return fn(list(inputs), **params)
-    return fn(*inputs, **params)
 
 
 # ---------------------------------------------------------------------------

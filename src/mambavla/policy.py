@@ -86,7 +86,6 @@ class EndEffectorPose:
     a_dir: np.ndarray                      # 3x3 rotation
     contact_pixel: tuple[float, float]     # (u, v) in [0,1]^2
     a_pos: np.ndarray | None = None        # 3D metres, camera frame (after lift)
-    gripper: bool | None = None            # 7-DoF mode only
 
     def validate(self) -> None:
         R = np.asarray(self.a_dir)
@@ -173,11 +172,10 @@ class PoseOutputs:
     pixel: Tensor                 # [1, 2] in (0,1), on tape
     rot6: Tensor                  # [1, 6] raw representation, on tape
     rot: Tensor                   # [3, 3] rotation, on tape
-    gripper_logit: Tensor | None  # [1, 1] in 7-DoF mode
 
 
 class PoseHead:
-    """Pooled LM token -> (contact pixel, rotation[, gripper])."""
+    """Pooled LM token -> (contact pixel, rotation)."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         if cfg.head_variant not in HEAD_VARIANTS:
@@ -186,7 +184,6 @@ class PoseHead:
         M, H = cfg.d_model, cfg.head_hidden
         self.cfg = cfg
         self.dtype = dtype
-        self.n_pos_out = 3 if cfg.predict_gripper else 2
         def_p = lambda arr: dc.tensor(arr, dtype=dtype, requires_grad=True)
         lin = lambda fi, fo, gain=1.0: (
             def_p(rng.normal(0.0, gain * fi ** -0.5, size=(fi, fo))),
@@ -204,13 +201,11 @@ class PoseHead:
             self.w_pos2, self.b_pos2 = zlin(H, 2)
             self.w_dir1, self.b_dir1 = lin(M, H, gain=_GAIN_DIR)
             self.w_dir2, self.b_dir2 = lin(H, 6)
-            if cfg.predict_gripper:
-                self.w_grip, self.b_grip = lin(M, 1)
             # drawn last, so the other initial values do not depend on it
             self.w_pos1, self.b_pos1 = lin(M, H)
         elif cfg.head_variant == "mlp1":
             self.w1, self.b1 = lin(M, H)
-            self.w2, self.b2 = lin(H, self.n_pos_out + 6)
+            self.w2, self.b2 = lin(H, 2 + 6)
         else:  # ssm-mlp
             self.w_down, self.b_down = lin(M, H)
             blk_cfg = dataclasses.replace(cfg, d_model=H,
@@ -219,8 +214,6 @@ class PoseHead:
             self.w_pos2, self.b_pos2 = zlin(H, 2)
             self.w_dir1, self.b_dir1 = lin(H, H, gain=_GAIN_DIR)
             self.w_dir2, self.b_dir2 = lin(H, 6)
-            if cfg.predict_gripper:
-                self.w_grip, self.b_grip = lin(H, 1)
             self.w_pos1, self.b_pos1 = lin(H, H)
 
     def named_params(self):
@@ -235,9 +228,6 @@ class PoseHead:
                      "w_dir1", "b_dir1", "w_dir2", "b_dir2")
         for n in names:
             yield n, getattr(self, n)
-        if variant != "mlp1" and self.cfg.predict_gripper:
-            yield "w_grip", self.w_grip
-            yield "b_grip", self.b_grip
         if variant == "ssm-mlp":
             for n, p in self.block.named_params():
                 yield f"block.{n}", p
@@ -254,20 +244,15 @@ class PoseHead:
         # activations start at unit scale regardless of backbone statistics
         pooled = dc.layer_norm(pool_global_token(hidden, self.cfg.pool))
         variant = self.cfg.head_variant
-        grip = None
         if variant == "mlp2":
             pos_out = self._branch(pooled, self.w_pos1, self.b_pos1,
                                    self.w_pos2, self.b_pos2)
             rot6 = self._branch(pooled, self.w_dir1, self.b_dir1,
                                 self.w_dir2, self.b_dir2)
-            if self.cfg.predict_gripper:
-                grip = dc.add(dc.matmul(pooled, self.w_grip), self.b_grip)
         elif variant == "mlp1":
             out = self._branch(pooled, self.w1, self.b1, self.w2, self.b2)
             pos_out = dc.tslice(out, 1, 0, 2)
-            rot6 = dc.tslice(out, 1, self.n_pos_out, self.n_pos_out + 6)
-            if self.cfg.predict_gripper:
-                grip = dc.tslice(out, 1, 2, 3)
+            rot6 = dc.tslice(out, 1, 2, 8)
         else:
             x0 = dc.add(dc.matmul(pooled, self.w_down), self.b_down)
             feats, _ = self.block.forward(x0)            # length-1 sequence
@@ -275,8 +260,6 @@ class PoseHead:
                                    self.w_pos2, self.b_pos2)
             rot6 = self._branch(feats, self.w_dir1, self.b_dir1,
                                 self.w_dir2, self.b_dir2)
-            if self.cfg.predict_gripper:
-                grip = dc.add(dc.matmul(feats, self.w_grip), self.b_grip)
 
         # pixel = sigmoid(branch logits): the squash keeps the prediction
         # inside the image and its vanishing tails damp the optimizer during
@@ -287,19 +270,14 @@ class PoseHead:
         # rotation instead of a degenerate 6D representation
         rot6 = dc.add(rot6, dc.tensor(
             np.array([[1.0, 0, 0, 0, 1.0, 0]]), dtype=rot6.data.dtype))
-        return PoseOutputs(pixel=pixel, rot6=rot6,
-                           rot=gram_schmidt_6d(rot6), gripper_logit=grip)
+        return PoseOutputs(pixel=pixel, rot6=rot6, rot=gram_schmidt_6d(rot6))
 
 
 def predict_pose(head: PoseHead, hidden: Tensor) -> EndEffectorPose:
     """Detached pose for evaluation (3D position filled in by lift_to_3d)."""
     out = head.forward(hidden)
     u, v = (float(x) for x in out.pixel.data[0])
-    grip = None
-    if out.gripper_logit is not None:
-        grip = bool(out.gripper_logit.data[0, 0] > 0.0)
-    return EndEffectorPose(a_dir=out.rot.data.copy(), contact_pixel=(u, v),
-                           gripper=grip)
+    return EndEffectorPose(a_dir=out.rot.data.copy(), contact_pixel=(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -126,15 +126,6 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None) -> dc.Tenso
     return dc.matmul(dc.tensor(weights, dtype=dtype), logp)  # [1, 1]
 
 
-def _bce_with_logits(logits: dc.Tensor, labels: np.ndarray) -> dc.Tensor:
-    """Mean binary cross-entropy: softplus(x) - y*x, from primitives."""
-    dtype = logits.data.dtype
-    neg_y = dc.tensor(-np.asarray(labels, dtype=dtype)
-                      .reshape(logits.data.shape), dtype=dtype)
-    per = dc.add(dc.softplus(logits), dc.mul(neg_y, logits))
-    return dc.mean_pool(per)
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -269,28 +260,17 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
             batch = order[start:start + train_cfg.batch_size]
             t0 = time.perf_counter()
             if stage == "manip":
-                losses = []
                 pixels, rots = [], []
-                grip_logits, grip_labels = [], []
                 for idx in batch:
                     hidden = dc.tensor(cache[idx],
                                        dtype=cache[idx].dtype)
                     out = model.head.forward(hidden)
                     pixels.append(out.pixel)
                     rots.append(out.rot)
-                    row = dataset[idx]
-                    if out.gripper_logit is not None and \
-                            row.get("gripper") is not None:
-                        grip_logits.append(out.gripper_logit)
-                        grip_labels.append(float(row["gripper"]))
                 gt_uv = np.stack([dataset[i]["pos_uv"] for i in batch])
                 gt_rot = np.stack([dataset[i]["rot"] for i in batch])
                 loss = dc.add(position_loss(dc.concat(pixels, axis=0), gt_uv),
                               direction_loss(rots, gt_rot))
-                if grip_logits:
-                    loss = dc.add(loss, _bce_with_logits(
-                        dc.concat(grip_logits, axis=0),
-                        np.asarray(grip_labels).reshape(-1, 1)))
             else:
                 per_sample = [_stage1_sample_loss(model, tokenizer,
                                                   dataset[idx])

@@ -2,8 +2,6 @@
 
 The composition order is fixed — encode -> project -> concat -> language
 model — and visual tokens always precede text tokens in the concatenation.
-`multimodal_forward` takes an optional trace list so tests can assert that
-order structurally rather than by inspecting tape internals.
 """
 
 from __future__ import annotations
@@ -109,8 +107,7 @@ class MultimodalOutput:
 
 def multimodal_forward(encoder: PatchEncoder, projector: MlpProjector,
                        lm: LanguageModel, image: np.ndarray,
-                       prompt_ids: list[int],
-                       trace: list[str] | None = None) -> MultimodalOutput:
+                       prompt_ids: list[int]) -> MultimodalOutput:
     """image + prompt tokens -> LM forward over [visual || text].
 
     The full last-layer hidden states (visual positions included) are exposed
@@ -119,17 +116,9 @@ def multimodal_forward(encoder: PatchEncoder, projector: MlpProjector,
     if len(prompt_ids) == 0:
         raise ValueError("multimodal_forward: prompt must contain at least one token")
     f_v = encoder.encode(image)
-    if trace is not None:
-        trace.append("encode")
     f_v_lm = projector.project(f_v)
-    if trace is not None:
-        trace.append("project")
     seq = dc.concat([f_v_lm, lm.embed_tokens(prompt_ids)], axis=0)
-    if trace is not None:
-        trace.append("concat")
     hidden, logits, state = lm.forward_embedded(seq)
-    if trace is not None:
-        trace.append("lm")
     n_vis = f_v_lm.shape[0]
     text_logits = dc.tslice(logits, 0, n_vis, n_vis + len(prompt_ids))
     return MultimodalOutput(hidden=hidden, text_logits=text_logits,

@@ -1,8 +1,10 @@
-"""Selective SSM kernels: ZOH discretization and the linear-recurrence scan.
+"""Plain-numpy reference kernels the SSM tests check against.
 
-These are plain-numpy reference kernels (no autodiff) that the tests check
-against.  The differentiable model path uses the same recurrence: diffcore's
-`selective-scan` primitive runs `scan_sequential` as its forward pass.
+`discretize_zoh` is the textbook zero-order-hold discretization,
+`continuous_ode_oracle` integrates the continuous-time system with RK4, and
+`_scan_per_step` runs the discrete recurrence one step at a time.  None of
+them is on the model path: `diffcore.selective_scan` discretizes and scans
+in place, and the tests hold it to these.
 
 Shapes follow the per-channel diagonal convention:
   A     [D, N]        diagonal continuous-time state matrix per channel
@@ -18,13 +20,6 @@ case); static and time-varying parameters may be mixed freely.
 from __future__ import annotations
 
 import numpy as np
-
-__all__ = [
-    "discretize_zoh",
-    "scan_sequential",
-    "continuous_ode_oracle",
-    "ZOH_SERIES_CUTOFF",
-]
 
 # below this |delta * A| the exact (exp(z)-1)/z expression switches to its
 # Taylor series, which is exact at z = 0
@@ -87,53 +82,14 @@ def discretize_zoh(A: np.ndarray, B: np.ndarray,
     return Abar, Bbar
 
 
-def _check_scan_args(Abar, Bbar, C, x):
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"scan: x must be [L, D], got {x.shape}")
-    L, D = x.shape
-    if L == 0:
-        raise ValueError("scan: empty sequence")
-    for name, arr, static_rank in (("Abar", Abar, 2), ("Bbar", Bbar, 2), ("C", C, 1)):
-        arr = np.asarray(arr)
-        if arr.ndim == static_rank + 1 and arr.shape[0] != L:
-            raise ValueError(f"scan: {name} time axis {arr.shape[0]} != L={L}")
-        if arr.ndim not in (static_rank, static_rank + 1):
-            raise ValueError(f"scan: {name} has rank {arr.ndim}, expected "
-                             f"{static_rank} or {static_rank + 1}")
-    return L, D
-
-
-def _at(arr: np.ndarray, t: int, static_rank: int) -> np.ndarray:
-    return arr[t] if arr.ndim == static_rank + 1 else arr
-
-
-def scan_sequential(Abar: np.ndarray, Bbar: np.ndarray, C: np.ndarray,
-                    x: np.ndarray, h0: np.ndarray | None = None,
-                    return_states: bool = False):
-    """Reference recurrence h_t = Abar_t h_{t-1} + Bbar_t x_t, y_t = C_t . h_t.
-
-    Returns (y [L, D], h_final [D, N]); with return_states=True appends the
-    full state trajectory [L, D, N].  h_final is an array of its own, never a
-    view into the trajectory, so a carried state does not keep it alive.
-    """
-    Abar, Bbar, C, x = map(np.asarray, (Abar, Bbar, C, x))
-    L, D = _check_scan_args(Abar, Bbar, C, x)
-    N = Abar.shape[-1]
-    dtype = np.result_type(Abar, Bbar, C, x)
-    # states[t] starts as the input term Bbar_t x_t and the loop adds the
-    # decayed carry Abar_t h_{t-1} into it in place
-    states = np.multiply(Bbar, x[:, :, None], dtype=dtype)             # [L, D, N]
-    h = np.zeros((D, N), dtype=dtype) if h0 is None else np.asarray(h0).astype(dtype)
-    decay = np.empty((D, N), dtype=dtype)
-    for t in range(L):
-        states[t] += np.multiply(_at(Abar, t, 2), h, out=decay)
-        h = states[t]
-    # y_t = h_t . C_t for every t at once; the same matrix-vector products
-    # as one per step
-    y = states @ C if C.ndim == 1 else np.matmul(states, C[:, :, None])[:, :, 0]
-    h_final = states[-1].copy()
-    return (y, h_final, states) if return_states else (y, h_final)
+def _scan_per_step(Abar, Bbar, C, x, h0):
+    """The recurrence one step at a time, a fresh array per step; Abar,
+    Bbar [L, D, N], C [L, N].  Returns (y [L, D], h_final [D, N])."""
+    h, ys = h0, []
+    for t in range(x.shape[0]):
+        h = Abar[t] * h + Bbar[t] * x[t][:, None]
+        ys.append(h @ C[t])
+    return np.stack(ys), h
 
 
 def continuous_ode_oracle(A: np.ndarray, B: np.ndarray, C: np.ndarray,

@@ -135,7 +135,7 @@ def test_load_manip_rejects_missing_depth(tmp_path):
     fileio.write_rmim(str(tmp_path / "images" / "e.rmim"), rgb)
     fileio.write_jsonl(str(tmp_path / "manifest.jsonl"), [{
         "image": "images/e.rmim", "prompt": "p", "pos_uv": [0.5, 0.5],
-        "rot": [1, 0, 0, 0, 1, 0, 0, 0, 1], "gripper": None,
+        "rot": [1, 0, 0, 0, 1, 0, 0, 0, 1],
         "success": True, "dq": 0.2, "seed": 0}])
     with pytest.raises(fileio.FormatError, match="depth"):
         ds.load_manip_dataset(str(tmp_path))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssm_reference as ref
 from mambavla import diffcore as dc
-from mambavla import ssm
 
 RNG = np.random.default_rng(0)
 
@@ -235,49 +235,36 @@ def test_selective_scan_matches_reference_kernels():
     u, delta, A_log, B, C = _scan_inputs(rng, L=12, E=4, N=3)
     h0 = rng.standard_normal((4, 3))
     y, h_final = dc.selective_scan(t64(u), t64(delta), t64(A_log), t64(B), t64(C), h0=h0)
-    Abar, Bbar = ssm.discretize_zoh(-np.exp(A_log), B, delta)
-    y_ref, h_ref = ssm.scan_sequential(Abar, Bbar, C, u, h0)
+    Abar, Bbar = ref.discretize_zoh(-np.exp(A_log), B, delta)
+    y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, h0)
     np.testing.assert_allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(h_final, h_ref, rtol=1e-12, atol=1e-12)
 
 
-def _capture_scan_kernel(monkeypatch):
-    """Record the arrays `selective_scan` hands to `ssm.scan_sequential`
-    and the trajectory it gets back."""
-    seen = {}
-    scan = ssm.scan_sequential
-
-    def spy(Abar, Bbar, C, x, h0=None, return_states=False):
-        out = scan(Abar, Bbar, C, x, h0, return_states)
-        seen.update(Abar=Abar, Bbar=Bbar, states=out[2])
-        return out
-
-    monkeypatch.setattr(dc.ssm, "scan_sequential", spy)
-    return seen
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_selective_scan_discretization_is_bit_identical(dtype, monkeypatch):
-    # the in-place discretization must keep the operation order of
-    # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B
-    seen = _capture_scan_kernel(monkeypatch)
-    u, delta, A_log, B, C = (a.astype(dtype) for a in
-                             _scan_inputs(np.random.default_rng(11), L=16, E=6, N=4))
-    dc.selective_scan(*(dc.tensor(a, dtype=dtype) for a in (u, delta, A_log, B, C)))
+def test_selective_scan_discretization_is_bit_identical(dtype):
+    # the in-place discretization and scan must keep the operation order of
+    # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B and of the per-step
+    # recurrence h_t = Abar_t h_{t-1} + Bbar_t u_t, y_t = h_t . C_t
+    rng = np.random.default_rng(11)
+    u, delta, A_log, B, C = (a.astype(dtype) for a in _scan_inputs(rng, L=16, E=6, N=4))
     A, inv_A = -np.exp(A_log), -np.exp(-A_log)
     Abar = np.exp(delta[:, :, None] * A)
     Bbar = (Abar - 1.0) * inv_A * B[:, None, :]
-    assert seen["Abar"].dtype == dtype and seen["Bbar"].dtype == dtype
-    assert np.array_equal(seen["Abar"], Abar)
-    assert np.array_equal(seen["Bbar"], Bbar)
+    for h0 in (None, rng.standard_normal((6, 4)).astype(dtype)):
+        y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
+                                         for a in (u, delta, A_log, B, C)), h0=h0)
+        carry = np.zeros((6, 4), dtype) if h0 is None else h0
+        y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, carry)
+        assert y.dtype == dtype and h_final.dtype == dtype
+        assert np.array_equal(y.data, y_ref)
+        assert np.array_equal(h_final, h_ref)
 
 
-def test_selective_scan_final_state_owns_its_memory(monkeypatch):
+def test_selective_scan_final_state_owns_its_memory():
     # generation carries h_final; a view would keep the whole trajectory alive
-    seen = _capture_scan_kernel(monkeypatch)
     _, h_final = dc.selective_scan(*(t64(a) for a in _scan_inputs(np.random.default_rng(12))))
-    np.testing.assert_array_equal(h_final, seen["states"][-1])
-    assert not np.shares_memory(h_final, seen["states"])
+    assert h_final.flags.owndata
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +380,18 @@ def test_grad_check_detects_corrupted_gradient():
     assert 0.30 < err < 0.36
 
 
+def test_first_gradient_is_an_owned_copy():
+    # add's backward hands one g to both operands: a stores it first, then
+    # mul adds a second contribution into a.grad, which must not reach b.grad
+    a = t64([1.0, 2.0, 3.0], requires_grad=True)
+    b = t64([4.0, 5.0, 6.0], requires_grad=True)
+    k = t64([7.0, 8.0, 9.0])
+    dc.backward(dc.mean_pool(dc.add(dc.add(a, b), dc.mul(a, k))))
+    np.testing.assert_array_equal(b.grad, np.full(3, 1.0 / 3.0))
+    np.testing.assert_allclose(a.grad, (1.0 + k.data) / 3.0, rtol=1e-15)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
 def test_two_branch_fanout_accumulates():
     x = t64([3.0], requires_grad=True)
     y = dc.add(dc.mul(x, x), dc.mul(x, t64([5.0])))   # x^2 + 5x -> dy/dx = 2x + 5
@@ -485,6 +484,8 @@ def test_selective_scan_rejects_bad_shapes_and_dtypes():
         broken[i] = t64(np.zeros(shape))
         with pytest.raises(dc.ShapeError):
             dc.selective_scan(*broken, h0=h0)
+    with pytest.raises(dc.ShapeError):     # empty sequence
+        dc.selective_scan(*(t64(a.data[:0]) if a.shape[0] == 4 else a for a in args))
     with pytest.raises(dc.ShapeError):
         dc.selective_scan(*args, h0=np.zeros((2, 3)))
     with pytest.raises(dc.ShapeError):
@@ -504,15 +505,6 @@ def test_selective_scan_rejects_non_finite_inputs_and_carry():
     h0[1, 1] = np.nan
     with pytest.raises(dc.NonFiniteError, match="selective-scan"):
         dc.selective_scan(*[t64(a) for a in arrays], h0=h0)
-
-
-def test_apply_primitive_dispatch():
-    out = dc.apply_primitive("softplus", [t64([0.0])])
-    assert abs(out.item() - math.log(2.0)) < 1e-12
-    out = dc.apply_primitive("concat", [t64([1.0]), t64([2.0])], axis=0)
-    assert out.shape == (2,)
-    with pytest.raises(dc.ShapeError):
-        dc.apply_primitive("fft", [t64([1.0])])
 
 
 def test_repeated_apply_is_bit_identical():

@@ -120,18 +120,6 @@ def test_validate_rejects_non_finite_rotation(bad):
         pose.validate()
 
 
-def test_gripper_mode_adds_flag():
-    head = make_head(predict_gripper=True)
-    out = head.forward(dc.tensor(RNG.standard_normal((3, 16)), dtype=np.float32))
-    assert out.gripper_logit is not None and out.gripper_logit.shape == (1, 1)
-    pose = policy.predict_pose(
-        head, dc.tensor(RNG.standard_normal((3, 16)), dtype=np.float32))
-    assert pose.gripper in (True, False)
-    assert make_head().forward(
-        dc.tensor(RNG.standard_normal((3, 16)), dtype=np.float32)
-    ).gripper_logit is None
-
-
 # ---------------------------------------------------------------------------
 # position loss
 
@@ -293,18 +281,18 @@ def test_lift_zero_depth_errors_naming_pixel():
 
 
 def _hand_count(cfg: ModelConfig) -> int:
-    M, H, P = cfg.d_model, cfg.head_hidden, 3 if cfg.predict_gripper else 2
+    M, H = cfg.d_model, cfg.head_hidden
     if cfg.head_variant == "mlp2":
-        return (M * H + H + H * P + P) + (M * H + H + H * 6 + 6)
+        return (M * H + H + H * 2 + 2) + (M * H + H + H * 6 + 6)
     if cfg.head_variant == "mlp1":
-        return M * H + H + H * (P + 6) + (P + 6)
+        return M * H + H + H * (2 + 6) + (2 + 6)
     # ssm-mlp: down-projection + one narrow block + two branch perceptrons
     E, N = 2 * H, cfg.d_state
     R = max(1, H // 16)
     w = cfg.d_conv
     block = (2 * H) + H * 2 * E + (w * E + E) + E * (R + 2 * N) \
         + (R * E + E) + E * N + E + E * H
-    return (M * H + H) + block + (H * H + H + H * P + P) + (H * H + H + H * 6 + 6)
+    return (M * H + H) + block + (H * H + H + H * 2 + 2) + (H * H + H + H * 6 + 6)
 
 
 @pytest.mark.parametrize("variant", policy.HEAD_VARIANTS)

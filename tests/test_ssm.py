@@ -1,11 +1,13 @@
-"""SSM kernels: ZOH discretization values, scan properties, ODE agreement."""
+"""SSM math: ZOH discretization values, the properties of the model's
+selective scan, and its agreement with the continuous-time ODE."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mambavla import ssm
+import ssm_reference as ref
+from mambavla import diffcore as dc
 
 
 def scalar_system(A=-1.0, B=0.5, delta=0.1):
@@ -18,7 +20,7 @@ def scalar_system(A=-1.0, B=0.5, delta=0.1):
 
 def test_zoh_frozen_scalar_example():
     A, B, delta = scalar_system(A=-1.0, B=0.5, delta=0.1)
-    Abar, Bbar = ssm.discretize_zoh(A, B, delta)
+    Abar, Bbar = ref.discretize_zoh(A, B, delta)
     assert abs(Abar[0, 0] - 0.9048374180359595) < 1e-15
     assert abs(Bbar[0, 0] - 0.0475812909820202) < 1e-15
 
@@ -30,7 +32,7 @@ def test_zoh_matches_closed_form_random_scalars():
         a = -10.0 ** rng.uniform(-3, 1)
         b = rng.uniform(-2, 2)
         dt = 10.0 ** rng.uniform(-3, 0)
-        Abar, Bbar = ssm.discretize_zoh(*scalar_system(a, b, dt))
+        Abar, Bbar = ref.discretize_zoh(*scalar_system(a, b, dt))
         # math.expm1 keeps the reference well-conditioned at small |dt*a|
         ref_a = math.exp(dt * a)
         ref_b = math.expm1(dt * a) / (dt * a) * dt * b
@@ -46,13 +48,13 @@ def test_zoh_matches_naive_formula_where_conditioned():
         a = -10.0 ** rng.uniform(-1, 1)      # |dt*a| >= 1e-2: naive form is fine
         b = rng.uniform(-2, 2)
         dt = 10.0 ** rng.uniform(-1, 0)
-        _, Bbar = ssm.discretize_zoh(*scalar_system(a, b, dt))
+        _, Bbar = ref.discretize_zoh(*scalar_system(a, b, dt))
         ref_b = (math.exp(dt * a) - 1.0) / (dt * a) * dt * b
         assert abs(Bbar[0, 0] - ref_b) <= 1e-12 * (abs(ref_b) + 1e-300)
 
 
 def test_zoh_zero_A_series_branch():
-    Abar, Bbar = ssm.discretize_zoh(np.array([[0.0]]), np.array([1.0]),
+    Abar, Bbar = ref.discretize_zoh(np.array([[0.0]]), np.array([1.0]),
                                     np.array([0.1]))
     assert Abar[0, 0] == 1.0
     assert abs(Bbar[0, 0] - 0.1) < 1e-15
@@ -61,11 +63,11 @@ def test_zoh_zero_A_series_branch():
 def test_zoh_branch_continuity_at_cutoff():
     # phi must be continuous across |delta*A| = 1e-6
     eps = 1e-12
-    below = ssm._phi(np.array([ssm.ZOH_SERIES_CUTOFF * (1 - eps)]))
-    above = ssm._phi(np.array([ssm.ZOH_SERIES_CUTOFF * (1 + eps)]))
+    below = ref._phi(np.array([ref.ZOH_SERIES_CUTOFF * (1 - eps)]))
+    above = ref._phi(np.array([ref.ZOH_SERIES_CUTOFF * (1 + eps)]))
     assert abs(below[0] - above[0]) <= 1e-9
-    below = ssm._phi(np.array([-ssm.ZOH_SERIES_CUTOFF * (1 + eps)]))
-    above = ssm._phi(np.array([-ssm.ZOH_SERIES_CUTOFF * (1 - eps)]))
+    below = ref._phi(np.array([-ref.ZOH_SERIES_CUTOFF * (1 + eps)]))
+    above = ref._phi(np.array([-ref.ZOH_SERIES_CUTOFF * (1 - eps)]))
     assert abs(below[0] - above[0]) <= 1e-9
 
 
@@ -75,11 +77,11 @@ def test_zoh_time_varying_shapes():
     A = -np.abs(rng.standard_normal((D, N))) - 0.1
     delta = np.abs(rng.standard_normal((L, D))) + 0.01
     B = rng.standard_normal((L, N))
-    Abar, Bbar = ssm.discretize_zoh(A, B, delta)
+    Abar, Bbar = ref.discretize_zoh(A, B, delta)
     assert Abar.shape == (L, D, N) and Bbar.shape == (L, D, N)
     # each time slice equals the static discretization at that step
     for t in range(L):
-        At, Bt = ssm.discretize_zoh(A, B[t], delta[t])
+        At, Bt = ref.discretize_zoh(A, B[t], delta[t])
         np.testing.assert_allclose(Abar[t], At, rtol=1e-14)
         np.testing.assert_allclose(Bbar[t], Bt, rtol=1e-14)
 
@@ -87,44 +89,54 @@ def test_zoh_time_varying_shapes():
 def test_zoh_rejects_bad_shapes_and_nonfinite():
     A, B, delta = scalar_system()
     with pytest.raises(ValueError):
-        ssm.discretize_zoh(A[0], B, delta)
+        ref.discretize_zoh(A[0], B, delta)
     with pytest.raises(ValueError):
-        ssm.discretize_zoh(A, np.array([1.0, 2.0]), delta)
+        ref.discretize_zoh(A, np.array([1.0, 2.0]), delta)
     with pytest.raises(ValueError):
-        ssm.discretize_zoh(np.array([[np.nan]]), B, delta)
+        ref.discretize_zoh(np.array([[np.nan]]), B, delta)
 
 
 # ---------------------------------------------------------------------------
-# scans
+# the model's scan, dc.selective_scan
+
+
+def _selective_scan(A, B, C, x, delta, h0=None):
+    """dc.selective_scan in float64 on the continuous-time system: A [D, N]
+    negative, B, C [L, N], x, delta [L, D].  Returns (y, h_final) arrays."""
+    y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=np.float64)
+                                     for a in (x, delta, np.log(-A), B, C)), h0=h0)
+    return y.data, h_final
+
+
+def _random_system(rng, L, D, N):
+    A = -(10.0 ** rng.uniform(-1, 0.5, size=(D, N)))
+    delta = rng.uniform(0.05, 0.5, size=(L, D))
+    B = rng.standard_normal((L, N))
+    C = rng.standard_normal((L, N))
+    return A, B, C, delta
 
 
 def test_impulse_response_frozen():
-    Abar = np.array([[0.5]])
-    Bbar = np.array([[1.0]])
-    C = np.array([1.0])
-    y, _ = ssm.scan_sequential(Abar, Bbar, C, np.array([[1.0], [0.0], [0.0]]))
+    # A = -ln 2 and delta = 1 give Abar = 1/2; B = 2 ln 2 gives Bbar = 1
+    A = np.array([[-math.log(2.0)]])
+    B = np.full((3, 1), 2.0 * math.log(2.0))
+    C = np.ones((3, 1))
+    delta = np.ones((3, 1))
+    y, _ = _selective_scan(A, B, C, np.array([[1.0], [0.0], [0.0]]), delta)
     np.testing.assert_allclose(y[:, 0], [1.0, 0.5, 0.25], rtol=1e-15)
-    y, _ = ssm.scan_sequential(Abar, Bbar, C, np.ones((3, 1)))
+    y, _ = _selective_scan(A, B, C, np.ones((3, 1)), delta)
     np.testing.assert_allclose(y[:, 0], [1.0, 1.5, 1.75], rtol=1e-15)
-
-
-def _random_stable_system(rng, L, D, N, time_varying, dtype):
-    Abar = rng.uniform(0.05, 0.999, size=(L, D, N) if time_varying else (D, N))
-    Bbar = rng.uniform(-1.0, 1.0, size=(L, D, N) if time_varying else (D, N))
-    C = rng.standard_normal((L, N) if time_varying else N)
-    x = rng.standard_normal((L, D))
-    return (a.astype(dtype) for a in (Abar, Bbar, C, x))
 
 
 def test_scan_linearity():
     rng = np.random.default_rng(11)
-    Abar, Bbar, C, _ = _random_stable_system(rng, 64, 4, 3, True, np.float64)
+    A, B, C, delta = _random_system(rng, 64, 4, 3)
     x1 = rng.standard_normal((64, 4))
     x2 = rng.standard_normal((64, 4))
     al, be = 0.7, -1.3
-    y1, _ = ssm.scan_sequential(Abar, Bbar, C, x1)
-    y2, _ = ssm.scan_sequential(Abar, Bbar, C, x2)
-    y12, _ = ssm.scan_sequential(Abar, Bbar, C, al * x1 + be * x2)
+    y1, _ = _selective_scan(A, B, C, x1, delta)
+    y2, _ = _selective_scan(A, B, C, x2, delta)
+    y12, _ = _selective_scan(A, B, C, al * x1 + be * x2, delta)
     scale = np.abs(y12).max() + 1e-30
     assert np.abs(y12 - (al * y1 + be * y2)).max() / scale <= 1e-6
 
@@ -132,57 +144,36 @@ def test_scan_linearity():
 def test_scan_state_carry_composes():
     # splitting a sequence and carrying h0 must equal one full scan
     rng = np.random.default_rng(5)
-    Abar, Bbar, C, x = _random_stable_system(rng, 40, 3, 4, False, np.float64)
-    y_full, h_full = ssm.scan_sequential(Abar, Bbar, C, x)
-    y_a, h_a = ssm.scan_sequential(Abar, Bbar, C, x[:17])
-    y_b, h_b = ssm.scan_sequential(Abar, Bbar, C, x[17:], h0=h_a)
+    A, B, C, delta = _random_system(rng, 40, 3, 4)
+    x = rng.standard_normal((40, 3))
+    y_full, h_full = _selective_scan(A, B, C, x, delta)
+    y_a, h_a = _selective_scan(A, B[:17], C[:17], x[:17], delta[:17])
+    y_b, h_b = _selective_scan(A, B[17:], C[17:], x[17:], delta[17:], h0=h_a)
     np.testing.assert_allclose(np.concatenate([y_a, y_b]), y_full, rtol=1e-12)
     np.testing.assert_allclose(h_b, h_full, rtol=1e-12)
-
-
-def _scan_per_step(Abar, Bbar, C, x, h0):
-    """The recurrence one step at a time, a fresh array per step."""
-    h, ys, states = h0, [], []
-    for t in range(x.shape[0]):
-        h = Abar[t] * h + Bbar[t] * x[t][:, None]
-        ys.append(h @ C[t])
-        states.append(h)
-    return np.stack(ys), h, np.stack(states)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scan_in_place_matches_per_step_loop(dtype):
-    rng = np.random.default_rng(17)
-    Abar, Bbar, C, x = _random_stable_system(rng, 33, 5, 4, True, dtype)
-    for h0 in (None, rng.standard_normal((5, 4)).astype(dtype)):
-        y, h, states = ssm.scan_sequential(Abar, Bbar, C, x, h0, return_states=True)
-        ref = _scan_per_step(Abar, Bbar, C, x, np.zeros((5, 4), dtype) if h0 is None else h0)
-        for got, want in zip((y, h, states), ref):
-            assert got.dtype == dtype and np.array_equal(got, want)
-        # a carried state must not keep the whole trajectory alive
-        assert not np.shares_memory(h, states)
 
 
 def test_scan_stability_bound():
     rng = np.random.default_rng(13)
     for trial in range(20):
         D, N, L = 3, 4, 200
-        Abar = rng.uniform(0.0, 1.0, size=(D, N))
-        Bbar = rng.uniform(-2.0, 2.0, size=(D, N))
+        # delta = 1, so Abar = exp(A) is uniform on (0, 1)
+        A = np.log(rng.uniform(1e-6, 1.0, size=(D, N)))
+        B = rng.uniform(-2.0, 2.0, size=(L, N))
+        delta = np.ones((L, D))
         x = rng.uniform(-1.0, 1.0, size=(L, D))
-        _, _, states = ssm.scan_sequential(Abar, Bbar, np.ones(N), x,
-                                           return_states=True)
+        # read the whole trajectory out one state at a time: a one-hot C_t
+        # makes y_t = h_t[:, n] exactly
+        states = np.empty((L, D, N))
+        for n in range(N):
+            C = np.zeros((L, N))
+            C[:, n] = 1.0
+            states[:, :, n], h_final = _selective_scan(A, B, C, x, delta)
+        assert np.array_equal(h_final, states[-1])
+        Abar = np.exp(delta[:, :, None] * A)
+        Bbar = (Abar - 1.0) / A * B[:, None, :]
         bound = N * np.abs(Bbar).max() / (1.0 - Abar.max() + 1e-9)
         assert np.abs(states).max() <= bound
-
-
-def test_scan_rejects_empty_and_mismatched():
-    Abar = np.array([[0.5]])
-    with pytest.raises(ValueError):
-        ssm.scan_sequential(Abar, Abar, np.array([1.0]), np.zeros((0, 1)))
-    with pytest.raises(ValueError):
-        ssm.scan_sequential(np.zeros((3, 1, 1)), Abar, np.array([1.0]),
-                            np.zeros((5, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def test_scan_rejects_empty_and_mismatched():
 
 def test_ode_single_step_frozen():
     # A=-1, B=1, C=1, x=1, delta=0.1: y(delta) = 1 - e^{-0.1}
-    y = ssm.continuous_ode_oracle(np.array([[-1.0]]), np.array([1.0]),
+    y = ref.continuous_ode_oracle(np.array([[-1.0]]), np.array([1.0]),
                                   np.array([1.0]), np.array([[1.0]]), 0.1)
     assert abs(y[0, 0] - (1.0 - math.exp(-0.1))) < 1e-12
 
@@ -208,9 +199,9 @@ def test_zoh_scan_matches_ode_oracle_50_systems():
         C = rng.uniform(-1.5, 1.5, size=N)
         delta = float(10.0 ** rng.uniform(-2, -0.5))
         x = rng.standard_normal((L, D))
-        Abar, Bbar = ssm.discretize_zoh(A, B, np.full(D, delta))
-        y_disc, _ = ssm.scan_sequential(Abar, Bbar, C, x)
-        y_ode = ssm.continuous_ode_oracle(A, B, C, x, delta, substeps=100)
+        y_disc, _ = _selective_scan(A, np.tile(B, (L, 1)), np.tile(C, (L, 1)), x,
+                                    np.full((L, D), delta))
+        y_ode = ref.continuous_ode_oracle(A, B, C, x, delta, substeps=100)
         scale = np.abs(y_ode).max() + 1e-30
         worst = max(worst, np.abs(y_disc - y_ode).max() / scale)
     assert worst <= 1e-6, f"worst relative deviation {worst:.3e}"
@@ -219,6 +210,6 @@ def test_zoh_scan_matches_ode_oracle_50_systems():
 def test_ode_oracle_validates_args():
     A, B, _ = scalar_system()
     with pytest.raises(ValueError):
-        ssm.continuous_ode_oracle(A, B, B, np.ones((2, 1)), 0.1, substeps=3)
+        ref.continuous_ode_oracle(A, B, B, np.ones((2, 1)), 0.1, substeps=3)
     with pytest.raises(ValueError):
-        ssm.continuous_ode_oracle(A, B, B, np.ones((2, 1)), -0.1)
+        ref.continuous_ode_oracle(A, B, B, np.ones((2, 1)), -0.1)

@@ -184,19 +184,6 @@ def test_adamw_nonfinite_gradient_names_group():
 
 
 # ---------------------------------------------------------------------------
-# BCE helper
-
-
-def test_bce_matches_closed_form():
-    logits = dc.tensor(np.array([[0.5], [-1.2]]), dtype=np.float64)
-    labels = np.array([[1.0], [0.0]])
-    loss = trainer._bce_with_logits(logits, labels).data.reshape(())
-    expect = np.mean([math.log(1 + math.exp(-0.5)),
-                      math.log(1 + math.exp(-1.2))])
-    assert loss == pytest.approx(expect, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # run_stage
 
 

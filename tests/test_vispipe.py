@@ -144,11 +144,26 @@ def test_sequence_length_is_visual_plus_text():
     assert out.text_logits.shape == (5, cfg.vocab_size)
 
 
-def test_composition_order_encode_project_concat_lm():
+def test_composition_order_encode_project_concat_lm(monkeypatch):
+    from mambavla.mamba import LanguageModel
     _, enc, proj, lm = tiny_stack()
-    trace: list[str] = []
-    vispipe.multimodal_forward(enc, proj, lm, rand_image(), [1, 2], trace=trace)
-    assert trace == ["encode", "project", "concat", "lm"]
+    image, ids = rand_image(), [1, 2]
+    visual_then_text = np.concatenate([proj.project(enc.encode(image)).data,
+                                       lm.embed_tokens(ids).data])
+    calls = []                      # (method, first argument), on entry
+    for cls, name in ((vispipe.PatchEncoder, "encode"),
+                      (vispipe.MlpProjector, "project"),
+                      (LanguageModel, "embed_tokens"),
+                      (LanguageModel, "forward_embedded")):
+        def spy(self, arg, *rest, _method=getattr(cls, name), _name=name):
+            calls.append((_name, arg))
+            return _method(self, arg, *rest)
+        monkeypatch.setattr(cls, name, spy)
+    vispipe.multimodal_forward(enc, proj, lm, image, ids)
+    assert [name for name, _ in calls] == ["encode", "project", "embed_tokens",
+                                           "forward_embedded"]
+    # the LM reads the concatenation [visual || text]
+    np.testing.assert_array_equal(calls[-1][1].data, visual_then_text)
 
 
 def test_different_images_change_text_logits():
