@@ -153,6 +153,49 @@ def test_scan_state_carry_composes():
     np.testing.assert_allclose(h_b, h_full, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_in_place_matches_per_step_loop(dtype):
+    # the in-place scan inside dc.selective_scan against the one-array-per-step
+    # recurrence, on the readout and, through one-hot C_t readouts that make
+    # y_t = h_t[:, n] exactly, on the whole state trajectory
+    rng = np.random.default_rng(17)
+    L, D, N = 33, 5, 4
+    A_log = (rng.standard_normal((D, N)) * 0.5).astype(dtype)
+    delta = rng.uniform(0.05, 0.5, size=(L, D)).astype(dtype)
+    B = rng.standard_normal((L, N)).astype(dtype)
+    x = rng.standard_normal((L, D)).astype(dtype)
+    # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B in the primitive's order
+    Abar = np.exp(delta[:, :, None] * -np.exp(A_log))
+    Bbar = (Abar - 1.0) * -np.exp(-A_log) * B[:, None, :]
+    readouts = [rng.standard_normal((L, N)).astype(dtype)]
+    for n in range(N):
+        onehot = np.zeros((L, N), dtype)
+        onehot[:, n] = 1.0
+        readouts.append(onehot)
+    for h0 in (None, rng.standard_normal((D, N)).astype(dtype)):
+        carry = np.zeros((D, N), dtype) if h0 is None else h0
+        for C in readouts:
+            y, h = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
+                                       for a in (x, delta, A_log, B, C)), h0=h0)
+            y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, x, carry)
+            assert y.dtype == dtype and h.dtype == dtype
+            assert np.array_equal(y.data, y_ref) and np.array_equal(h, h_ref)
+            # a carried state must not keep the whole trajectory alive
+            assert h.flags.owndata and not np.shares_memory(h, y.data)
+
+
+def test_scan_rejects_empty_and_mismatched():
+    A_log, C = np.zeros((1, 1)), np.ones((1, 1))
+    with pytest.raises(ValueError):
+        dc.selective_scan(*(dc.tensor(a, dtype=np.float64) for a in
+                            (np.zeros((0, 1)), np.ones((0, 1)), A_log,
+                             np.ones((0, 1)), np.ones((0, 1)))))
+    with pytest.raises(ValueError):        # delta's time axis differs from u's
+        dc.selective_scan(*(dc.tensor(a, dtype=np.float64) for a in
+                            (np.zeros((5, 1)), np.ones((3, 1)), A_log, C.repeat(5, 0),
+                             C.repeat(5, 0))))
+
+
 def test_scan_stability_bound():
     rng = np.random.default_rng(13)
     for trial in range(20):
