@@ -24,11 +24,9 @@ class ModelConfig:
     d_conv: int = 4               # causal depthwise conv width
     expand: int = 2               # d_inner = expand * d_model
     dt_rank: int = 16             # low-rank bottleneck for the delta projection (d_model / 16)
-    tie_embeddings: bool = False
     # policy head
     head_variant: str = "mlp2"    # mlp2 | mlp1 | ssm-mlp
     head_hidden: int = 32
-    pool: str = "mean"            # mean | max pooling over sequence positions
 
     @property
     def d_inner(self) -> int:
@@ -63,7 +61,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 8
-    train_encoder: bool = False   # when True the align stage also warm-starts the toy encoder
 
 
 @dataclass

@@ -35,7 +35,6 @@ __all__ = [
     "absolute",
     "arccos",
     "mean_pool",
-    "max_pool",
     "layer_norm",
     "conv1d_depthwise",
     "softmax_rows",
@@ -124,6 +123,19 @@ def _check_finite_output(kind: str, out: np.ndarray) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteError(f"{kind}: produced non-finite values")
     return out
+
+
+def _check_carry(kind: str, name: str, arr, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A carried plain-array input, such as a scan state: it gets no gradient,
+    so it must match its shape and dtype exactly and be finite."""
+    arr = np.asarray(arr)
+    if arr.shape != shape:
+        raise ShapeError(f"{kind}: {name} must have shape {shape}, got {arr.shape}")
+    if arr.dtype != dtype:
+        raise ShapeError(f"{kind}: mixed dtypes {dtype} vs {name} {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{kind}: {name} contains non-finite values")
+    return arr
 
 
 def _common_dtype(kind: str, tensors: Sequence[Tensor]):
@@ -223,14 +235,13 @@ def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor,
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor, transpose_a: bool = False,
-           transpose_b: bool = False) -> Tensor:
-    """GEMM on 2-D operands: op(a) @ op(b) with optional transposes."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """GEMM on 2-D operands: a @ b, or a @ b.T with transpose_b."""
     _common_dtype("matmul", (a, b))
     _check_finite_inputs("matmul", (a, b))
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    am = a.data.T if transpose_a else a.data
+    am = a.data
     bm = b.data.T if transpose_b else b.data
     if am.shape[1] != bm.shape[0]:
         raise ShapeError(f"matmul: inner dims differ: {am.shape} @ {bm.shape}")
@@ -238,8 +249,7 @@ def matmul(a: Tensor, b: Tensor, transpose_a: bool = False,
 
     def backward_fn(g: np.ndarray) -> None:
         if a.requires_grad or a._backward_fn is not None:
-            gam = g @ bm.T                       # gradient w.r.t. op_a(a)
-            _accumulate(a, gam.T if transpose_a else gam)
+            _accumulate(a, g @ bm.T)
         if b.requires_grad or b._backward_fn is not None:
             gbm = am.T @ g                       # gradient w.r.t. op_b(b)
             _accumulate(b, gbm.T if transpose_b else gbm)
@@ -386,23 +396,6 @@ def mean_pool(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     return _make_node("mean-pool", out_data, (x,), backward_fn)
 
 
-def max_pool(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over one axis; the gradient flows to the first maximal entry."""
-    _check_finite_inputs("max-pool", (x,))
-    if not (-x.data.ndim <= axis < x.data.ndim):
-        raise ShapeError(f"max-pool: axis {axis} out of range for shape {x.shape}")
-    out_data = np.max(x.data, axis=axis, keepdims=keepdims)
-    idx = np.argmax(x.data, axis=axis)
-
-    def backward_fn(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        gexp = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), gexp, axis=axis)
-        _accumulate(x, gx)
-
-    return _make_node("max-pool", out_data, (x,), backward_fn)
-
-
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     _check_finite_inputs("layer-norm", (x,))
@@ -422,23 +415,28 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return _make_node("layer-norm", y, (x,), backward_fn)
 
 
-def conv1d_depthwise(x: Tensor, kernel: Tensor) -> Tensor:
+def conv1d_depthwise(x: Tensor, kernel: Tensor,
+                     ctx: np.ndarray | None = None) -> Tensor:
     """Causal depthwise 1-D convolution.
 
-    x: [L, D], kernel: [w, D].  Output y[t, d] = sum_i kernel[i, d] *
-    x[t - w + 1 + i, d] with zero left-padding, so y[t] never sees x[>t].
+    x: [L, D], kernel: [w, D], ctx: [w-1, D] inputs that precede x (zeros
+    when None).  With xp = [ctx || x], y[t, d] = sum_i kernel[i, d] *
+    xp[t + i, d], so y[t] never sees x[>t].  Like selective_scan's h0, ctx
+    is a plain array and gets no gradient.
     """
-    _common_dtype("conv1d-depthwise", (x, kernel))
-    _check_finite_inputs("conv1d-depthwise", (x, kernel))
+    kind = "conv1d-depthwise"
+    dtype = _common_dtype(kind, (x, kernel))
+    _check_finite_inputs(kind, (x, kernel))
     if x.data.ndim != 2 or kernel.data.ndim != 2:
-        raise ShapeError(f"conv1d-depthwise: expects x [L,D], kernel [w,D]; "
+        raise ShapeError(f"{kind}: expects x [L,D], kernel [w,D]; "
                          f"got {x.shape}, {kernel.shape}")
     L, D = x.data.shape
     w, Dk = kernel.data.shape
     if D != Dk:
-        raise ShapeError(f"conv1d-depthwise: channel mismatch {D} vs {Dk}")
-    pad = np.zeros((w - 1, D), dtype=x.data.dtype)
-    xp = np.concatenate([pad, x.data], axis=0)          # [L+w-1, D]
+        raise ShapeError(f"{kind}: channel mismatch {D} vs {Dk}")
+    ctx = (np.zeros((w - 1, D), dtype) if ctx is None
+           else _check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
+    xp = np.concatenate([ctx, x.data], axis=0)          # [L+w-1, D]
     out_data = np.zeros_like(x.data)
     for i in range(w):
         out_data += kernel.data[i] * xp[i:i + L]
@@ -453,7 +451,7 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor) -> Tensor:
             gk = np.stack([(xp[i:i + L] * g).sum(axis=0) for i in range(w)])
             _accumulate(kernel, gk)
 
-    return _make_node("conv1d-depthwise", out_data, (x, kernel), backward_fn)
+    return _make_node(kind, out_data, (x, kernel), backward_fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -560,13 +558,7 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
                          f"with L >= 1; got {[t.shape for t in inputs]}")
     _check_finite_inputs(kind, inputs)
     if h0 is not None:
-        h0 = np.asarray(h0)
-        if h0.shape != (E, N):
-            raise ShapeError(f"{kind}: h0 must be [E, N] = {(E, N)}, got {h0.shape}")
-        if h0.dtype != dtype:
-            raise ShapeError(f"{kind}: mixed dtypes {dtype} vs h0 {h0.dtype}")
-        if not np.isfinite(h0).all():
-            raise NonFiniteError(f"{kind}: h0 contains non-finite values")
+        h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
 
     with np.errstate(over="ignore", invalid="ignore"):
         A = -np.exp(A_log.data)              # never crosses zero, so 1/A is exact
@@ -646,7 +638,6 @@ PRIMITIVES: dict[str, Callable] = {
     "abs": absolute,
     "arccos": arccos,
     "mean-pool": mean_pool,
-    "max-pool": max_pool,
     "layer-norm": layer_norm,
     "conv1d-depthwise": conv1d_depthwise,
     "softmax-rows": softmax_rows,

@@ -151,7 +151,10 @@ def read_rmck(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raw, off = _take(buf, off, 4 * n_elem, f"{name}: payload")
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{name}: non-finite values in payload")
+        tensors[name] = arr
     raw, off = _take(buf, off, 8, "config blob length")
     (blob_len,) = struct.unpack("<Q", raw)
     raw, off = _take(buf, off, blob_len, "config blob")
@@ -161,6 +164,9 @@ def read_rmck(path: str) -> tuple[dict[str, np.ndarray], dict]:
         config = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"config blob is not valid JSON: {err}") from err
+    if not isinstance(config, dict):
+        raise FormatError(f"config blob is a JSON {type(config).__name__}, "
+                          f"not an object")
     return tensors, config
 
 

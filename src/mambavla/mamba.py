@@ -200,15 +200,8 @@ class MambaBlock:
         u_pre = dc.tslice(proj, 1, 0, E)
         gate = dc.tslice(proj, 1, E, 2 * E)
 
-        if state is not None:
-            # splice carried context so the causal conv sees the true history
-            ctx = dc.tensor(state.conv_ctx, dtype=self.dtype)
-            conv_in = dc.concat([ctx, u_pre], axis=0)
-        else:
-            conv_in = u_pre
-        conv = dc.add(dc.conv1d_depthwise(conv_in, self.conv_w), self.conv_b)
-        if state is not None:
-            conv = dc.tslice(conv, 0, conv.shape[0] - L, conv.shape[0])
+        ctx = np.zeros((w - 1, E), u_pre.dtype) if state is None else state.conv_ctx
+        conv = dc.add(dc.conv1d_depthwise(u_pre, self.conv_w, ctx), self.conv_b)
         u = dc.silu(conv)                                   # [L, E]
 
         B, C, delta = self.select_params(u)
@@ -218,14 +211,9 @@ class MambaBlock:
         y = dc.add(ys, dc.mul(u, self.D_skip))              # learned skip D.u
         out = dc.matmul(dc.mul(y, dc.silu(gate)), self.out_proj)
 
-        if w == 1:
-            tail = np.zeros((0, E), dtype=u_pre.data.dtype)
-        elif state is not None:
-            tail = np.concatenate([state.conv_ctx, u_pre.data], axis=0)[-(w - 1):]
-        else:
-            tail = np.concatenate([np.zeros((w - 1, E), dtype=u_pre.data.dtype),
-                                   u_pre.data], axis=0)[-(w - 1):]
-        return dc.add(x, out), BlockState(h=h_final, conv_ctx=tail.copy())
+        # the copy owns its rows, so the carry does not pin the [L+w-1, E] join
+        tail = np.concatenate([ctx, u_pre.data])[L:].copy()
+        return dc.add(x, out), BlockState(h=h_final, conv_ctx=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +233,8 @@ class LanguageModel:
         self.blocks = [MambaBlock(cfg, rng, dtype) for _ in range(cfg.n_blocks)]
         self.lnf_g = def_p(np.ones(cfg.d_model))
         self.lnf_b = def_p(np.zeros(cfg.d_model))
-        if cfg.tie_embeddings:
-            self.lm_head = None
-        else:
-            self.lm_head = def_p(rng.normal(0.0, cfg.d_model ** -0.5,
-                                            size=(cfg.d_model, cfg.vocab_size)))
+        self.lm_head = def_p(rng.normal(0.0, cfg.d_model ** -0.5,
+                                        size=(cfg.d_model, cfg.vocab_size)))
 
     def named_params(self):
         yield "embed", self.embed
@@ -258,8 +243,7 @@ class LanguageModel:
                 yield f"blocks.{i}.{name}", p
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
-        if self.lm_head is not None:
-            yield "lm_head", self.lm_head
+        yield "lm_head", self.lm_head
 
     def embed_tokens(self, ids: list[int]) -> Tensor:
         """Row-gather from the embedding table (composes from slice+concat)."""
@@ -282,8 +266,7 @@ class LanguageModel:
             x, bs = blk.forward(x, None if state is None else state.blocks[i])
             new_state.blocks.append(bs)
         hidden = dc.add(dc.mul(dc.layer_norm(x), self.lnf_g), self.lnf_b)
-        head = self.lm_head if self.lm_head is not None else self.embed
-        logits = dc.matmul(hidden, head, transpose_b=self.lm_head is None)
+        logits = dc.matmul(hidden, self.lm_head)
         return hidden, logits, new_state
 
     def lm_forward(self, ids: list[int], state: ScanState | None = None

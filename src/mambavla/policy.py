@@ -73,6 +73,9 @@ def _require_rotation(name: str, mat: np.ndarray) -> None:
     mat = np.asarray(mat)
     if mat.shape != (3, 3):
         raise ShapeError(f"{name}: expected a 3x3 matrix, got {mat.shape}")
+    # every comparison with NaN is False, so the tolerance test cannot catch it
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name}: matrix has non-finite entries")
     if np.max(np.abs(mat.T @ mat - np.eye(3))) > _ROT_TOL:
         raise ValueError(f"{name}: input is not orthonormal within {_ROT_TOL}")
 
@@ -100,24 +103,22 @@ class EndEffectorPose:
         if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
             raise ValueError(f"pose: contact pixel {self.contact_pixel} "
                              "outside [0,1]^2")
+        if self.a_pos is not None and not np.all(np.isfinite(self.a_pos)):
+            raise ValueError("pose: a_pos has non-finite entries")
 
 
 # ---------------------------------------------------------------------------
 # pooling
 
 
-def pool_global_token(hidden: Tensor, mode: str = "mean") -> Tensor:
-    """[L, d_model] -> [1, d_model] global token (mean by default, max optional).
+def pool_global_token(hidden: Tensor) -> Tensor:
+    """[L, d_model] -> [1, d_model] global token: the mean over positions.
 
     The row stays 2-D so the head branches can matmul it directly.
     """
     if hidden.data.ndim != 2 or hidden.shape[0] < 1:
         raise ShapeError(f"pool: expected non-empty [L, d_model], got {hidden.shape}")
-    if mode == "mean":
-        return dc.mean_pool(hidden, axis=0, keepdims=True)
-    if mode == "max":
-        return dc.max_pool(hidden, axis=0, keepdims=True)
-    raise ValueError(f"pool: unknown mode {mode!r} (expected 'mean' or 'max')")
+    return dc.mean_pool(hidden, axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,6 @@ def gram_schmidt_6d(r6: Tensor) -> Tensor:
 @dataclass
 class PoseOutputs:
     pixel: Tensor                 # [1, 2] in (0,1), on tape
-    rot6: Tensor                  # [1, 6] raw representation, on tape
     rot: Tensor                   # [3, 3] rotation, on tape
 
 
@@ -242,24 +242,24 @@ class PoseHead:
         """Full LM hidden states [L, d_model] -> pose outputs (on tape)."""
         # standardize the pooled feature (parameter-free) so the branch
         # activations start at unit scale regardless of backbone statistics
-        pooled = dc.layer_norm(pool_global_token(hidden, self.cfg.pool))
+        pooled = dc.layer_norm(pool_global_token(hidden))
         variant = self.cfg.head_variant
         if variant == "mlp2":
             pos_out = self._branch(pooled, self.w_pos1, self.b_pos1,
                                    self.w_pos2, self.b_pos2)
-            rot6 = self._branch(pooled, self.w_dir1, self.b_dir1,
-                                self.w_dir2, self.b_dir2)
+            r6 = self._branch(pooled, self.w_dir1, self.b_dir1,
+                              self.w_dir2, self.b_dir2)
         elif variant == "mlp1":
             out = self._branch(pooled, self.w1, self.b1, self.w2, self.b2)
             pos_out = dc.tslice(out, 1, 0, 2)
-            rot6 = dc.tslice(out, 1, 2, 8)
+            r6 = dc.tslice(out, 1, 2, 8)
         else:
             x0 = dc.add(dc.matmul(pooled, self.w_down), self.b_down)
             feats, _ = self.block.forward(x0)            # length-1 sequence
             pos_out = self._branch(feats, self.w_pos1, self.b_pos1,
                                    self.w_pos2, self.b_pos2)
-            rot6 = self._branch(feats, self.w_dir1, self.b_dir1,
-                                self.w_dir2, self.b_dir2)
+            r6 = self._branch(feats, self.w_dir1, self.b_dir1,
+                              self.w_dir2, self.b_dir2)
 
         # pixel = sigmoid(branch logits): the squash keeps the prediction
         # inside the image and its vanishing tails damp the optimizer during
@@ -268,9 +268,9 @@ class PoseHead:
         pixel = dc.sigmoid(pos_out)
         # fixed identity offset: zero branch output decodes to the identity
         # rotation instead of a degenerate 6D representation
-        rot6 = dc.add(rot6, dc.tensor(
-            np.array([[1.0, 0, 0, 0, 1.0, 0]]), dtype=rot6.data.dtype))
-        return PoseOutputs(pixel=pixel, rot6=rot6, rot=gram_schmidt_6d(rot6))
+        r6 = dc.add(r6, dc.tensor(
+            np.array([[1.0, 0, 0, 0, 1.0, 0]]), dtype=r6.data.dtype))
+        return PoseOutputs(pixel=pixel, rot=gram_schmidt_6d(r6))
 
 
 def predict_pose(head: PoseHead, hidden: Tensor) -> EndEffectorPose:

@@ -168,8 +168,8 @@ def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return np.clip(color * (_AMBIENT + _DIFFUSE * lam), 0.0, 1.0)
 
 
-def render_buffers(scene: Scene, cam: SimConfig | None = None) -> RenderResult:
-    cam = cam or scene.cam
+def render_buffers(scene: Scene) -> RenderResult:
+    cam = scene.cam
     if cam.fx <= 0 or cam.fy <= 0:
         raise ValueError("render: focal lengths must be positive")
     W, H = cam.width, cam.height
@@ -221,10 +221,9 @@ def render_buffers(scene: Scene, cam: SimConfig | None = None) -> RenderResult:
     return RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
 
 
-def render(scene: Scene, cam: SimConfig | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
+def render(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Scene -> (RGB [H, W, 3] in [0,1], depth [H, W] metres, 0 = empty)."""
-    res = render_buffers(scene, cam)
+    res = render_buffers(scene)
     return res.rgb, res.depth
 
 
@@ -358,13 +357,18 @@ def interact(scene: Scene, pose: EndEffectorPose) -> tuple[bool, float]:
     inward surface normal.  The pull retracts along the approach axis
     (displacement = -pull_magnitude * z-axis) and is projected onto the
     joint's motion direction at the contact point, then clamped to limits.
+    A non-finite contact point or rotation raises ValueError.
     """
     if pose.a_pos is None:
         raise ValueError("interact: pose has no 3D contact point "
                          "(lift the contact pixel first)")
     obj, cam = scene.obj, scene.cam
     p = np.asarray(pose.a_pos, dtype=np.float64)
-    z_axis = np.asarray(pose.a_dir, dtype=np.float64)[:, 2]
+    R_pose = np.asarray(pose.a_dir, dtype=np.float64)
+    # a NaN fails every comparison below, so it would read as a contact
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(R_pose))):
+        raise ValueError("interact: pose has non-finite a_pos or a_dir")
+    z_axis = R_pose[:, 2]
 
     p_canon = obj.to_canonical(p)
     if obj.movable_box.surface_distance(p_canon) > cam.attach_tolerance:
@@ -414,7 +418,6 @@ class ManipEpisode:
     depth: np.ndarray
     prompt: str
     gt_pose: EndEffectorPose
-    applied_pose: EndEffectorPose
     success: bool
     dq: float
     seed: int
@@ -466,7 +469,7 @@ def collect_episode(seed: int, kind: str | None = None,
     success, dq = interact(scene, pose)
     return ManipEpisode(rgb=buf.rgb, depth=buf.depth,
                         prompt=_PROMPTS[scene.obj.archetype],
-                        gt_pose=pose, applied_pose=pose,
+                        gt_pose=pose,
                         success=success, dq=dq, seed=seed,
                         archetype=scene.obj.archetype)
 

@@ -3,9 +3,8 @@ manipulation fine-tuning.
 
 The composite model owns four named parameter groups — encoder, projector,
 lm, head — and the active stage decides which groups the optimizer may touch:
-align updates the projector (plus the toy encoder when explicitly flagged),
-cotrain updates projector and language model, manip updates only the policy
-head.  Frozen groups are guaranteed bit-identical across a stage run.
+align updates the projector, cotrain updates projector and language model,
+manip updates only the policy head.  Frozen groups are guaranteed bit-identical across a stage run.
 """
 
 from __future__ import annotations
@@ -77,16 +76,12 @@ class VlaModel:
         return name.split(".", 1)[0] in self.trainable_groups
 
 
-def set_stage(model: VlaModel, stage: str,
-              train_encoder: bool = False) -> VlaModel:
+def set_stage(model: VlaModel, stage: str) -> VlaModel:
     """Apply the stage's freeze mask; flags are a pure function of the stage."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    groups = _STAGE_GROUPS[stage]
-    if stage == "align" and train_encoder:
-        groups = ("encoder",) + groups
     model.stage = stage
-    model.trainable_groups = groups
+    model.trainable_groups = _STAGE_GROUPS[stage]
     return model
 
 
@@ -237,7 +232,7 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     _check_schema(stage, dataset)
-    set_stage(model, stage, train_cfg.train_encoder)
+    set_stage(model, stage)
     state = init_optim(model)
     rng = np.random.default_rng(seed)
     params = dict(model.named_params())

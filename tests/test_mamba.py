@@ -167,24 +167,29 @@ def test_causality_prefix_bit_identical():
 
 
 def test_incremental_state_matches_full_forward():
-    lm = tiny_lm(seed=9, dtype=np.float64)
-    ids = [1, 4, 7, 2, 9]
-    full, _ = lm.lm_forward(ids)
-    logits, state = lm.lm_forward(ids[:2])
-    rows = [logits.data[0], logits.data[1]]
-    for t in range(2, len(ids)):
-        logits, state = lm.lm_forward([ids[t]], state)
-        rows.append(logits.data[0])
-    np.testing.assert_allclose(np.stack(rows), full.data, rtol=1e-10, atol=1e-12)
+    # d_conv = 1 carries an empty conv context
+    for d_conv in (4, 1):
+        lm = tiny_lm(seed=9, dtype=np.float64, d_conv=d_conv)
+        ids = [1, 4, 7, 2, 9]
+        full, _ = lm.lm_forward(ids)
+        logits, state = lm.lm_forward(ids[:2])
+        rows = [logits.data[0], logits.data[1]]
+        for t in range(2, len(ids)):
+            logits, state = lm.lm_forward([ids[t]], state)
+            rows.append(logits.data[0])
+        np.testing.assert_allclose(np.stack(rows), full.data, rtol=1e-10, atol=1e-12)
 
 
-def test_tied_embeddings_share_table():
-    lm = tiny_lm(seed=10, tie_embeddings=True)
-    assert lm.lm_head is None
-    logits, _ = lm.lm_forward([3, 1])
-    assert logits.shape == (2, 16)
-    names = dict(lm.named_params())
-    assert "lm_head" not in names
+def test_block_state_conv_context_owns_its_memory():
+    blk = mamba.MambaBlock(tiny_cfg(), np.random.default_rng(10))
+    rng = np.random.default_rng(11)
+    _, state = blk.forward(dc.tensor(rng.standard_normal((7, 16))))
+    _, step = blk.forward(dc.tensor(rng.standard_normal((1, 16))), state)
+    for s in (state, step):
+        assert s.conv_ctx.shape == (3, 32)
+        assert s.conv_ctx.base is None        # not a view into a longer array
+    # the carried window slides by one row per decoded token
+    np.testing.assert_array_equal(step.conv_ctx[:2], state.conv_ctx[1:])
 
 
 def test_generate_greedy_deterministic_and_stops_at_eos():

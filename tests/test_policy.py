@@ -51,14 +51,9 @@ def test_pool_mean_of_opposites_is_zero():
     np.testing.assert_allclose(out.data[0], np.zeros(5), rtol=0, atol=1e-16)
 
 
-def test_pool_max_mode_and_errors():
-    x = np.array([[1.0, -5.0], [0.5, 2.0]])
-    np.testing.assert_array_equal(
-        policy.pool_global_token(t64(x), mode="max").data[0], [1.0, 2.0])
+def test_pool_rejects_empty_sequence():
     with pytest.raises(dc.ShapeError):
         policy.pool_global_token(t64(np.zeros((0, 4))))
-    with pytest.raises(ValueError):
-        policy.pool_global_token(t64(x), mode="median")
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +113,16 @@ def test_validate_rejects_non_finite_rotation(bad):
     pose = policy.EndEffectorPose(a_dir=bad, contact_pixel=(0.5, 0.5))
     with pytest.raises(ValueError, match="non-finite"):
         pose.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_position(bad):
+    pose = policy.EndEffectorPose(a_dir=np.eye(3), contact_pixel=(0.5, 0.5),
+                                  a_pos=np.array([bad, 0.0, 1.5]))
+    with pytest.raises(ValueError, match="a_pos"):
+        pose.validate()
+    pose.a_pos = np.array([0.0, 0.0, 1.5])
+    pose.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +220,14 @@ def test_direction_loss_rejects_non_rotations():
         policy.direction_loss([t64(eye)], (eye * 1.01)[None])
     with pytest.raises(dc.ShapeError):
         policy.direction_loss([t64(eye)], np.stack([eye, eye]))
+
+
+def test_direction_loss_rejects_non_finite_rotations():
+    eye, nan = np.eye(3), np.full((3, 3), np.nan)
+    with pytest.raises(ValueError, match=r"pred\[0\].*non-finite"):
+        policy.direction_loss([t64(nan)], eye[None])
+    with pytest.raises(ValueError, match=r"gt\[0\].*non-finite"):
+        policy.direction_loss([t64(eye)], nan[None])
 
 
 def test_direction_loss_gradient_through_6d():

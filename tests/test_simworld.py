@@ -299,6 +299,18 @@ def test_pull_on_hinge_line_moves_nothing():
     assert (success, dq) == (False, 0.0)
 
 
+@pytest.mark.parametrize("field,bad", [("a_pos", np.nan), ("a_pos", np.inf),
+                                       ("a_pos", -np.inf), ("a_dir", np.nan),
+                                       ("a_dir", np.inf)])
+def test_interact_rejects_non_finite_pose(field, bad):
+    # a NaN fails every range test, so unchecked it read as an attach
+    scene = sw.spawn_object(3, "drawer")
+    pose = pose_with([0.0, 0.0, 1.0], drawer_front_center(scene))
+    getattr(pose, field)[0, ...] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sw.interact(scene, pose)
+
+
 def test_interact_requires_lifted_contact():
     scene = sw.spawn_object(3, "drawer")
     pose = EndEffectorPose(a_dir=np.eye(3), contact_pixel=(0.5, 0.5))
@@ -360,7 +372,6 @@ def test_collect_episode_success_matches_threshold():
         ep = sw.collect_episode(seed)
         assert ep.success == (abs(ep.dq) > 0.1)
         assert ep.prompt == sw._PROMPTS[ep.archetype]
-        assert ep.applied_pose is ep.gt_pose
         assert ep.rgb.shape == (32, 32, 3) and ep.depth.shape == (32, 32)
 
 
@@ -412,6 +423,16 @@ def test_evaluate_non_finite_policy_error_counted_not_raised():
     assert len(log) == 3
     assert all(e["error"] == "matmul: non-finite output" and not e["success"]
                for e in log)
+
+
+def test_evaluate_non_finite_position_is_failure():
+    def nan_pos_policy(obs):
+        pose = sw.oracle_policy(obs)
+        pose.a_pos[0] = np.nan
+        return pose
+    rate, log = sw.evaluate(nan_pos_policy, episodes=3, seed=0)
+    assert rate == 0.0
+    assert all("a_pos" in e["error"] and not e["success"] for e in log)
 
 
 def test_evaluate_zero_depth_contact_is_failure():

@@ -56,14 +56,6 @@ def test_stage_masks_exact():
     assert model.trainable_groups == ("head",)
 
 
-def test_align_can_include_encoder_when_flagged():
-    model = tiny_model()
-    trainer.set_stage(model, "align", train_encoder=True)
-    assert set(model.trainable_groups) == {"encoder", "projector"}
-    trainer.set_stage(model, "cotrain", train_encoder=True)
-    assert "encoder" not in model.trainable_groups
-
-
 def test_unknown_stage_rejected():
     with pytest.raises(ValueError, match="stage"):
         trainer.set_stage(tiny_model(), "pretrain")
@@ -404,6 +396,26 @@ def test_checkpoint_rejects_mismatched_tensors(tmp_path):
     fileio.write_rmck(path, tensors,
                       {"model": vars(model.cfg).copy(), "stage": ""})
     with pytest.raises(fileio.FormatError, match="missing"):
+        trainer.load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_weight_is_format_error(tmp_path):
+    model = tiny_model()
+    path = str(tmp_path / "model.rmck")
+    tensors = {name: p.data.copy() for name, p in model.named_params()}
+    tensors["lm.lm_head"][3, 5] = np.nan
+    fileio.write_rmck(path, tensors,
+                      {"model": vars(model.cfg).copy(), "stage": ""})
+    with pytest.raises(fileio.FormatError, match="lm.lm_head.*non-finite"):
+        trainer.load_checkpoint(path)
+
+
+def test_checkpoint_config_not_an_object_is_format_error(tmp_path):
+    model = tiny_model()
+    path = str(tmp_path / "model.rmck")
+    tensors = {name: p.data for name, p in model.named_params()}
+    fileio.write_rmck(path, tensors, [vars(model.cfg).copy()])
+    with pytest.raises(fileio.FormatError, match="object"):
         trainer.load_checkpoint(path)
 
 
