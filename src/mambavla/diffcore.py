@@ -2,9 +2,20 @@
 
 The primitive set is closed: every model operation in this package composes
 from the kinds registered in `PRIMITIVES`.  Each primitive validates input
-shapes/dtypes, rejects non-finite inputs, and registers a backward closure
-on the implicit tape (the parent links of the output tensor).  `grad_check`
-verifies any composition against central finite differences.
+shapes/dtypes, rejects non-finite values, and registers a backward closure
+on the implicit tape (the parent links of the output tensor) when an input
+needs a gradient.  `grad_check` verifies any composition against central
+finite differences.
+
+Each array is checked for finiteness once: a primitive checks and marks its
+output, `param` checks and marks a parameter, and primitives skip marked
+inputs.  Plain leaves (constants, user tensors) are checked at every use.  A
+parameter given a new `.data` array is checked again at its next use.  The
+hole: a non-finite value written in place into a marked array is not seen
+at the input.  A NaN still fails the output check of the first node it
+reaches, but an inf can vanish (exp, sigmoid or softplus at -inf), so code
+that writes into a parameter in place, like the optimizer, checks what it
+writes.
 
 A tape is confined to one logical thread of execution: primitives share no
 mutable module state, so independent graphs may be built concurrently, but a
@@ -23,6 +34,7 @@ __all__ = [
     "NonFiniteError",
     "TapeError",
     "tensor",
+    "param",
     "PRIMITIVES",
     "matmul",
     "add",
@@ -70,9 +82,14 @@ class Tensor:
     `data` is always C-contiguous row-major.  `grad` is populated on
     requires_grad leaves after `backward`.  Internal nodes carry parent
     links and a backward closure until the tape is consumed.
+
+    `_checked` is the finiteness mark: on node outputs and parameters, the
+    array last found finite, trusted while it is still `data` (an in-place
+    write keeps it); None on plain leaves, which are checked at every use.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed",
+                 "_checked")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         arr = np.ascontiguousarray(data)
@@ -84,6 +101,7 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._consumed = False
+        self._checked: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -109,14 +127,30 @@ def tensor(values, dtype=np.float32, requires_grad: bool = False) -> Tensor:
     return Tensor(np.asarray(values, dtype=dtype), requires_grad=requires_grad)
 
 
+def param(values, dtype=np.float32) -> Tensor:
+    """Build a trainable parameter: a requires_grad leaf, checked finite
+    once here and marked, so primitives do not rescan it."""
+    p = Tensor(np.asarray(values, dtype=dtype), requires_grad=True)
+    if not np.isfinite(p.data).all():
+        raise NonFiniteError("param: values contain non-finite entries")
+    p._checked = p.data
+    return p
+
+
 # ---------------------------------------------------------------------------
 # graph plumbing
 
 
 def _check_finite_inputs(kind: str, tensors: Iterable[Tensor]) -> None:
+    """Check every unmarked input; a parameter given a new array is marked
+    again, a plain leaf stays unmarked."""
     for i, t in enumerate(tensors):
+        if t._checked is t.data:
+            continue
         if not np.isfinite(t.data).all():
             raise NonFiniteError(f"{kind}: input {i} contains non-finite values")
+        if t._checked is not None:
+            t._checked = t.data
 
 
 def _check_finite_output(kind: str, out: np.ndarray) -> np.ndarray:
@@ -149,6 +183,7 @@ def _common_dtype(kind: str, tensors: Sequence[Tensor]):
 def _make_node(kind: str, out_data: np.ndarray, parents: Sequence[Tensor],
                backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
     out = Tensor(_check_finite_output(kind, out_data))
+    out._checked = out.data
     if backward_fn is not None and any(p.requires_grad or p._backward_fn is not None
                                        for p in parents):
         out.requires_grad = True
@@ -498,8 +533,9 @@ def tslice(x: Tensor, axis: int, start: int, stop: int, squeeze: bool = False) -
     With squeeze=True (requires stop == start + 1) the sliced axis is dropped,
     i.e. x[t] rather than x[t:t+1].
 
-    Only the consumed window is checked for finiteness -- scanning the whole
-    source on every step would turn a length-L sweep of slices quadratic.
+    An unmarked source is checked only in the consumed window -- scanning
+    the whole source on every step would turn a length-L sweep of slices
+    quadratic -- and so stays unmarked.
     """
     ndim = x.data.ndim
     if not (-ndim <= axis < ndim):
@@ -514,7 +550,7 @@ def tslice(x: Tensor, axis: int, start: int, stop: int, squeeze: bool = False) -
     sl = [np.s_[:]] * ndim
     sl[axis] = start if squeeze else np.s_[start:stop]
     out_data = np.ascontiguousarray(x.data[tuple(sl)])
-    if not np.all(np.isfinite(out_data)):
+    if x._checked is not x.data and not np.all(np.isfinite(out_data)):
         raise NonFiniteError(f"slice: non-finite value in window [{start}, {stop}) "
                              f"of axis {axis}")
 

@@ -150,21 +150,21 @@ class MambaBlock:
         self.cfg = cfg
         self.dtype = dtype
 
-        def_p = lambda arr: dc.tensor(arr, dtype=dtype, requires_grad=True)
-        self.ln_g = def_p(np.ones(M))
-        self.ln_b = def_p(np.zeros(M))
-        self.in_proj = def_p(rng.normal(0.0, M ** -0.5, size=(M, 2 * E)))
-        self.conv_w = def_p(rng.normal(0.0, w ** -0.5, size=(w, E)))
-        self.conv_b = def_p(np.zeros(E))
-        self.x_proj = def_p(rng.normal(0.0, E ** -0.5, size=(E, R + 2 * N)))
-        self.dt_proj = def_p(rng.uniform(-R ** -0.5, R ** -0.5, size=(R, E)))
+        self.ln_g = dc.param(np.ones(M), dtype)
+        self.ln_b = dc.param(np.zeros(M), dtype)
+        self.in_proj = dc.param(rng.normal(0.0, M ** -0.5, size=(M, 2 * E)), dtype)
+        self.conv_w = dc.param(rng.normal(0.0, w ** -0.5, size=(w, E)), dtype)
+        self.conv_b = dc.param(np.zeros(E), dtype)
+        self.x_proj = dc.param(rng.normal(0.0, E ** -0.5, size=(E, R + 2 * N)), dtype)
+        self.dt_proj = dc.param(rng.uniform(-R ** -0.5, R ** -0.5, size=(R, E)), dtype)
         # softplus(dt_bias) uniform in [0.001, 0.1]
-        self.dt_bias = def_p(np.log(np.expm1(
-            np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=E)))))
+        self.dt_bias = dc.param(np.log(np.expm1(
+            np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=E)))), dtype)
         # A = -exp(A_log) initialized to -(1..N) on every channel
-        self.A_log = def_p(np.tile(np.log(np.arange(1, N + 1, dtype=np.float64)), (E, 1)))
-        self.D_skip = def_p(np.ones(E))
-        self.out_proj = def_p(rng.normal(0.0, E ** -0.5, size=(E, M)))
+        self.A_log = dc.param(
+            np.tile(np.log(np.arange(1, N + 1, dtype=np.float64)), (E, 1)), dtype)
+        self.D_skip = dc.param(np.ones(E), dtype)
+        self.out_proj = dc.param(rng.normal(0.0, E ** -0.5, size=(E, M)), dtype)
 
     def named_params(self):
         yield "ln_g", self.ln_g
@@ -228,13 +228,12 @@ class LanguageModel:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.cfg = cfg
         self.dtype = dtype
-        def_p = lambda arr: dc.tensor(arr, dtype=dtype, requires_grad=True)
-        self.embed = def_p(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)))
+        self.embed = dc.param(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)), dtype)
         self.blocks = [MambaBlock(cfg, rng, dtype) for _ in range(cfg.n_blocks)]
-        self.lnf_g = def_p(np.ones(cfg.d_model))
-        self.lnf_b = def_p(np.zeros(cfg.d_model))
-        self.lm_head = def_p(rng.normal(0.0, cfg.d_model ** -0.5,
-                                        size=(cfg.d_model, cfg.vocab_size)))
+        self.lnf_g = dc.param(np.ones(cfg.d_model), dtype)
+        self.lnf_b = dc.param(np.zeros(cfg.d_model), dtype)
+        self.lm_head = dc.param(rng.normal(0.0, cfg.d_model ** -0.5,
+                                           size=(cfg.d_model, cfg.vocab_size)), dtype)
 
     def named_params(self):
         yield "embed", self.embed

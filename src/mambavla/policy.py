@@ -184,15 +184,15 @@ class PoseHead:
         M, H = cfg.d_model, cfg.head_hidden
         self.cfg = cfg
         self.dtype = dtype
-        def_p = lambda arr: dc.tensor(arr, dtype=dtype, requires_grad=True)
         lin = lambda fi, fo, gain=1.0: (
-            def_p(rng.normal(0.0, gain * fi ** -0.5, size=(fi, fo))),
-            def_p(np.zeros(fo)))
+            dc.param(rng.normal(0.0, gain * fi ** -0.5, size=(fi, fo)), dtype),
+            dc.param(np.zeros(fo), dtype))
         # the position readout starts at zero, so the untrained head decodes
         # to the image centre (0.5, 0.5); its hidden layer is random like every
         # other layer (an all-zero hidden layer would be a stationary point:
         # no activations, no weight gradients, a pixel constant in the input)
-        zlin = lambda fi, fo: (def_p(np.zeros((fi, fo))), def_p(np.zeros(fo)))
+        zlin = lambda fi, fo: (dc.param(np.zeros((fi, fo)), dtype),
+                               dc.param(np.zeros(fo), dtype))
 
         # the rotation decode is scale-invariant (Gram-Schmidt), so how far a
         # fixed-size optimizer step moves the rotation scales with the hidden

@@ -4,7 +4,13 @@ manipulation fine-tuning.
 The composite model owns four named parameter groups — encoder, projector,
 lm, head — and the active stage decides which groups the optimizer may touch:
 align updates the projector, cotrain updates projector and language model,
-manip updates only the policy head.  Frozen groups are guaranteed bit-identical across a stage run.
+manip updates only the policy head.  Frozen groups are guaranteed
+bit-identical across a stage run.
+
+`requires_grad` follows the stage: `set_stage` turns it on for exactly the
+trainable parameters, so a forward builds no backward tape through frozen
+groups.  A model with no stage has no trainable group and builds no tape at
+all, which is the inference setting.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class VlaModel:
         self.head = PoseHead(cfg, rng, dtype)
         self.stage: str | None = None
         self.trainable_groups: tuple[str, ...] = ()
+        for _, p in self.named_params():
+            p.requires_grad = False
 
     def group_params(self, group: str):
         module = {"encoder": self.encoder, "projector": self.projector,
@@ -77,11 +85,14 @@ class VlaModel:
 
 
 def set_stage(model: VlaModel, stage: str) -> VlaModel:
-    """Apply the stage's freeze mask; flags are a pure function of the stage."""
+    """Apply the stage's freeze mask: `requires_grad` on exactly the
+    trainable parameters; flags are a pure function of the stage."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     model.stage = stage
     model.trainable_groups = _STAGE_GROUPS[stage]
+    for name, p in model.named_params():
+        p.requires_grad = model.is_trainable(name)
     return model
 
 
@@ -147,7 +158,9 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
 
     grads maps 'group.name' to a numpy array; missing entries are treated as
     zero gradient (decay still applies).  Non-finite gradients raise, naming
-    the parameter group.
+    the parameter group, and so does an update with non-finite new values,
+    which leaves that parameter unchanged: the write is in place, so no
+    primitive would check it again (see `diffcore`).
     """
     b1, b2 = betas
     state.step += 1
@@ -166,7 +179,14 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
         v = state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+            np.subtract(p.data, new, out=new)       # the new values, not yet written
+        if not np.all(np.isfinite(new)):
+            raise FloatingPointError(
+                f"non-finite update in parameter group "
+                f"{name.split('.', 1)[0]!r} ({name})")
+        p.data[...] = new
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +348,18 @@ def load_checkpoint(path: str) -> VlaModel:
     cfg_dict = config.get("model")
     if not isinstance(cfg_dict, dict):
         raise fileio.FormatError("checkpoint config missing 'model' record")
-    known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
-    unknown = set(cfg_dict) - known
+    defaults = vars(ModelConfig())
+    unknown = set(cfg_dict) - set(defaults)
     if unknown:
         raise fileio.FormatError(
             f"checkpoint config has unknown fields {sorted(unknown)}")
+    for name, value in cfg_dict.items():
+        # exact types: bool is an int subclass, and a float or string size
+        # would only fail deep inside a module constructor
+        if type(value) is not type(defaults[name]):
+            raise fileio.FormatError(
+                f"checkpoint config field {name!r} must be "
+                f"{type(defaults[name]).__name__}, got {type(value).__name__}")
     cfg = ModelConfig(**cfg_dict)
     model = VlaModel(cfg, seed=0)
     names = {name for name, _ in model.named_params()}

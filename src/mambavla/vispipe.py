@@ -33,10 +33,9 @@ class PatchEncoder:
         d_in = p * p * 3
         self.cfg = cfg
         self.dtype = dtype
-        def_p = lambda arr: dc.tensor(arr, dtype=dtype, requires_grad=True)
-        self.w_patch = def_p(rng.normal(0.0, d_in ** -0.5, size=(d_in, cfg.d_vis)))
-        self.b_patch = def_p(np.zeros(cfg.d_vis))
-        self.pos = def_p(rng.normal(0.0, 0.02, size=(cfg.n_patches, cfg.d_vis)))
+        self.w_patch = dc.param(rng.normal(0.0, d_in ** -0.5, size=(d_in, cfg.d_vis)), dtype)
+        self.b_patch = dc.param(np.zeros(cfg.d_vis), dtype)
+        self.pos = dc.param(rng.normal(0.0, 0.02, size=(cfg.n_patches, cfg.d_vis)), dtype)
 
     def named_params(self):
         yield "w_patch", self.w_patch
@@ -74,13 +73,12 @@ class MlpProjector:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        def_p = lambda arr: dc.tensor(arr, dtype=dtype, requires_grad=True)
-        self.w1 = def_p(rng.normal(0.0, cfg.d_vis ** -0.5,
-                                   size=(cfg.d_vis, cfg.proj_hidden)))
-        self.b1 = def_p(np.zeros(cfg.proj_hidden))
-        self.w2 = def_p(rng.normal(0.0, cfg.proj_hidden ** -0.5,
-                                   size=(cfg.proj_hidden, cfg.d_model)))
-        self.b2 = def_p(np.zeros(cfg.d_model))
+        self.w1 = dc.param(rng.normal(0.0, cfg.d_vis ** -0.5,
+                                      size=(cfg.d_vis, cfg.proj_hidden)), dtype)
+        self.b1 = dc.param(np.zeros(cfg.proj_hidden), dtype)
+        self.w2 = dc.param(rng.normal(0.0, cfg.proj_hidden ** -0.5,
+                                      size=(cfg.proj_hidden, cfg.d_model)), dtype)
+        self.b2 = dc.param(np.zeros(cfg.d_model), dtype)
 
     def named_params(self):
         yield "w1", self.w1

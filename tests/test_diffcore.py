@@ -534,6 +534,58 @@ def test_selective_scan_rejects_non_finite_inputs_and_carry():
         dc.selective_scan(*[t64(a) for a in arrays], h0=h0)
 
 
+# ---------------------------------------------------------------------------
+# check once: node outputs and parameters are marked, plain leaves are not
+
+
+def test_marked_inputs_are_not_rescanned(scanned_sizes):
+    x = t64(RNG.standard_normal((3, 4)))
+    w = dc.param(RNG.standard_normal((4, 5)), np.float64)
+    hidden = dc.silu(x)
+    scanned_sizes.clear()
+    dc.matmul(hidden, w)          # node output and parameter: only the output
+    assert scanned_sizes == [15]
+    scanned_sizes.clear()
+    dc.matmul(x, w)               # a plain leaf is scanned at every use
+    assert scanned_sizes == [12, 15]
+
+
+def test_param_rejects_non_finite_values():
+    with pytest.raises(dc.NonFiniteError, match="param"):
+        dc.param([1.0, np.inf], np.float64)
+
+
+def test_param_given_new_array_is_checked_at_next_use(scanned_sizes):
+    w = dc.param(np.ones((2, 2)), np.float64)
+    x = dc.tensor(np.ones((1, 2)), dtype=np.float64)
+    w.data = np.array([[1.0, np.nan], [1.0, 1.0]])
+    with pytest.raises(dc.NonFiniteError, match="matmul: input 1"):
+        dc.matmul(x, w)
+    w.data = np.full((2, 2), 2.0)
+    scanned_sizes.clear()
+    dc.matmul(x, w)               # checked once, then marked again
+    dc.matmul(x, w)
+    assert scanned_sizes == [2, 4, 2, 2, 2]
+
+
+def test_plain_leaf_written_in_place_is_caught():
+    x = t64([1.0, 2.0])
+    dc.silu(x)
+    x.data[0] = np.nan
+    with pytest.raises(dc.NonFiniteError, match="silu: input 0"):
+        dc.silu(x)
+
+
+def test_nan_written_in_place_into_marked_param_fails_the_output_check():
+    """The mark trusts the array, so an in-place NaN is not seen at the
+    input: the first node it reaches rejects its own output instead."""
+    w = dc.param(np.ones((2, 2)), np.float64)
+    x = t64([[1.0, 2.0]])
+    w.data[0, 0] = np.nan
+    with pytest.raises(dc.NonFiniteError, match="matmul: produced non-finite values"):
+        dc.matmul(x, w)
+
+
 def test_repeated_apply_is_bit_identical():
     x = t64(RNG.standard_normal((8, 8)))
     w = t64(RNG.standard_normal((8, 8)))

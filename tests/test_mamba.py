@@ -279,6 +279,17 @@ def test_decode_step_tape_nodes_do_not_grow_with_prefix():
     assert counts[0] == counts[1] > 0, counts
 
 
+def test_decode_step_scans_each_array_once(scanned_sizes):
+    """One decode step on the default config passes fewer than 250,000
+    elements to np.isfinite: parameters and node outputs are checked once,
+    not at every use (rescanning every input read 3,308,544)."""
+    lm = mamba.LanguageModel(ModelConfig(), np.random.default_rng(20))
+    _, state = lm.lm_forward([1, 5, 9, 13])
+    scanned_sizes.clear()
+    lm.lm_forward([7], state)
+    assert 0 < sum(scanned_sizes) < 250_000, sum(scanned_sizes)
+
+
 def test_lm_forward_time_scales_linearly():
     lm = tiny_lm(seed=15, d_model=32, n_blocks=2, d_state=4, vocab_size=32)
     lengths = [512, 1024, 2048, 4096, 8192]

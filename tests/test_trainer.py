@@ -4,13 +4,15 @@ roundtrips, and the parameter report."""
 
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mambavla import datasets as ds
 from mambavla import diffcore as dc
-from mambavla import fileio, policy, trainer
+from mambavla import fileio, policy, trainer, vispipe
 from mambavla.config import ModelConfig, StageHyperparams, TrainConfig
 from mambavla.mamba import WordTokenizer
 
@@ -66,6 +68,84 @@ def test_every_param_in_exactly_one_group():
     names = [name for name, _ in model.named_params()]
     assert len(names) == len(set(names))
     assert all(name.split(".")[0] in trainer.GROUPS for name in names)
+
+
+# ---------------------------------------------------------------------------
+# requires_grad follows the stage
+
+
+def test_requires_grad_follows_the_stage():
+    model = tiny_model()
+    for stage in (None,) + trainer.STAGES + ("align",):
+        if stage is not None:
+            trainer.set_stage(model, stage)
+        flags = {name: p.requires_grad for name, p in model.named_params()}
+        assert flags == {name: model.is_trainable(name) for name in flags}, stage
+        assert any(flags.values()) == (stage is not None), stage
+
+
+def test_manip_stage_forward_builds_no_tape():
+    model = tiny_model()
+    trainer.set_stage(model, "manip")
+    tok = tokenizer()
+    row = caption_row()
+    out = vispipe.multimodal_forward(model.encoder, model.projector, model.lm,
+                                     np.asarray(row["image"]),
+                                     [tok.BOS] + tok.encode(row["prompt"]))
+    logits, _ = model.lm.lm_forward([tok.BOS], out.state)
+    for t in (out.hidden, logits):
+        assert t._backward_fn is None and t._parents == () and not t.requires_grad
+
+
+def _all_grads(model, tok, rows):
+    for _, p in model.named_params():
+        p.zero_grad()
+    dc.backward(dc.mean_pool(dc.concat(
+        [trainer._stage1_sample_loss(model, tok, row) for row in rows], axis=0)))
+    return {name: p.grad for name, p in model.named_params()}
+
+
+@pytest.mark.parametrize("stage", ["align", "cotrain"])
+def test_stage_gradients_equal_those_of_a_full_tape(stage):
+    """Frozen parameters off the tape change no trainable gradient by a bit:
+    the reference run puts every parameter back on the tape."""
+    model = tiny_model(seed=6)
+    tok = tokenizer()
+    rows = (ds.make_caption_samples(2, seed=5) if stage == "align"
+            else ds.make_instruct_samples(2, seed=5))
+    trainer.set_stage(model, stage)
+    staged = _all_grads(model, tok, rows)
+    for _, p in model.named_params():
+        p.requires_grad = True
+    reference = _all_grads(model, tok, rows)
+    for name, _ in model.named_params():
+        if model.is_trainable(name):
+            assert staged[name] is not None, name
+            assert np.array_equal(staged[name], reference[name]), name
+        else:
+            assert staged[name] is None, name
+
+
+def test_unstaged_forward_holds_a_tenth_of_the_taped_one():
+    """With no stage nothing builds a tape, so an LM forward holds little
+    beyond its outputs (the full tape keeps every node's saved arrays)."""
+    model = tiny_model(seed=8)
+    ids = np.random.default_rng(0).integers(3, 64, size=300).tolist()
+
+    def held_bytes():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits, state = model.lm.lm_forward(ids)
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    untaped = held_bytes()
+    for _, p in model.named_params():
+        p.requires_grad = True
+    taped = held_bytes()
+    assert untaped < taped / 10, (untaped, taped)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +253,18 @@ def test_adamw_nonfinite_gradient_names_group():
     bad.reshape(-1)[0] = np.nan
     with pytest.raises(FloatingPointError, match="projector"):
         trainer.adamw_step(model, {name: bad}, state, lr=0.1)
+
+
+def test_adamw_overflowing_update_names_parameter():
+    model = tiny_model()
+    trainer.set_stage(model, "manip")
+    state = trainer.init_optim(model)
+    name, p = next(iter(
+        (n, t) for n, t in model.named_params() if n.startswith("head.")))
+    p.data[...] = 3e38
+    with pytest.raises(FloatingPointError, match=re.escape(name)):
+        trainer.adamw_step(model, {name: -np.ones_like(p.data)}, state, lr=1e38)
+    assert np.all(p.data == np.float32(3e38))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +508,19 @@ def test_checkpoint_config_not_an_object_is_format_error(tmp_path):
     tensors = {name: p.data for name, p in model.named_params()}
     fileio.write_rmck(path, tensors, [vars(model.cfg).copy()])
     with pytest.raises(fileio.FormatError, match="object"):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("d_conv", "4"), ("d_model", True),
+                                          ("n_blocks", 2.0), ("head_variant", 3)])
+def test_checkpoint_config_field_of_wrong_type_is_format_error(tmp_path, field, value):
+    model = tiny_model()
+    path = str(tmp_path / "model.rmck")
+    cfg = vars(model.cfg).copy()
+    cfg[field] = value
+    tensors = {name: p.data for name, p in model.named_params()}
+    fileio.write_rmck(path, tensors, {"model": cfg, "stage": ""})
+    with pytest.raises(fileio.FormatError, match=field):
         trainer.load_checkpoint(path)
 
 
