@@ -49,7 +49,7 @@ __all__ = [
     "mean_pool",
     "layer_norm",
     "conv1d_depthwise",
-    "softmax_rows",
+    "log_softmax_rows",
     "concat",
     "tslice",
     "selective_scan",
@@ -202,31 +202,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g.astype(t.data.dtype, copy=False).reshape(t.data.shape)
 
 
-# Broadcast helpers: `axes` maps each axis of a small operand onto axes of the
-# full output rank.  None means numpy's usual trailing alignment.
-
-def _expand(data: np.ndarray, axes: tuple[int, ...] | None, out_rank: int) -> np.ndarray:
-    if axes is None:
-        return data
-    if len(axes) != data.ndim:
-        raise ShapeError(f"axes {axes} do not match operand rank {data.ndim}")
-    if sorted(axes) != list(axes) or len(set(axes)) != len(axes):
-        raise ShapeError(f"axes {axes} must be strictly increasing")
-    if axes and axes[-1] >= out_rank:
-        raise ShapeError(f"axes {axes} exceed output rank {out_rank}")
-    shape = [1] * out_rank
-    for src, dst in enumerate(axes):
-        shape[dst] = data.shape[src]
-    return data.reshape(shape)
-
-
-def _unbroadcast(grad: np.ndarray, operand: Tensor, axes: tuple[int, ...] | None,
-                 out_rank: int) -> np.ndarray:
-    if axes is None:
-        # trailing alignment: missing leading axes behave like size-1
-        expanded_shape = (1,) * (out_rank - operand.data.ndim) + operand.data.shape
-    else:
-        expanded_shape = _expand(operand.data, axes, out_rank).shape
+def _unbroadcast(grad: np.ndarray, operand: Tensor) -> np.ndarray:
+    # trailing alignment: missing leading axes behave like size-1
+    out_rank = grad.ndim
+    expanded_shape = (1,) * (out_rank - operand.data.ndim) + operand.data.shape
     reduce_axes = tuple(i for i in range(out_rank)
                         if expanded_shape[i] == 1 and grad.shape[i] != 1)
     if reduce_axes:
@@ -234,34 +213,26 @@ def _unbroadcast(grad: np.ndarray, operand: Tensor, axes: tuple[int, ...] | None
     return grad.reshape(operand.data.shape)
 
 
-def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor,
-                      a_axes: tuple[int, ...] | None,
-                      b_axes: tuple[int, ...] | None) -> Tensor:
+def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor) -> Tensor:
     _common_dtype(kind, (a, b))
     _check_finite_inputs(kind, (a, b))
-    explicit = [ax for ax in (a_axes, b_axes) if ax is not None]
-    out_rank = max([a.data.ndim, b.data.ndim] + [max(ax) + 1 for ax in explicit if ax])
     try:
-        ae = _expand(a.data, a_axes, out_rank)
-        be = _expand(b.data, b_axes, out_rank)
-        out_data = op(ae, be)
+        out_data = op(a.data, b.data)
     except ValueError as err:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast "
-                         f"(a_axes={a_axes}, b_axes={b_axes})") from err
-    final_rank = out_data.ndim
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from err
 
     if kind == "add":
         def backward_fn(g: np.ndarray) -> None:
             if a.requires_grad or a._backward_fn is not None:
-                _accumulate(a, _unbroadcast(g, a, a_axes, final_rank))
+                _accumulate(a, _unbroadcast(g, a))
             if b.requires_grad or b._backward_fn is not None:
-                _accumulate(b, _unbroadcast(g, b, b_axes, final_rank))
+                _accumulate(b, _unbroadcast(g, b))
     else:  # mul
         def backward_fn(g: np.ndarray) -> None:
             if a.requires_grad or a._backward_fn is not None:
-                _accumulate(a, _unbroadcast(g * be, a, a_axes, final_rank))
+                _accumulate(a, _unbroadcast(g * b.data, a))
             if b.requires_grad or b._backward_fn is not None:
-                _accumulate(b, _unbroadcast(g * ae, b, b_axes, final_rank))
+                _accumulate(b, _unbroadcast(g * a.data, b))
 
     return _make_node(kind, out_data, (a, b), backward_fn)
 
@@ -292,17 +263,14 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _make_node("matmul", out_data, (a, b), backward_fn)
 
 
-def add(a: Tensor, b: Tensor, a_axes: tuple[int, ...] | None = None,
-        b_axes: tuple[int, ...] | None = None) -> Tensor:
-    """Elementwise sum with broadcasting; `*_axes` map a smaller operand's
-    axes onto output axes (default: numpy trailing alignment)."""
-    return _binary_broadcast("add", np.add, a, b, a_axes, b_axes)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum with numpy's trailing-axis broadcasting."""
+    return _binary_broadcast("add", np.add, a, b)
 
 
-def mul(a: Tensor, b: Tensor, a_axes: tuple[int, ...] | None = None,
-        b_axes: tuple[int, ...] | None = None) -> Tensor:
-    """Elementwise product with broadcasting, same alignment rules as add."""
-    return _binary_broadcast("mul", np.multiply, a, b, a_axes, b_axes)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with numpy's trailing-axis broadcasting."""
+    return _binary_broadcast("mul", np.multiply, a, b)
 
 
 # The logistic and softplus kernels use exp forms, not np.logaddexp: on a
@@ -489,18 +457,20 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor,
     return _make_node(kind, out_data, (x, kernel), backward_fn)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis, max-shifted for stability."""
-    _check_finite_inputs("softmax-rows", (x,))
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+def log_softmax_rows(x: Tensor) -> Tensor:
+    """Log-softmax along the last axis: y = x - max - log sum exp(x - max).
+
+    Every entry stays finite: a logit far below its row's maximum gives a
+    large negative y, where the log of a softmax would underflow to log(0).
+    """
+    _check_finite_inputs("log-softmax-rows", (x,))
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
 
     def backward_fn(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(x, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
-    return _make_node("softmax-rows", y, (x,), backward_fn)
+    return _make_node("log-softmax-rows", y, (x,), backward_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -527,11 +497,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make_node("concat", out_data, tuple(tensors), backward_fn)
 
 
-def tslice(x: Tensor, axis: int, start: int, stop: int, squeeze: bool = False) -> Tensor:
+def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous window [start, stop) along one axis.
-
-    With squeeze=True (requires stop == start + 1) the sliced axis is dropped,
-    i.e. x[t] rather than x[t:t+1].
 
     An unmarked source is checked only in the consumed window -- scanning
     the whole source on every step would turn a length-L sweep of slices
@@ -545,10 +512,8 @@ def tslice(x: Tensor, axis: int, start: int, stop: int, squeeze: bool = False) -
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice: window [{start}, {stop}) invalid for axis "
                          f"of length {n}")
-    if squeeze and stop - start != 1:
-        raise ShapeError("slice: squeeze requires a single-element window")
     sl = [np.s_[:]] * ndim
-    sl[axis] = start if squeeze else np.s_[start:stop]
+    sl[axis] = np.s_[start:stop]
     out_data = np.ascontiguousarray(x.data[tuple(sl)])
     if x._checked is not x.data and not np.all(np.isfinite(out_data)):
         raise NonFiniteError(f"slice: non-finite value in window [{start}, {stop}) "
@@ -557,10 +522,7 @@ def tslice(x: Tensor, axis: int, start: int, stop: int, squeeze: bool = False) -
     def backward_fn(g: np.ndarray) -> None:
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        gview = np.expand_dims(g, axis) if squeeze else g
-        wsl = [np.s_[:]] * ndim
-        wsl[axis] = np.s_[start:stop]
-        x.grad[tuple(wsl)] += gview
+        x.grad[tuple(sl)] += g
 
     return _make_node("slice", out_data, (x,), backward_fn)
 
@@ -676,7 +638,7 @@ PRIMITIVES: dict[str, Callable] = {
     "mean-pool": mean_pool,
     "layer-norm": layer_norm,
     "conv1d-depthwise": conv1d_depthwise,
-    "softmax-rows": softmax_rows,
+    "log-softmax-rows": log_softmax_rows,
     "concat": concat,
     "slice": tslice,
     "selective-scan": selective_scan,

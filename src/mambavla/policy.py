@@ -5,6 +5,10 @@ contact pixel (sigmoid-squashed), a direction branch that predicts a 6-value
 continuous rotation representation orthonormalized into SO(3), the L1 pixel
 loss and the geodesic rotation loss, and the pinhole pixel+depth -> 3D lift.
 
+The head and both losses take a batch of B rows and return one: pooled
+features [B, d_model] in, pixels [B, 2] and rotations [B, 9] out (each row a
+3x3 rotation flattened row-major), and the losses average over the rows.
+
 Head variants (parameter counts strictly ordered mlp1 < mlp2 < ssm-mlp):
   mlp2     two separate 2-layer perceptrons (default)
   mlp1     one shared trunk, position/direction read from output slices
@@ -125,16 +129,23 @@ def pool_global_token(hidden: Tensor) -> Tensor:
 # rotation representation
 
 
+def _row_dot(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row dot product of two [B, k] tensors -> [B, 1]."""
+    ones = dc.tensor(np.ones((a.shape[1], 1)), dtype=a.data.dtype)
+    return dc.matmul(dc.mul(a, b), ones)
+
+
 def gram_schmidt_6d(r6: Tensor) -> Tensor:
-    """Orthonormalize a [1, 6] continuous representation into a rotation.
+    """Orthonormalize each row of a [B, 6] continuous representation into a
+    rotation, returned as [B, 9] (one rotation per row, row-major).
 
     The two 3-vectors become the first two rows; the third row is their cross
     product, so the determinant is +1 by construction.  Degenerate inputs
-    (zero first vector, or parallel vectors) raise rather than silently
-    returning a non-rotation.
+    (zero first vector, or parallel vectors) in any row raise rather than
+    silently returning a non-rotation.
     """
-    if r6.shape != (1, 6):
-        raise ShapeError(f"gram_schmidt_6d: expected [1, 6], got {r6.shape}")
+    if r6.data.ndim != 2 or r6.shape[0] < 1 or r6.shape[1] != 6:
+        raise ShapeError(f"gram_schmidt_6d: expected [B, 6], got {r6.shape}")
     dt = r6.data.dtype
     neg1 = dc.tensor(-1.0, dtype=dt)
     neg_half = dc.tensor(-0.5, dtype=dt)
@@ -142,26 +153,26 @@ def gram_schmidt_6d(r6: Tensor) -> Tensor:
     a1 = dc.tslice(r6, 1, 0, 3)
     a2 = dc.tslice(r6, 1, 3, 6)
 
-    n1 = dc.matmul(a1, a1, transpose_b=True)            # [1,1] squared norm
-    if n1.data[0, 0] < 1e-10:
+    n1 = _row_dot(a1, a1)                               # [B,1] squared norms
+    if n1.data.min() < 1e-10:
         raise ValueError("gram_schmidt_6d: first vector is degenerate (near zero)")
     b1 = dc.mul(a1, dc.exp(dc.mul(dc.log(n1), neg_half)))
 
-    d = dc.matmul(b1, a2, transpose_b=True)             # [1,1] projection
+    d = _row_dot(b1, a2)                                # [B,1] projections
     c = dc.add(a2, dc.mul(dc.mul(b1, d), neg1))
-    n2 = dc.matmul(c, c, transpose_b=True)
-    if n2.data[0, 0] < 1e-10:
+    n2 = _row_dot(c, c)
+    if n2.data.min() < 1e-10:
         raise ValueError("gram_schmidt_6d: vectors are degenerate (near parallel)")
     b2 = dc.mul(c, dc.exp(dc.mul(dc.log(n2), neg_half)))
 
     x1, y1, z1 = (dc.tslice(b1, 1, i, i + 1) for i in range(3))
     x2, y2, z2 = (dc.tslice(b2, 1, i, i + 1) for i in range(3))
-    b3 = dc.concat([
+    return dc.concat([
+        b1, b2,
         dc.add(dc.mul(y1, z2), dc.mul(dc.mul(z1, y2), neg1)),
         dc.add(dc.mul(z1, x2), dc.mul(dc.mul(x1, z2), neg1)),
         dc.add(dc.mul(x1, y2), dc.mul(dc.mul(y1, x2), neg1)),
     ], axis=1)
-    return dc.concat([b1, b2, b3], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +181,12 @@ def gram_schmidt_6d(r6: Tensor) -> Tensor:
 
 @dataclass
 class PoseOutputs:
-    pixel: Tensor                 # [1, 2] in (0,1), on tape
-    rot: Tensor                   # [3, 3] rotation, on tape
+    pixel: Tensor                 # [B, 2] in (0,1), on tape
+    rot: Tensor                   # [B, 9] rotations, row-major, on tape
 
 
 class PoseHead:
-    """Pooled LM token -> (contact pixel, rotation)."""
+    """Pooled LM tokens [B, d_model] -> (contact pixels, rotations)."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         if cfg.head_variant not in HEAD_VARIANTS:
@@ -238,11 +249,12 @@ class PoseHead:
     def _branch(self, x: Tensor, w1, b1, w2, b2) -> Tensor:
         return dc.add(dc.matmul(dc.silu(dc.add(dc.matmul(x, w1), b1)), w2), b2)
 
-    def forward(self, hidden: Tensor) -> PoseOutputs:
-        """Full LM hidden states [L, d_model] -> pose outputs (on tape)."""
-        # standardize the pooled feature (parameter-free) so the branch
+    def forward(self, feats: Tensor) -> PoseOutputs:
+        """Pooled features [B, d_model], one row per sample -> pose outputs
+        (on tape)."""
+        # standardize each pooled feature (parameter-free) so the branch
         # activations start at unit scale regardless of backbone statistics
-        pooled = dc.layer_norm(pool_global_token(hidden))
+        pooled = dc.layer_norm(feats)
         variant = self.cfg.head_variant
         if variant == "mlp2":
             pos_out = self._branch(pooled, self.w_pos1, self.b_pos1,
@@ -255,10 +267,13 @@ class PoseHead:
             r6 = dc.tslice(out, 1, 2, 8)
         else:
             x0 = dc.add(dc.matmul(pooled, self.w_down), self.b_down)
-            feats, _ = self.block.forward(x0)            # length-1 sequence
-            pos_out = self._branch(feats, self.w_pos1, self.b_pos1,
+            # each row is its own length-1 sequence: the block's conv and
+            # scan must not carry one sample into the next
+            mixed = dc.concat([self.block.forward(dc.tslice(x0, 0, i, i + 1))[0]
+                               for i in range(x0.shape[0])], axis=0)
+            pos_out = self._branch(mixed, self.w_pos1, self.b_pos1,
                                    self.w_pos2, self.b_pos2)
-            r6 = self._branch(feats, self.w_dir1, self.b_dir1,
+            r6 = self._branch(mixed, self.w_dir1, self.b_dir1,
                               self.w_dir2, self.b_dir2)
 
         # pixel = sigmoid(branch logits): the squash keeps the prediction
@@ -274,10 +289,12 @@ class PoseHead:
 
 
 def predict_pose(head: PoseHead, hidden: Tensor) -> EndEffectorPose:
-    """Detached pose for evaluation (3D position filled in by lift_to_3d)."""
-    out = head.forward(hidden)
+    """Detached pose of one sample's LM hidden states [L, d_model], for
+    evaluation (3D position filled in by lift_to_3d)."""
+    out = head.forward(pool_global_token(hidden))
     u, v = (float(x) for x in out.pixel.data[0])
-    return EndEffectorPose(a_dir=out.rot.data.copy(), contact_pixel=(u, v))
+    return EndEffectorPose(a_dir=out.rot.data[0].reshape(3, 3).copy(),
+                           contact_pixel=(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -303,34 +320,34 @@ def position_loss(pred_pixels: Tensor, gt_pixels: np.ndarray) -> Tensor:
     return dc.mul(dc.mean_pool(dc.absolute(diff)), dc.tensor(2.0, dtype=dt))
 
 
-def direction_loss(pred_rots: list[Tensor], gt_rots: np.ndarray) -> Tensor:
+def direction_loss(pred_rots: Tensor, gt_rots: np.ndarray) -> Tensor:
     """Mean geodesic angle arccos((tr(R_gt^T R) - 1)/2) over the batch, on tape.
 
-    pred_rots: list of [3, 3] on-tape rotations; gt_rots: [N, 3, 3] constants.
-    Inputs whose orthonormality error exceeds 1e-3 are rejected.
+    pred_rots: [N, 9] on tape, one row-major rotation per row; gt_rots:
+    [N, 3, 3] constants.  Inputs whose orthonormality error exceeds 1e-3 are
+    rejected.
     """
     gt = np.asarray(gt_rots)
     if gt.ndim != 3 or gt.shape[1:] != (3, 3):
         raise ShapeError(f"direction_loss: gt must be [N, 3, 3], got {gt.shape}")
-    if len(pred_rots) != gt.shape[0]:
+    if pred_rots.data.ndim != 2 or pred_rots.shape[1] != 9:
+        raise ShapeError(f"direction_loss: pred must be [N, 9], "
+                         f"got {pred_rots.shape}")
+    if pred_rots.shape[0] != gt.shape[0]:
         raise ShapeError(f"direction_loss: batch sizes differ: "
-                         f"{len(pred_rots)} vs {gt.shape[0]}")
-    if len(pred_rots) == 0:
+                         f"{pred_rots.shape[0]} vs {gt.shape[0]}")
+    if gt.shape[0] == 0:
         raise ShapeError("direction_loss: empty batch")
-    dt = pred_rots[0].data.dtype
-    ones_r = dc.tensor(np.ones((1, 3)), dtype=dt)
-    ones_c = dc.tensor(np.ones((3, 1)), dtype=dt)
-    angles = []
-    for i, pred in enumerate(pred_rots):
-        _require_rotation(f"direction_loss: pred[{i}]", pred.data)
+    for i in range(gt.shape[0]):
+        _require_rotation(f"direction_loss: pred[{i}]",
+                          pred_rots.data[i].reshape(3, 3))
         _require_rotation(f"direction_loss: gt[{i}]", gt[i])
-        # tr(G^T R) is the sum of the elementwise product
-        prod = dc.mul(pred, dc.tensor(gt[i], dtype=dt))
-        tr = dc.matmul(ones_r, dc.matmul(prod, ones_c))          # [1,1]
-        arg = dc.add(dc.mul(tr, dc.tensor(0.5, dtype=dt)),
-                     dc.tensor(-0.5, dtype=dt))
-        angles.append(dc.arccos(arg))
-    return dc.mean_pool(dc.concat(angles, axis=0))
+    dt = pred_rots.data.dtype
+    # tr(G^T R) is the sum of the elementwise product
+    tr = _row_dot(pred_rots, dc.tensor(gt.reshape(-1, 9), dtype=dt))   # [N,1]
+    arg = dc.add(dc.mul(tr, dc.tensor(0.5, dtype=dt)),
+                 dc.tensor(-0.5, dtype=dt))
+    return dc.mean_pool(dc.arccos(arg))
 
 
 # ---------------------------------------------------------------------------

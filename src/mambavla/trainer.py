@@ -26,7 +26,7 @@ from mambavla import diffcore as dc
 from mambavla import fileio
 from mambavla.config import ModelConfig, StageHyperparams, TrainConfig
 from mambavla.mamba import LanguageModel, WordTokenizer
-from mambavla.policy import PoseHead, direction_loss, position_loss
+from mambavla.policy import PoseHead, direction_loss, pool_global_token, position_loss
 from mambavla.vispipe import MlpProjector, PatchEncoder, multimodal_forward
 
 __all__ = [
@@ -123,10 +123,9 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None) -> dc.Tenso
     dtype = logits.data.dtype
     onehot = np.zeros((L, V), dtype=dtype)
     onehot[np.arange(L), targets] = 1.0
-    probs = dc.softmax_rows(logits)
-    picked = dc.matmul(dc.mul(probs, dc.tensor(onehot, dtype=dtype)),
-                       dc.tensor(np.ones((V, 1), dtype=dtype), dtype=dtype))
-    logp = dc.log(picked)                                    # [L, 1]
+    logp = dc.matmul(dc.mul(dc.log_softmax_rows(logits),
+                            dc.tensor(onehot, dtype=dtype)),
+                     dc.tensor(np.ones((V, 1), dtype=dtype), dtype=dtype))  # [L, 1]
     # negated mask weights fold the sign into the masked mean
     weights = (-keep.astype(dtype) / n_keep).reshape(1, L)
     return dc.matmul(dc.tensor(weights, dtype=dtype), logp)  # [1, 1]
@@ -144,17 +143,20 @@ class OptimState:
 
 
 def init_optim(model: VlaModel) -> OptimState:
+    """Zero moments for the parameters the model's stage trains, and no others."""
     state = OptimState()
     for name, p in model.named_params():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
+        if model.is_trainable(name):
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
     return state
 
 
 def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
                betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                weight_decay: float = 0.0) -> None:
-    """Decoupled-weight-decay Adam over the trainable groups only.
+    """Decoupled-weight-decay Adam over the parameters that have moments in
+    `state`: the trainable ones when `init_optim` ran.
 
     grads maps 'group.name' to a numpy array; missing entries are treated as
     zero gradient (decay still applies).  Non-finite gradients raise, naming
@@ -166,7 +168,7 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
     state.step += 1
     t = state.step
     for name, p in model.named_params():
-        if not model.is_trainable(name):
+        if name not in state.m:
             continue
         g = grads.get(name)
         if g is None:
@@ -214,12 +216,13 @@ def _stage1_sample_loss(model: VlaModel, tokenizer: WordTokenizer,
     return cross_entropy_loss(out.text_logits, targets, ignore)
 
 
-def _backbone_hidden(model: VlaModel, tokenizer: WordTokenizer,
-                     image: np.ndarray, prompt: str) -> np.ndarray:
+def _backbone_feature(model: VlaModel, tokenizer: WordTokenizer,
+                      image: np.ndarray, prompt: str) -> np.ndarray:
+    """The pooled backbone row [1, d_model] that the pose head reads."""
     ids = [tokenizer.BOS] + tokenizer.encode(prompt)
     out = multimodal_forward(model.encoder, model.projector, model.lm,
                              np.asarray(image), ids)
-    return out.hidden.data.copy()
+    return pool_global_token(out.hidden).data
 
 
 def _check_schema(stage: str, dataset) -> None:
@@ -261,8 +264,8 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     if stage == "manip":
         # the backbone is frozen in stage 2, so its features are constants:
         # compute them once per sample instead of once per step
-        cache = [_backbone_hidden(model, tokenizer, row["image"],
-                                  row["prompt"]) for row in dataset]
+        cache = np.concatenate([_backbone_feature(model, tokenizer, row["image"],
+                                                  row["prompt"]) for row in dataset])
 
     metrics = []
     step = 0
@@ -275,17 +278,11 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
             batch = order[start:start + train_cfg.batch_size]
             t0 = time.perf_counter()
             if stage == "manip":
-                pixels, rots = [], []
-                for idx in batch:
-                    hidden = dc.tensor(cache[idx],
-                                       dtype=cache[idx].dtype)
-                    out = model.head.forward(hidden)
-                    pixels.append(out.pixel)
-                    rots.append(out.rot)
+                out = model.head.forward(dc.tensor(cache[batch], dtype=cache.dtype))
                 gt_uv = np.stack([dataset[i]["pos_uv"] for i in batch])
                 gt_rot = np.stack([dataset[i]["rot"] for i in batch])
-                loss = dc.add(position_loss(dc.concat(pixels, axis=0), gt_uv),
-                              direction_loss(rots, gt_rot))
+                loss = dc.add(position_loss(out.pixel, gt_uv),
+                              direction_loss(out.rot, gt_rot))
             else:
                 per_sample = [_stage1_sample_loss(model, tokenizer,
                                                   dataset[idx])

@@ -48,7 +48,7 @@ def test_matmul_transpose_flags():
 
 def test_softmax_rows_sum_to_one():
     x = t64(RNG.standard_normal((6, 9)) * 4.0)
-    rows = dc.softmax_rows(x).data.sum(axis=-1)
+    rows = np.exp(dc.log_softmax_rows(x).data).sum(axis=-1)
     np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
 
@@ -97,13 +97,6 @@ def test_concat_slice_roundtrip():
     assert np.array_equal(back.data, b.data)
 
 
-def test_slice_squeeze_drops_axis():
-    x = t64(RNG.standard_normal((5, 7)))
-    row = dc.tslice(x, axis=0, start=2, stop=3, squeeze=True)
-    assert row.shape == (7,)
-    np.testing.assert_array_equal(row.data, x.data[2])
-
-
 def test_arccos_clamps_at_domain_edges():
     out = dc.arccos(t64([1.0, -1.0, 2.0]))
     assert np.isfinite(out.data).all()
@@ -112,12 +105,16 @@ def test_arccos_clamps_at_domain_edges():
 
 
 def test_broadcast_axes_alignment():
-    a = t64(RNG.standard_normal((4, 3)))
-    v = t64(RNG.standard_normal(4))
-    out = dc.mul(a, v, b_axes=(0,))                   # v broadcast along columns
-    np.testing.assert_allclose(out.data, a.data * v.data[:, None])
-    outer = dc.mul(t64(RNG.standard_normal(5)), v, a_axes=(0,), b_axes=(1,))
-    assert outer.shape == (5, 4)
+    # a [4, 1] column scales every column of a [4, 3] matrix, and its
+    # gradient sums over the columns it was broadcast along
+    a = t64(RNG.standard_normal((4, 3)), requires_grad=True)
+    v = t64(RNG.standard_normal((4, 1)), requires_grad=True)
+    out = dc.mul(a, v)
+    for j in range(3):
+        np.testing.assert_array_equal(out.data[:, j], a.data[:, j] * v.data[:, 0])
+    grads = dc.backward(dc.mean_pool(out))
+    np.testing.assert_allclose(grads[v], a.data.sum(axis=1, keepdims=True) / 12)
+    np.testing.assert_allclose(grads[a], np.tile(v.data, (1, 3)) / 12)
 
 
 def test_trailing_alignment_backward_sums_leading_axes():
@@ -155,7 +152,7 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.matmul(x, t64(w32))), p23)
     _check(lambda x: dc.mean_pool(dc.matmul(t64(w32.T), x, transpose_b=True)), p23)
     _check(lambda x: dc.mean_pool(dc.add(x, t64(bias))), p23)
-    _check(lambda x: dc.mean_pool(dc.mul(x, t64(rows), b_axes=(0,))), p23)
+    _check(lambda x: dc.mean_pool(dc.mul(x, t64(rows[:, None]))), p23)
     _check(lambda x: dc.mean_pool(dc.silu(x)), p23)
     _check(lambda x: dc.mean_pool(dc.sigmoid(x)), p23)
     _check(lambda x: dc.mean_pool(dc.softplus(x)), p23)
@@ -169,7 +166,7 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(x), t64(mix))), p23)
     _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(x, t64(kern))), sig)
     _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(t64(sig), x)), kern)
-    _check(lambda x: dc.mean_pool(dc.mul(dc.softmax_rows(x), t64(mix))), p23)
+    _check(lambda x: dc.mean_pool(dc.mul(dc.log_softmax_rows(x), t64(mix))), p23)
     _check(lambda x: dc.mean_pool(dc.concat([x, dc.silu(x)], axis=1)), p23)
     _check(lambda x: dc.mean_pool(dc.tslice(x, axis=1, start=1, stop=3)), p23)
     _check(lambda x: dc.mean_pool(dc.matmul(dc.mean_pool(x, axis=0, keepdims=True),
@@ -206,21 +203,26 @@ def _scan_inputs(rng, L=4, E=3, N=2):
 
 def _scan_composition(u, delta, A_log, B, C, h0):
     """The selective scan as a per-step composition of primitives: ZOH
-    discretization with A = -exp(A_log), then one slice/mul/add/matmul step
-    per token."""
+    discretization with A = -exp(A_log), then one step per token.
+
+    The state is kept transposed, h^T [N, E], so trailing broadcasting lines
+    the [1, E] rows delta_t and u_t up with it; multiplying the identity by
+    an operand with transpose_b transposes A_log and each B_t."""
     minus = t64(-1.0)
-    negA = dc.mul(dc.exp(A_log), minus)
-    invA = dc.mul(dc.exp(dc.mul(A_log, minus)), minus)
-    Abar = dc.exp(dc.mul(delta, negA, a_axes=(0, 1), b_axes=(1, 2)))
-    coef = dc.mul(dc.add(Abar, minus), invA, b_axes=(1, 2))
-    Bx = dc.mul(dc.mul(coef, B, b_axes=(0, 2)), u, b_axes=(0, 1))
-    h = t64(h0)
+    eye = t64(np.eye(A_log.shape[1]))
+    A_logT = dc.matmul(eye, A_log, transpose_b=True)                  # [N, E]
+    negA = dc.mul(dc.exp(A_logT), minus)
+    invA = dc.mul(dc.exp(dc.mul(A_logT, minus)), minus)
+    hT = t64(np.asarray(h0).T)
     ys = []
     for t in range(u.shape[0]):
-        h = dc.add(dc.mul(dc.tslice(Abar, 0, t, t + 1, squeeze=True), h),
-                   dc.tslice(Bx, 0, t, t + 1, squeeze=True))
-        ys.append(dc.matmul(dc.tslice(C, 0, t, t + 1), h, transpose_b=True))
-    return dc.concat(ys, axis=0), h.data
+        Abar = dc.exp(dc.mul(dc.tslice(delta, 0, t, t + 1), negA))    # [N, E]
+        coef = dc.mul(dc.add(Abar, minus), invA)
+        B_t = dc.matmul(eye, dc.tslice(B, 0, t, t + 1), transpose_b=True)  # [N, 1]
+        Bx = dc.mul(dc.mul(coef, B_t), dc.tslice(u, 0, t, t + 1))
+        hT = dc.add(dc.mul(Abar, hT), Bx)
+        ys.append(dc.matmul(dc.tslice(C, 0, t, t + 1), hT))          # [1, E]
+    return dc.concat(ys, axis=0), hT.data.T
 
 
 def test_selective_scan_matches_per_step_composition():

@@ -232,7 +232,7 @@ def test_lm_overfit_memorizes_continuation():
     params = [p for _, p in lm.named_params()]
     for _ in range(150):
         logits, _ = lm.lm_forward(seq[:-1])
-        logp = dc.log(dc.softmax_rows(logits))
+        logp = dc.log_softmax_rows(logits)
         picks = [dc.tslice(dc.tslice(logp, 0, t, t + 1), 1, tgt, tgt + 1)
                  for t, tgt in enumerate(seq[1:])]
         loss = dc.mul(dc.mean_pool(dc.concat(picks, axis=0)),

@@ -28,6 +28,11 @@ def t64(values):
     return dc.tensor(values, dtype=np.float64)
 
 
+def rows(*rots):
+    """[N, 9] batch of rotations, one row-major 3x3 per row."""
+    return t64(np.stack([np.asarray(r).reshape(9) for r in rots]))
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -62,14 +67,14 @@ def test_pool_rejects_empty_sequence():
 
 def test_gram_schmidt_of_orthonormal_pair_is_identity():
     r6 = t64(np.array([[1.0, 0, 0, 0, 1.0, 0]]))
-    np.testing.assert_allclose(policy.gram_schmidt_6d(r6).data, np.eye(3),
-                               rtol=0, atol=1e-12)
+    R = policy.gram_schmidt_6d(r6).data.reshape(3, 3)
+    np.testing.assert_allclose(R, np.eye(3), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_gram_schmidt_always_lands_on_so3(seed):
     r6 = t64(np.random.default_rng(seed).standard_normal((1, 6)))
-    R = policy.gram_schmidt_6d(r6).data
+    R = policy.gram_schmidt_6d(r6).data.reshape(3, 3)
     np.testing.assert_allclose(R @ R.T, np.eye(3), rtol=0, atol=1e-10)
     assert abs(np.linalg.det(R) - 1.0) < 1e-10
 
@@ -180,13 +185,13 @@ def _z_rot(angle):
 def test_direction_loss_frozen_values():
     eye = np.eye(3)
     # identical rotations: clamp floor, not exactly zero
-    same = policy.direction_loss([t64(eye)], eye[None]).item()
+    same = policy.direction_loss(rows(eye), eye[None]).item()
     assert abs(same - CLAMP_FLOOR) < 1e-5
     # 90 degrees about z: trace 1 -> arccos(0) = pi/2
-    quarter = policy.direction_loss([t64(_z_rot(math.pi / 2))], eye[None]).item()
+    quarter = policy.direction_loss(rows(_z_rot(math.pi / 2)), eye[None]).item()
     assert abs(quarter - math.pi / 2) < 1e-5
     # 180 degrees about z: trace -1 -> clamped arccos(-1)
-    half = policy.direction_loss([t64(_z_rot(math.pi))], eye[None]).item()
+    half = policy.direction_loss(rows(_z_rot(math.pi)), eye[None]).item()
     assert abs(half - (math.pi - CLAMP_FLOOR)) < 1e-5
 
 
@@ -194,9 +199,9 @@ def test_direction_loss_symmetry_and_left_invariance():
     rng = np.random.default_rng(2)
     for _ in range(10):
         r1, r2, q = (policy.random_rotation(rng) for _ in range(3))
-        ab = policy.direction_loss([t64(r1)], r2[None]).item()
-        ba = policy.direction_loss([t64(r2)], r1[None]).item()
-        q_ab = policy.direction_loss([t64(q @ r1)], (q @ r2)[None]).item()
+        ab = policy.direction_loss(rows(r1), r2[None]).item()
+        ba = policy.direction_loss(rows(r2), r1[None]).item()
+        q_ab = policy.direction_loss(rows(q @ r1), (q @ r2)[None]).item()
         assert abs(ab - ba) <= 1e-6
         assert abs(ab - q_ab) <= 1e-6
         assert 0.0 <= ab <= math.pi
@@ -206,8 +211,8 @@ def test_direction_loss_batch_is_mean_of_angles():
     rng = np.random.default_rng(3)
     preds = [policy.random_rotation(rng) for _ in range(4)]
     gts = np.stack([policy.random_rotation(rng) for _ in range(4)])
-    batch = policy.direction_loss([t64(p) for p in preds], gts).item()
-    singles = [policy.direction_loss([t64(p)], g[None]).item()
+    batch = policy.direction_loss(rows(*preds), gts).item()
+    singles = [policy.direction_loss(rows(p), g[None]).item()
                for p, g in zip(preds, gts)]
     assert abs(batch - np.mean(singles)) < 1e-12
 
@@ -215,41 +220,47 @@ def test_direction_loss_batch_is_mean_of_angles():
 def test_direction_loss_rejects_non_rotations():
     eye = np.eye(3)
     with pytest.raises(ValueError):
-        policy.direction_loss([t64(2.0 * eye)], eye[None])
+        policy.direction_loss(rows(2.0 * eye), eye[None])
     with pytest.raises(ValueError):
-        policy.direction_loss([t64(eye)], (eye * 1.01)[None])
+        policy.direction_loss(rows(eye), (eye * 1.01)[None])
     with pytest.raises(dc.ShapeError):
-        policy.direction_loss([t64(eye)], np.stack([eye, eye]))
+        policy.direction_loss(rows(eye), np.stack([eye, eye]))
 
 
 def test_direction_loss_rejects_non_finite_rotations():
     eye, nan = np.eye(3), np.full((3, 3), np.nan)
     with pytest.raises(ValueError, match=r"pred\[0\].*non-finite"):
-        policy.direction_loss([t64(nan)], eye[None])
+        policy.direction_loss(rows(nan), eye[None])
     with pytest.raises(ValueError, match=r"gt\[0\].*non-finite"):
-        policy.direction_loss([t64(eye)], nan[None])
+        policy.direction_loss(rows(eye), nan[None])
 
 
 def test_direction_loss_gradient_through_6d():
     """Finite-difference check at relative angles inside [0.2, 2.9] rad."""
     rng = np.random.default_rng(11)
-    checked = 0
+    checked = []
     for _ in range(30):
         r6_val = rng.standard_normal((1, 6))
         gt = policy.random_rotation(rng)
         angle = policy.direction_loss(
-            [policy.gram_schmidt_6d(t64(r6_val))], gt[None]).item()
+            policy.gram_schmidt_6d(t64(r6_val)), gt[None]).item()
         if not (0.2 <= angle <= 2.9):
             continue
         err = dc.grad_check(
-            lambda r6: policy.direction_loss([policy.gram_schmidt_6d(r6)],
-                                             gt[None]),
+            lambda r6: policy.direction_loss(policy.gram_schmidt_6d(r6), gt[None]),
             t64(r6_val))
         assert err <= 1e-3, f"direction grad rel err {err:.3e} at {angle:.2f} rad"
-        checked += 1
-        if checked >= 5:
+        checked.append((r6_val[0], gt))
+        if len(checked) >= 5:
             break
-    assert checked >= 5, "not enough in-range samples drawn"
+    assert len(checked) >= 5, "not enough in-range samples drawn"
+
+    # three of those points as one 3-row batch through one graph
+    r6_rows, gts = (np.stack(x) for x in zip(*checked[:3]))
+    err = dc.grad_check(
+        lambda r6: policy.direction_loss(policy.gram_schmidt_6d(r6), gts),
+        t64(r6_rows))
+    assert err <= 1e-3, f"batched direction grad rel err {err:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +343,45 @@ def test_head_end_to_end_gradient(variant):
     gt_rot = policy.random_rotation(np.random.default_rng(6))
 
     def loss(hidden):
-        out = head.forward(hidden)
+        out = head.forward(policy.pool_global_token(hidden))
         pos = policy.position_loss(out.pixel, gt_px)
-        rot = policy.direction_loss([out.rot], gt_rot[None])
+        rot = policy.direction_loss(out.rot, gt_rot[None])
         return dc.add(pos, rot)
 
     err = dc.grad_check(loss, t64(hidden_val))
     assert err <= 1e-4, f"{variant}: end-to-end grad err {err:.3e}"
+
+
+@pytest.mark.parametrize("variant", policy.HEAD_VARIANTS)
+def test_head_batch_equals_mean_of_rows(variant):
+    """One forward over a 5-row batch gives the mean of the five 1-row
+    losses and gradients: no row leaks into another (for ssm-mlp, not
+    through the block's conv or scan either)."""
+    cfg = tiny_cfg(head_variant=variant)
+    head = policy.PoseHead(cfg, np.random.default_rng(7), dtype=np.float64)
+    rng = np.random.default_rng(8)
+    feats = rng.standard_normal((5, cfg.d_model))
+    gt_px = rng.random((5, 2))
+    gt_rot = np.stack([policy.random_rotation(rng) for _ in range(5)])
+    params = [p for _, p in head.named_params()]
+
+    def loss_and_grads(i, j):
+        for p in params:
+            p.zero_grad()
+        out = head.forward(t64(feats[i:j]))
+        loss = dc.add(policy.position_loss(out.pixel, gt_px[i:j]),
+                      policy.direction_loss(out.rot, gt_rot[i:j]))
+        grads = dc.backward(loss)
+        return loss.item(), [grads[p] for p in params]
+
+    batch_loss, batch_grads = loss_and_grads(0, 5)
+    singles = [loss_and_grads(i, i + 1) for i in range(5)]
+    np.testing.assert_allclose(batch_loss, np.mean([l for l, _ in singles]),
+                               rtol=1e-12)
+    for k, (name, _) in enumerate(head.named_params()):
+        np.testing.assert_allclose(
+            batch_grads[k], np.mean([g[k] for _, g in singles], axis=0),
+            rtol=1e-10, err_msg=name)
 
 
 def test_unknown_variant_rejected():

@@ -167,6 +167,14 @@ def test_confident_correct_logit_drives_loss_to_zero():
     assert loss.data.reshape(()) < 1e-10
 
 
+def test_confidently_wrong_logit_gives_a_large_finite_loss():
+    # the target's softmax probability rounds to 0 in float32, so the log of
+    # a softmax would be -inf; the log-softmax stays finite
+    logits = dc.tensor([[0.0, 120.0]], dtype=np.float32)
+    loss = trainer.cross_entropy_loss(logits, [0])
+    assert loss.data.reshape(()) == 120.0
+
+
 def test_masked_positions_have_zero_gradient():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((4, 8))
@@ -384,10 +392,10 @@ def test_manip_head_learns():
 
 
 def _position_loss_on(model, rows, tok):
-    pixels = [model.head.forward(dc.tensor(trainer._backbone_hidden(
-        model, tok, row["image"], row["prompt"]))).pixel for row in rows]
+    feats = np.concatenate([trainer._backbone_feature(
+        model, tok, row["image"], row["prompt"]) for row in rows])
     gt = np.stack([row["pos_uv"] for row in rows])
-    return policy.position_loss(dc.concat(pixels, axis=0), gt).item()
+    return policy.position_loss(model.head.forward(dc.tensor(feats)).pixel, gt).item()
 
 
 def test_manip_head_pixel_depends_on_input():
@@ -404,6 +412,50 @@ def test_manip_head_pixel_depends_on_input():
         train_cfg=TrainConfig(batch_size=8), tokenizer=tok,
         seed=0, steps_limit=200)
     assert _position_loss_on(model, rows, tok) < 0.5 * start
+
+
+def _manip_step_nodes(monkeypatch, batch_size):
+    """Primitive nodes on the tape of each of two steps of a tiny manip run:
+    a spy on dc.backward walks each loss graph before the sweep consumes it."""
+    counts = []
+    backward = dc.backward
+
+    def spy(root):
+        seen, stack, nodes = set(), [root], 0
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward_fn is not None
+                stack.extend(t._parents)
+        counts.append(nodes)
+        return backward(root)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dc, "backward", spy)
+        trainer.run_stage(
+            tiny_model(seed=4), "manip", manip_rows(8), epochs=2,
+            hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
+            train_cfg=TrainConfig(batch_size=batch_size), tokenizer=tokenizer(),
+            seed=0, steps_limit=2)
+    return counts
+
+
+def test_manip_step_is_one_graph_at_any_batch_size(monkeypatch):
+    """The head and both losses run on the whole batch at once, so a step's
+    tape does not grow with the batch."""
+    small = _manip_step_nodes(monkeypatch, 2)
+    large = _manip_step_nodes(monkeypatch, 8)
+    assert len(small) == len(large) == 2
+    assert small[0] == small[1] == large[0] == large[1] > 0, (small, large)
+
+
+def test_optimizer_moments_only_for_trainable_parameters():
+    model = tiny_model()
+    trainer.set_stage(model, "manip")
+    state = trainer.init_optim(model)
+    trainable = {name for name, _ in model.named_params() if model.is_trainable(name)}
+    assert set(state.m) == set(state.v) == trainable
 
 
 def test_run_stage_schema_mismatch():

@@ -224,7 +224,7 @@ def test_caption_overfit_distinguishes_images():
         for img, caption in pairs:
             out = vispipe.multimodal_forward(enc, proj, lm, img,
                                              [bos] + caption[:-1])
-            logp = dc.log(dc.softmax_rows(out.text_logits))
+            logp = dc.log_softmax_rows(out.text_logits)
             picks += [dc.tslice(dc.tslice(logp, 0, t, t + 1), 1, c, c + 1)
                       for t, c in enumerate(caption)]
         loss = dc.mul(dc.mean_pool(dc.concat(picks, axis=0)),
