@@ -1,7 +1,7 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The primitive set is closed: every model operation in this package composes
-from the kinds registered in `PRIMITIVES`.  Each primitive validates input
+from the 18 kinds registered in `PRIMITIVES`.  Each primitive validates input
 shapes/dtypes, rejects non-finite values, and registers a backward closure
 on the implicit tape (the parent links of the output tensor) when an input
 needs a gradient.  `grad_check` verifies any composition against central
@@ -52,12 +52,17 @@ __all__ = [
     "log_softmax_rows",
     "concat",
     "tslice",
+    "gather_rows",
     "selective_scan",
     "backward",
     "grad_check",
 ]
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
+
+# time steps per block of a scan that needs no gradient: its buffers are
+# [SCAN_BLOCK, N, E], whatever the sequence length
+SCAN_BLOCK = 16
 
 # arccos arguments are clamped into the open interval (-1, 1) by this margin,
 # keeping the loss finite; the gradient is zero in the clamped region.
@@ -399,23 +404,44 @@ def mean_pool(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     return _make_node("mean-pool", out_data, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
-    _check_finite_inputs("layer-norm", (x,))
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    gain and shift by bias ([D] each, D the last axis of x):
+    ((x - mu) / sigma) * gain + bias."""
+    kind = "layer-norm"
+    _common_dtype(kind, (x, gain, bias))
+    _check_finite_inputs(kind, (x, gain, bias))
     if x.data.ndim < 1:
-        raise ShapeError("layer-norm: needs at least one axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+        raise ShapeError(f"{kind}: needs at least one axis")
+    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeError(f"{kind}: gain and bias must have shape {x.shape[-1:]}, "
+                         f"got {gain.shape} and {bias.shape}")
+    # the arithmetic of x.mean() and x.var() without their Python-level
+    # wrappers, which cost more than the sums on a decode step's one row
+    n = np.intp(x.data.shape[-1])
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.true_divide(mu, n, out=mu, casting="unsafe")
+    y = x.data - mu
+    var = np.add.reduce(y * y, axis=-1, keepdims=True)
+    np.true_divide(var, n, out=var, casting="unsafe")
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    y *= inv
+    out_data = y * gain.data
+    out_data += bias.data
 
     def backward_fn(g: np.ndarray) -> None:
-        # d/dx of (x-mu)/sigma: project out the mean and the y-component
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        _accumulate(x, (g - gm - y * gy) * inv)
+        if gain.requires_grad or gain._backward_fn is not None:
+            _accumulate(gain, _unbroadcast(g * y, gain))
+        if bias.requires_grad or bias._backward_fn is not None:
+            _accumulate(bias, _unbroadcast(g, bias))
+        if x.requires_grad or x._backward_fn is not None:
+            # d/dx of (x-mu)/sigma: project out the mean and the y-component
+            gy = g * gain.data
+            gm = gy.mean(axis=-1, keepdims=True)
+            gyy = (gy * y).mean(axis=-1, keepdims=True)
+            _accumulate(x, (gy - gm - y * gyy) * inv)
 
-    return _make_node("layer-norm", y, (x,), backward_fn)
+    return _make_node(kind, out_data, (x, gain, bias), backward_fn)
 
 
 def conv1d_depthwise(x: Tensor, kernel: Tensor,
@@ -527,99 +553,166 @@ def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make_node("slice", out_data, (x,), backward_fn)
 
 
-def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
-                   h0: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Selective SSM over one sequence: ZOH discretization, scan and readout.
+def gather_rows(x: Tensor, ids) -> Tensor:
+    """Rows x[ids] of a 2-D table, in the order of ids; a row may repeat.
 
-    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; h0: [E, N] carried state
-    (zeros when None).  With A = -exp(A_log) and 1/A = -exp(-A_log):
+    ids must be a non-empty 1-D integer sequence in [0, rows).  Like tslice,
+    an unmarked table is checked only in the gathered rows.  Backward adds
+    each output row's gradient into its table row, so repeated ids
+    accumulate.
+    """
+    kind = "gather-rows"
+    if x.data.ndim != 2:
+        raise ShapeError(f"{kind}: expects a 2-D table, got {x.shape}")
+    ids = np.asarray(ids)
+    rows = x.data.shape[0]
+    if ids.ndim != 1 or ids.size == 0 or ids.dtype.kind not in "iu":
+        raise ShapeError(f"{kind}: ids must be a non-empty 1-D integer sequence, "
+                         f"got shape {ids.shape} of {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= rows:
+        raise ShapeError(f"{kind}: ids must lie in [0, {rows}), got "
+                         f"[{ids.min()}, {ids.max()}]")
+    out_data = x.data[ids]
+    if x._checked is not x.data and not np.all(np.isfinite(out_data)):
+        raise NonFiniteError(f"{kind}: non-finite value in a gathered row")
+
+    def backward_fn(g: np.ndarray) -> None:
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, ids, g)
+
+    return _make_node(kind, out_data, (x,), backward_fn)
+
+
+def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
+                   D: Tensor, h0: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Selective SSM over one sequence: ZOH discretization, scan, readout and
+    the skip term D u.
+
+    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; D: [E]; h0: [E, N]
+    carried state (zeros when None).  With A = -exp(A_log) and
+    1/A = -exp(-A_log):
 
         Abar_t = exp(delta_t A),  Bbar_t = (Abar_t - 1) (1/A) B_t   (exact ZOH)
-        h_t = Abar_t h_{t-1} + Bbar_t u_t,  y_t = C_t . h_t
+        h_t = Abar_t h_{t-1} + Bbar_t u_t,  y_t = C_t . h_t + D u_t
 
     Returns (y [L, E], h_final [E, N]); the final state is a plain array of
-    its own for the generation carry (never a view into the trajectory) and
-    gets no gradient.  The forward pass keeps the state trajectory [L, E, N];
-    backward runs the reverse-time adjoint dh_t = dy_t C_t + Abar_{t+1}
-    dh_{t+1} once and everything else vectorised over [L, E, N].
+    its own for the generation carry and gets no gradient.
+
+    Layout: the kernel works on the transposed state h^T [N, E], so every
+    [., N, E] broadcast runs numpy's inner loop over the E contiguous
+    channels rather than the N = 8 states.  Each step's states are copied
+    back to [E, N] for the readout, which keeps y_t = h_t @ C_t
+    bit-identical to a per-step loop.
+
+    Blocking: with no input needing a gradient the scan steps through time
+    in blocks of SCAN_BLOCK steps that reuse one set of buffers, so no
+    [L, N, E] array is allocated and no backward is registered.  With a
+    gradient the block is the whole sequence, and the trajectory is kept for
+    the backward, which runs the reverse-time adjoint dh_t = dy_t C_t +
+    Abar_{t+1} dh_{t+1} once and everything else vectorised over [L, N, E].
     """
     kind = "selective-scan"
-    inputs = (u, delta, A_log, B, C)
+    inputs = (u, delta, A_log, B, C, D)
     dtype = _common_dtype(kind, inputs)
-    if any(t.data.ndim != 2 for t in inputs):
-        raise ShapeError(f"{kind}: expects 2-D inputs, got {[t.shape for t in inputs]}")
+    if any(t.data.ndim != 2 for t in inputs[:5]) or D.data.ndim != 1:
+        raise ShapeError(f"{kind}: expects 2-D u, delta, A_log, B, C and 1-D D, "
+                         f"got {[t.shape for t in inputs]}")
     L, E = u.shape
     N = A_log.shape[1]
-    expected = ((L, E), (L, E), (E, N), (L, N), (L, N))
+    expected = ((L, E), (L, E), (E, N), (L, N), (L, N), (E,))
     if L == 0 or any(t.shape != s for t, s in zip(inputs, expected)):
-        raise ShapeError(f"{kind}: expects u, delta [L, E], A_log [E, N], B, C [L, N] "
-                         f"with L >= 1; got {[t.shape for t in inputs]}")
+        raise ShapeError(f"{kind}: expects u, delta [L, E], A_log [E, N], B, C [L, N], "
+                         f"D [E] with L >= 1; got {[t.shape for t in inputs]}")
     _check_finite_inputs(kind, inputs)
     if h0 is not None:
         h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
+    grad = any(t.requires_grad or t._backward_fn is not None for t in inputs)
+    T = L if grad else min(L, SCAN_BLOCK)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        A = -np.exp(A_log.data)              # never crosses zero, so 1/A is exact
-        inv_A = -np.exp(-A_log.data)
+        # np.exp of the transposed view would return an F-ordered array and
+        # bring the strided inner loops back: transpose into C order first
+        A_logT = np.ascontiguousarray(A_log.data.T)                 # [N, E]
+        A = -np.exp(A_logT)                  # never crosses zero, so 1/A is exact
+        inv_A = -np.exp(-A_logT)
         if not (np.isfinite(A).all() and np.isfinite(inv_A).all()):
             raise NonFiniteError(f"{kind}: exp(+-A_log) overflows")
-        # each [L, E, N] array is built once, in place; the operation order
-        # is that of Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B
-        Abar = np.multiply(delta.data[:, :, None], A)               # [L, E, N]
-        np.exp(Abar, out=Abar)
-        coef = Abar - 1.0                                           # (Abar - 1) / A
-        coef *= inv_A
-        # states[t] starts as the input term Bbar_t u_t and the loop adds the
-        # decayed carry Abar_t h_{t-1} into it in place
-        states = coef * B.data[:, None, :]
-        states *= u.data[:, :, None]
-        h = np.zeros((E, N), dtype) if h0 is None else h0
-        decay = np.empty((E, N), dtype)
-        for t in range(L):
-            states[t] += np.multiply(Abar[t], h, out=decay)
-            h = states[t]
-        # y_t = C_t . h_t for every t at once: the same products as one per step
-        y = np.matmul(states, C.data[:, :, None])[:, :, 0]
-    h_final = _check_finite_output(kind, states[-1].copy())
+        Abar = np.empty((T, N, E), dtype)
+        coef = np.empty_like(Abar)                                  # (Abar - 1) / A
+        states = np.empty_like(Abar)                                # h_t^T
+        rows = np.empty((T, E, N), dtype)                           # h_t for the readout
+        decay = np.empty((N, E), dtype)
+        y = np.empty((L, E), dtype)
+        h = np.zeros((N, E), dtype) if h0 is None else h0.T
+        for s in range(0, L, T):
+            n = min(T, L - s)
+            Ab, cf, st, rw = Abar[:n], coef[:n], states[:n], rows[:n]
+            # the operation order is that of Abar = exp(delta A),
+            # Bbar = (Abar - 1) (1/A) B, and states[t] starts as the input
+            # term Bbar_t u_t, into which the loop adds the decayed carry
+            np.multiply(delta.data[s:s + n, None, :], A, out=Ab)
+            np.exp(Ab, out=Ab)
+            np.subtract(Ab, 1.0, out=cf)
+            cf *= inv_A
+            np.multiply(cf, B.data[s:s + n, :, None], out=st)
+            st *= u.data[s:s + n, None, :]
+            for t in range(n):
+                st[t] += np.multiply(Ab[t], h, out=decay)
+                h = st[t]
+            np.copyto(rw, st.transpose(0, 2, 1))
+            # the next block overwrites states, so it reads its carry from
+            # the last copied-back row, through a transposed view
+            h = rw[-1].T
+            # y_t = C_t . h_t for every t at once: the same products as one per step
+            np.matmul(rw, C.data[s:s + n, :, None], out=y[s:s + n, :, None])
+        y += u.data * D.data
+    h_final = _check_finite_output(kind, h.T.copy())
+    if not grad:
+        return _make_node(kind, y, inputs, None), h_final
 
     def backward_fn(g: np.ndarray) -> None:
-        # reductions go through einsum: summing a short trailing axis with
-        # .sum() is several times slower in numpy
-        need_u, need_delta, need_A_log, need_B, need_C = (
+        # reductions go through einsum: summing a short axis with .sum() is
+        # several times slower in numpy
+        need_u, need_delta, need_A_log, need_B, need_C, need_D = (
             t.requires_grad or t._backward_fn is not None for t in inputs)
         if need_C:
-            _accumulate(C, np.einsum("le,len->ln", g, states))
+            _accumulate(C, np.einsum("le,lne->ln", g, states))
+        if need_D:
+            _accumulate(D, (g * u.data).sum(axis=0))
         if not (need_u or need_delta or need_A_log or need_B):
             return
-        dh = np.einsum("le,ln->len", g, C.data)                    # dy_t C_t
-        carry = np.empty((E, N), dtype)
+        dh = C.data[:, :, None] * g[:, None, :]                     # dy_t C_t
+        carry = np.empty((N, E), dtype)
         for t in range(L - 2, -1, -1):
             dh[t] += np.multiply(Abar[t + 1], dh[t + 1], out=carry)
         if need_u or need_B:
             # Bbar = coef B is not kept: dh coef serves both gradients
             dh_coef = dh * coef
             if need_u:
-                _accumulate(u, np.einsum("len,ln->le", dh_coef, B.data))
+                du = np.einsum("lne,ln->le", dh_coef, B.data)
+                du += g * D.data
+                _accumulate(u, du)
             if need_B:
-                _accumulate(B, np.einsum("len,le->ln", dh_coef, u.data))
+                _accumulate(B, np.einsum("lne,le->ln", dh_coef, u.data))
         if need_delta or need_A_log:
-            dz = dh * u.data[:, :, None]                            # d/dBbar, then
-            dz *= B.data[:, None, :]                                # d/dcoef
+            dz = dh * u.data[:, None, :]                            # d/dBbar, then
+            dz *= B.data[:, :, None]                                # d/dcoef
             if need_A_log:
                 # d(1/A)/dA_log = -1/A, and (Abar - 1) / A is coef
-                dA_log = -np.einsum("len,len->en", dz, coef)
+                dA_log = -np.einsum("lne,lne->ne", dz, coef)
             # d/d(delta A) = (dh_t h_{t-1} + dcoef / A) Abar_t; dh is spent,
             # so it takes dh_t h_{t-1}, with h_{t-1} a shifted view of states
             dz *= inv_A
             dz[1:] += np.multiply(dh[1:], states[:-1], out=dh[1:])
             if h0 is not None:
-                dz[0] += np.multiply(dh[0], h0, out=dh[0])
+                dz[0] += np.multiply(dh[0], h0.T, out=dh[0])
             dz *= Abar
             if need_delta:
-                _accumulate(delta, np.einsum("len,en->le", dz, A))
+                _accumulate(delta, np.einsum("lne,ne->le", dz, A))
             if need_A_log:
-                dA_log += np.einsum("len,le->en", dz, delta.data) * A   # dA/dA_log = A
-                _accumulate(A_log, dA_log)
+                dA_log += np.einsum("lne,le->ne", dz, delta.data) * A   # dA/dA_log = A
+                _accumulate(A_log, dA_log.T)
 
     return _make_node(kind, y, inputs, backward_fn), h_final
 
@@ -641,6 +734,7 @@ PRIMITIVES: dict[str, Callable] = {
     "log-softmax-rows": log_softmax_rows,
     "concat": concat,
     "slice": tslice,
+    "gather-rows": gather_rows,
     "selective-scan": selective_scan,
 }
 

@@ -4,10 +4,16 @@ A block is: pre-norm -> in_proj -> split into (signal, gate); the signal
 passes a causal depthwise conv, SiLU, and a selective scan whose (B_t, C_t,
 delta_t) are projected pointwise from the post-conv activations; the scan
 output plus a learned skip D.u is gated by silu(gate) and projected back,
-with a residual connection.  Discretization, scan and readout are one
-diffcore `selective-scan` node: exact ZOH rewritten as
+with a residual connection.  Discretization, scan, readout and the D.u skip
+are one diffcore `selective-scan` node: exact ZOH rewritten as
 Bbar = (Abar - 1) . B / A, exact because A = -exp(A_log) never crosses zero,
 then the recurrence, whose backward is one reverse-time adjoint sweep.
+
+A block is 19 tape nodes at any length: layer-norm (with its gain and bias),
+in_proj matmul, 2 slices (signal, gate), conv1d-depthwise, add (conv bias),
+silu, x_proj matmul, 3 slices (dt, B, C), dt_proj matmul, add (dt bias),
+softplus, selective-scan, silu (gate), mul, out_proj matmul and the residual
+add.  Embedding is one gather-rows node, and the final norm one layer-norm.
 
 Generation carries a ScanState (per-block SSM state + conv context), so
 decoding one token costs O(1) in sequence length and reuses the exact same
@@ -114,16 +120,17 @@ class WordTokenizer:
 
 
 def selective_scan_tape(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
-                        h0: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                        D: Tensor, h0: np.ndarray | None = None
+                        ) -> tuple[Tensor, np.ndarray]:
     """Selective scan of one block on the tape: one `selective-scan` node.
 
-    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; h0: carried state [E, N]
-    or None.  Discretizes with exact ZOH under A = -exp(A_log), runs
-    h_t = Abar_t . h_{t-1} + Bbar_t u_t and reads out y_t = C_t . h_t.
-    Returns (y [L, E], final state [E, N] as a detached array for generation
-    carry).
+    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; D: [E]; h0: carried
+    state [E, N] or None.  Discretizes with exact ZOH under A = -exp(A_log),
+    runs h_t = Abar_t . h_{t-1} + Bbar_t u_t and reads out
+    y_t = C_t . h_t + D u_t.  Returns (y [L, E], final state [E, N] as a
+    detached array for generation carry).
     """
-    return dc.selective_scan(u, delta, A_log, B, C, h0)
+    return dc.selective_scan(u, delta, A_log, B, C, D, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +202,7 @@ class MambaBlock:
         E, w = cfg.d_inner, cfg.d_conv
         L = x.shape[0]
 
-        xn = dc.add(dc.mul(dc.layer_norm(x), self.ln_g), self.ln_b)
+        xn = dc.layer_norm(x, self.ln_g, self.ln_b)
         proj = dc.matmul(xn, self.in_proj)                  # [L, 2E]
         u_pre = dc.tslice(proj, 1, 0, E)
         gate = dc.tslice(proj, 1, E, 2 * E)
@@ -206,9 +213,8 @@ class MambaBlock:
 
         B, C, delta = self.select_params(u)
 
-        ys, h_final = selective_scan_tape(u, delta, self.A_log, B, C,
-                                          None if state is None else state.h)
-        y = dc.add(ys, dc.mul(u, self.D_skip))              # learned skip D.u
+        y, h_final = selective_scan_tape(u, delta, self.A_log, B, C, self.D_skip,
+                                         None if state is None else state.h)
         out = dc.matmul(dc.mul(y, dc.silu(gate)), self.out_proj)
 
         # the copy owns its rows, so the carry does not pin the [L+w-1, E] join
@@ -245,36 +251,30 @@ class LanguageModel:
         yield "lm_head", self.lm_head
 
     def embed_tokens(self, ids: list[int]) -> Tensor:
-        """Row-gather from the embedding table (composes from slice+concat)."""
-        V = self.cfg.vocab_size
-        for i in ids:
-            if not (0 <= i < V):
-                raise ValueError(f"token id {i} outside vocabulary of size {V}")
-        if len(ids) == 1:
-            return dc.tslice(self.embed, 0, ids[0], ids[0] + 1)
-        return dc.concat([dc.tslice(self.embed, 0, i, i + 1) for i in ids], axis=0)
+        """Rows of the embedding table, one `gather-rows` node; an id outside
+        the vocabulary raises ShapeError."""
+        return dc.gather_rows(self.embed, ids)
 
     def forward_embedded(self, x: Tensor, state: ScanState | None = None
-                         ) -> tuple[Tensor, Tensor, ScanState]:
+                         ) -> tuple[Tensor, ScanState]:
         """Run blocks over pre-embedded inputs.
 
-        Returns (hidden [L, d_model] post final norm, logits [L, V], state).
+        Returns (hidden [L, d_model] post final norm, state); callers apply
+        `lm_head` to the rows they read.
         """
         new_state = ScanState()
         for i, blk in enumerate(self.blocks):
             x, bs = blk.forward(x, None if state is None else state.blocks[i])
             new_state.blocks.append(bs)
-        hidden = dc.add(dc.mul(dc.layer_norm(x), self.lnf_g), self.lnf_b)
-        logits = dc.matmul(hidden, self.lm_head)
-        return hidden, logits, new_state
+        return dc.layer_norm(x, self.lnf_g, self.lnf_b), new_state
 
     def lm_forward(self, ids: list[int], state: ScanState | None = None
                    ) -> tuple[Tensor, ScanState]:
         """Token ids -> logits [L, V] (next-token scores at each position)."""
         if len(ids) == 0:
             raise ValueError("lm_forward: empty token sequence")
-        _, logits, new_state = self.forward_embedded(self.embed_tokens(ids), state)
-        return logits, new_state
+        hidden, new_state = self.forward_embedded(self.embed_tokens(ids), state)
+        return dc.matmul(hidden, self.lm_head), new_state
 
 
 def generate_greedy(lm: LanguageModel, prefix_ids: list[int], max_new: int,

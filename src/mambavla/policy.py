@@ -195,6 +195,10 @@ class PoseHead:
         M, H = cfg.d_model, cfg.head_hidden
         self.cfg = cfg
         self.dtype = dtype
+        # the feature norm is parameter-free: a constant unit gain and zero
+        # bias, leaves that are not parameters
+        self.norm_gain = dc.tensor(np.ones(M), dtype)
+        self.norm_bias = dc.tensor(np.zeros(M), dtype)
         lin = lambda fi, fo, gain=1.0: (
             dc.param(rng.normal(0.0, gain * fi ** -0.5, size=(fi, fo)), dtype),
             dc.param(np.zeros(fo), dtype))
@@ -254,7 +258,7 @@ class PoseHead:
         (on tape)."""
         # standardize each pooled feature (parameter-free) so the branch
         # activations start at unit scale regardless of backbone statistics
-        pooled = dc.layer_norm(feats)
+        pooled = dc.layer_norm(feats, self.norm_gain, self.norm_bias)
         variant = self.cfg.head_variant
         if variant == "mlp2":
             pos_out = self._branch(pooled, self.w_pos1, self.b_pos1,

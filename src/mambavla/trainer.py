@@ -140,15 +140,23 @@ class OptimState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # two flat work arrays, each as large as the largest parameter with
+    # moments, that every update computes in
+    scratch: tuple = ()
 
 
 def init_optim(model: VlaModel) -> OptimState:
-    """Zero moments for the parameters the model's stage trains, and no others."""
+    """Zero moments for the parameters the model's stage trains, and no
+    others, plus the update's scratch space."""
     state = OptimState()
     for name, p in model.named_params():
         if model.is_trainable(name):
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
+    if state.m:
+        largest = max(state.m.values(), key=lambda a: a.size)
+        state.scratch = (np.empty(largest.size, largest.dtype),
+                         np.empty(largest.size, largest.dtype))
     return state
 
 
@@ -163,10 +171,15 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
     the parameter group, and so does an update with non-finite new values,
     which leaves that parameter unchanged: the write is in place, so no
     primitive would check it again (see `diffcore`).
+
+    The update runs in place in the state's scratch arrays, in the operation
+    order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p - lr (m_hat / (sqrt(v_hat) + eps) + wd p).
     """
     b1, b2 = betas
     state.step += 1
     t = state.step
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for name, p in model.named_params():
         if name not in state.m:
             continue
@@ -177,18 +190,30 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
             raise FloatingPointError(
                 f"non-finite gradient in parameter group "
                 f"{name.split('.', 1)[0]!r} ({name})")
-        m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
+        m, v = state.m[name], state.v[name]
+        s, s2 = (buf[:p.data.size].reshape(p.data.shape) for buf in state.scratch)
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
         with np.errstate(over="ignore", invalid="ignore"):
-            new = lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
-            np.subtract(p.data, new, out=new)       # the new values, not yet written
-        if not np.all(np.isfinite(new)):
+            np.divide(m, c1, out=s)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s /= s2
+            np.multiply(p.data, weight_decay, out=s2)
+            s += s2
+            s *= lr
+            np.subtract(p.data, s, out=s)           # the new values, not yet written
+        if not np.all(np.isfinite(s)):
             raise FloatingPointError(
                 f"non-finite update in parameter group "
                 f"{name.split('.', 1)[0]!r} ({name})")
-        p.data[...] = new
+        p.data[...] = s
 
 
 # ---------------------------------------------------------------------------

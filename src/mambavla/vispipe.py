@@ -116,9 +116,10 @@ def multimodal_forward(encoder: PatchEncoder, projector: MlpProjector,
     f_v = encoder.encode(image)
     f_v_lm = projector.project(f_v)
     seq = dc.concat([f_v_lm, lm.embed_tokens(prompt_ids)], axis=0)
-    hidden, logits, state = lm.forward_embedded(seq)
+    hidden, state = lm.forward_embedded(seq)
     n_vis = f_v_lm.shape[0]
-    text_logits = dc.tslice(logits, 0, n_vis, n_vis + len(prompt_ids))
+    text_logits = dc.matmul(dc.tslice(hidden, 0, n_vis, n_vis + len(prompt_ids)),
+                            lm.lm_head)
     return MultimodalOutput(hidden=hidden, text_logits=text_logits,
                             n_visual=n_vis, state=state)
 

@@ -2,6 +2,7 @@
 tape semantics, and error paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_layer_norm_zero_mean_unit_var():
-    y = dc.layer_norm(t64(RNG.standard_normal((5, 16)) * 3.0 + 1.0)).data
+    y = dc.layer_norm(t64(RNG.standard_normal((5, 16)) * 3.0 + 1.0),
+                      t64(np.ones(16)), t64(np.zeros(16))).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
@@ -163,7 +165,8 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.arccos(x)), np.tanh(p23) * 0.9)
     _check(lambda x: dc.mean_pool(x), p23)
     _check(lambda x: dc.mean_pool(dc.mul(dc.mean_pool(x, axis=1), t64(rows))), p23)
-    _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(x), t64(mix))), p23)
+    _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(x, t64(np.ones(3)),
+                                                      t64(np.zeros(3))), t64(mix))), p23)
     _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(x, t64(kern))), sig)
     _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(t64(sig), x)), kern)
     _check(lambda x: dc.mean_pool(dc.mul(dc.log_softmax_rows(x), t64(mix))), p23)
@@ -176,7 +179,7 @@ def test_grad_every_primitive(trial):
     scan_args = _scan_inputs(rng)
     readout = rng.standard_normal(scan_args[0].shape)
     h0 = rng.standard_normal((3, 2))
-    for i in range(5):
+    for i in range(6):
         def scan_loss(x, i=i):
             args = [t64(a) for a in scan_args]
             args[i] = x
@@ -191,19 +194,32 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.mul(dc.conv1d_depthwise(t64(sig), x, ctx),
                                          t64(sig))), kern)
 
+    # layer-norm with respect to x, gain and bias
+    gain, shift = rng.standard_normal(3), rng.standard_normal(3)
+    _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(x, t64(gain), t64(shift)),
+                                         t64(mix))), p23)
+    _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(t64(p23), x, t64(shift)),
+                                         t64(mix))), gain)
+    _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(t64(p23), t64(gain), x),
+                                         t64(mix))), shift)
+    # gather-rows, with a repeated row
+    _check(lambda x: dc.mean_pool(dc.mul(dc.gather_rows(x, [2, 0, 2]), t64(kern))), sig[:3])
+
 
 def _scan_inputs(rng, L=4, E=3, N=2):
-    """(u, delta, A_log, B, C) for selective-scan, with delta > 0."""
+    """(u, delta, A_log, B, C, D) for selective-scan, with delta > 0."""
     return (rng.standard_normal((L, E)),
             np.abs(rng.standard_normal((L, E))) * 0.5 + 0.05,
             rng.standard_normal((E, N)) * 0.5,
             rng.standard_normal((L, N)),
-            rng.standard_normal((L, N)))
+            rng.standard_normal((L, N)),
+            rng.standard_normal(E))
 
 
-def _scan_composition(u, delta, A_log, B, C, h0):
+def _scan_composition(u, delta, A_log, B, C, D, h0):
     """The selective scan as a per-step composition of primitives: ZOH
-    discretization with A = -exp(A_log), then one step per token.
+    discretization with A = -exp(A_log), then one step per token, then the
+    skip term D u.
 
     The state is kept transposed, h^T [N, E], so trailing broadcasting lines
     the [1, E] rows delta_t and u_t up with it; multiplying the identity by
@@ -222,7 +238,7 @@ def _scan_composition(u, delta, A_log, B, C, h0):
         Bx = dc.mul(dc.mul(coef, B_t), dc.tslice(u, 0, t, t + 1))
         hT = dc.add(dc.mul(Abar, hT), Bx)
         ys.append(dc.matmul(dc.tslice(C, 0, t, t + 1), hT))          # [1, E]
-    return dc.concat(ys, axis=0), hT.data.T
+    return dc.add(dc.concat(ys, axis=0), dc.mul(u, D)), hT.data.T
 
 
 def test_selective_scan_matches_per_step_composition():
@@ -245,9 +261,10 @@ def test_selective_scan_matches_per_step_composition():
 
 def test_selective_scan_matches_reference_kernels():
     rng = np.random.default_rng(8)
-    u, delta, A_log, B, C = _scan_inputs(rng, L=12, E=4, N=3)
+    u, delta, A_log, B, C, _ = _scan_inputs(rng, L=12, E=4, N=3)
     h0 = rng.standard_normal((4, 3))
-    y, h_final = dc.selective_scan(t64(u), t64(delta), t64(A_log), t64(B), t64(C), h0=h0)
+    y, h_final = dc.selective_scan(t64(u), t64(delta), t64(A_log), t64(B), t64(C),
+                                   t64(np.zeros(4)), h0=h0)
     Abar, Bbar = ref.discretize_zoh(-np.exp(A_log), B, delta)
     y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, h0)
     np.testing.assert_allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
@@ -260,13 +277,14 @@ def test_selective_scan_discretization_is_bit_identical(dtype):
     # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B and of the per-step
     # recurrence h_t = Abar_t h_{t-1} + Bbar_t u_t, y_t = h_t . C_t
     rng = np.random.default_rng(11)
-    u, delta, A_log, B, C = (a.astype(dtype) for a in _scan_inputs(rng, L=16, E=6, N=4))
+    u, delta, A_log, B, C, _ = (a.astype(dtype) for a in _scan_inputs(rng, L=16, E=6, N=4))
+    D = np.zeros(6, dtype)
     A, inv_A = -np.exp(A_log), -np.exp(-A_log)
     Abar = np.exp(delta[:, :, None] * A)
     Bbar = (Abar - 1.0) * inv_A * B[:, None, :]
     for h0 in (None, rng.standard_normal((6, 4)).astype(dtype)):
         y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
-                                         for a in (u, delta, A_log, B, C)), h0=h0)
+                                         for a in (u, delta, A_log, B, C, D)), h0=h0)
         carry = np.zeros((6, 4), dtype) if h0 is None else h0
         y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, carry)
         assert y.dtype == dtype and h_final.dtype == dtype
@@ -278,6 +296,52 @@ def test_selective_scan_final_state_owns_its_memory():
     # generation carries h_final; a view would keep the whole trajectory alive
     _, h_final = dc.selective_scan(*(t64(a) for a in _scan_inputs(np.random.default_rng(12))))
     assert h_final.flags.owndata
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_selective_scan_without_gradient_equals_gradient_path(dtype):
+    # with no gradient L = 40 runs as blocks of 16 + 16 + 8 steps, with one
+    # as a single block: y and h_final must agree bit for bit
+    rng = np.random.default_rng(13)
+    arrays = [a.astype(dtype) for a in _scan_inputs(rng, L=40, E=5, N=3)]
+    h0 = rng.standard_normal((5, 3)).astype(dtype)
+    y, h_final = dc.selective_scan(*(dc.tensor(a, dtype) for a in arrays), h0=h0)
+    leaves = [dc.tensor(a, dtype, requires_grad=True) for a in arrays]
+    y_grad, h_grad = dc.selective_scan(*leaves, h0=h0)
+    assert not y.requires_grad and y_grad.requires_grad
+    assert np.array_equal(y.data, y_grad.data)
+    assert np.array_equal(h_final, h_grad)
+
+
+def test_selective_scan_without_gradient_allocates_no_trajectory():
+    L, E, N = 512, 64, 8
+    args = [t64(a) for a in _scan_inputs(np.random.default_rng(14), L=L, E=E, N=N)]
+    tracemalloc.start()
+    try:
+        dc.selective_scan(*args, h0=np.zeros((E, N)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < L * E * N * 8, f"peak {peak} bytes"
+
+
+def test_gather_rows_accumulates_repeated_ids():
+    table = t64(RNG.standard_normal((4, 3)), requires_grad=True)
+    out = dc.gather_rows(table, [1, 3, 1, 1])
+    assert np.array_equal(out.data, table.data[[1, 3, 1, 1]])
+    readout = RNG.standard_normal((4, 3))
+    dc.backward(dc.mean_pool(dc.mul(out, t64(readout))))
+    expected = np.zeros((4, 3))
+    expected[1] = (readout[0] + readout[2] + readout[3]) / 12
+    expected[3] = readout[1] / 12
+    np.testing.assert_allclose(table.grad, expected, rtol=1e-12)
+
+
+def test_gather_rows_rejects_bad_ids():
+    table = t64(np.ones((4, 3)))
+    for ids in ([-1], [4], [], [[0, 1]], [0.5], [True]):
+        with pytest.raises(dc.ShapeError, match="gather-rows"):
+            dc.gather_rows(table, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +571,8 @@ def test_selective_scan_rejects_bad_shapes_and_dtypes():
     bad_shapes = {0: (4, 2),      # u: E differs
                   1: (5, 3),      # delta: L differs
                   2: (3, 3),      # A_log: N differs from B and C
-                  4: (4, 3)}      # C: N differs
+                  4: (4, 3),      # C: N differs
+                  5: (2,)}        # D: E differs
     for i, shape in bad_shapes.items():
         broken = list(args)
         broken[i] = t64(np.zeros(shape))
@@ -518,16 +583,16 @@ def test_selective_scan_rejects_bad_shapes_and_dtypes():
     with pytest.raises(dc.ShapeError):
         dc.selective_scan(*args, h0=np.zeros((2, 3)))
     with pytest.raises(dc.ShapeError):
-        dc.selective_scan(*args[:4], dc.tensor(args[4].data, dtype=np.float32))
+        dc.selective_scan(*args[:4], dc.tensor(args[4].data, dtype=np.float32), args[5])
     with pytest.raises(dc.ShapeError):
         dc.selective_scan(*args, h0=h0.astype(np.float32))
 
 
 def test_selective_scan_rejects_non_finite_inputs_and_carry():
     arrays = _scan_inputs(np.random.default_rng(10), L=4, E=3, N=2)
-    for i in range(5):
+    for i in range(6):
         args = [t64(a) for a in arrays]
-        args[i].data[0, 0] = np.nan
+        args[i].data.flat[0] = np.nan
         with pytest.raises(dc.NonFiniteError, match="selective-scan"):
             dc.selective_scan(*args)
     h0 = np.zeros((3, 2))

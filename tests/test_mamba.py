@@ -290,6 +290,24 @@ def test_decode_step_scans_each_array_once(scanned_sizes):
     assert 0 < sum(scanned_sizes) < 250_000, sum(scanned_sizes)
 
 
+def test_decode_step_builds_117_nodes(monkeypatch):
+    """A default-config decode step makes 19 nodes per block (the norm with
+    its gain and bias and the scan with its D u skip are one node each),
+    plus the embedding gather, the final norm and the vocabulary head."""
+    lm = mamba.LanguageModel(ModelConfig(), np.random.default_rng(20))
+    _, state = lm.lm_forward([1, 5, 9, 13])
+    kinds = []
+    make_node = dc._make_node
+
+    def spy(kind, *args):
+        kinds.append(kind)
+        return make_node(kind, *args)
+
+    monkeypatch.setattr(dc, "_make_node", spy)
+    lm.lm_forward([7], state)
+    assert len(kinds) == 19 * 6 + 3 == 117, kinds
+
+
 def test_lm_forward_time_scales_linearly():
     lm = tiny_lm(seed=15, d_model=32, n_blocks=2, d_state=4, vocab_size=32)
     lengths = [512, 1024, 2048, 4096, 8192]

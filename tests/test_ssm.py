@@ -102,9 +102,11 @@ def test_zoh_rejects_bad_shapes_and_nonfinite():
 
 def _selective_scan(A, B, C, x, delta, h0=None):
     """dc.selective_scan in float64 on the continuous-time system: A [D, N]
-    negative, B, C [L, N], x, delta [L, D].  Returns (y, h_final) arrays."""
+    negative, B, C [L, N], x, delta [L, D], and no skip term (D = 0).
+    Returns (y, h_final) arrays."""
     y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=np.float64)
-                                     for a in (x, delta, np.log(-A), B, C)), h0=h0)
+                                     for a in (x, delta, np.log(-A), B, C,
+                                               np.zeros(x.shape[1]))), h0=h0)
     return y.data, h_final
 
 
@@ -176,7 +178,8 @@ def test_scan_in_place_matches_per_step_loop(dtype):
         carry = np.zeros((D, N), dtype) if h0 is None else h0
         for C in readouts:
             y, h = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
-                                       for a in (x, delta, A_log, B, C)), h0=h0)
+                                       for a in (x, delta, A_log, B, C, np.zeros(D))),
+                                     h0=h0)
             y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, x, carry)
             assert y.dtype == dtype and h.dtype == dtype
             assert np.array_equal(y.data, y_ref) and np.array_equal(h, h_ref)
@@ -189,11 +192,11 @@ def test_scan_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         dc.selective_scan(*(dc.tensor(a, dtype=np.float64) for a in
                             (np.zeros((0, 1)), np.ones((0, 1)), A_log,
-                             np.ones((0, 1)), np.ones((0, 1)))))
+                             np.ones((0, 1)), np.ones((0, 1)), np.ones(1))))
     with pytest.raises(ValueError):        # delta's time axis differs from u's
         dc.selective_scan(*(dc.tensor(a, dtype=np.float64) for a in
                             (np.zeros((5, 1)), np.ones((3, 1)), A_log, C.repeat(5, 0),
-                             C.repeat(5, 0))))
+                             C.repeat(5, 0), np.ones(1))))
 
 
 def test_scan_stability_bound():
