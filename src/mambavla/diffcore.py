@@ -1,7 +1,7 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The primitive set is closed: every model operation in this package composes
-from the 18 kinds registered in `PRIMITIVES`.  Each primitive validates input
+from the 17 kinds registered in `PRIMITIVES`.  Each primitive validates input
 shapes/dtypes, rejects non-finite values, and registers a backward closure
 on the implicit tape (the parent links of the output tensor) when an input
 needs a gradient.  `grad_check` verifies any composition against central
@@ -13,9 +13,19 @@ inputs.  Plain leaves (constants, user tensors) are checked at every use.  A
 parameter given a new `.data` array is checked again at its next use.  The
 hole: a non-finite value written in place into a marked array is not seen
 at the input.  A NaN still fails the output check of the first node it
-reaches, but an inf can vanish (exp, sigmoid or softplus at -inf), so code
-that writes into a parameter in place, like the optimizer, checks what it
-writes.
+reaches, but an inf can vanish (exp, sigmoid or the scan's softplus at
+-inf), so code that writes into a parameter in place, like the optimizer,
+checks what it writes.
+
+Carried state follows the same rule.  The state a primitive returns for the
+next call (the scan's final state, the conv's trailing context) is a no-grad
+Tensor built from checked arrays and marked, so the next decode step does not
+rescan it; a plain array passed as a carry is checked at every use.
+
+Values derived from a parameter are cached on it the same way: the scan's
+A = -exp(A_log) and 1/A are kept on the A_log tensor while its `.data` is
+the array they came from.  A new `.data` array derives them again; code that
+writes into `.data` in place calls `Tensor.drop_derived` after the write.
 
 A tape is confined to one logical thread of execution: primitives share no
 mutable module state, so independent graphs may be built concurrently, but a
@@ -41,7 +51,6 @@ __all__ = [
     "mul",
     "sigmoid",
     "silu",
-    "softplus",
     "exp",
     "log",
     "absolute",
@@ -91,10 +100,12 @@ class Tensor:
     `_checked` is the finiteness mark: on node outputs and parameters, the
     array last found finite, trusted while it is still `data` (an in-place
     write keeps it); None on plain leaves, which are checked at every use.
+    `_derived` caches values computed from a marked `data` array:
+    (source array, *values), valid while the source is still `data`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed",
-                 "_checked")
+                 "_checked", "_derived")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         arr = np.ascontiguousarray(data)
@@ -107,6 +118,7 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._consumed = False
         self._checked: np.ndarray | None = None
+        self._derived: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,6 +133,12 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def drop_derived(self) -> None:
+        """Forget the values derived from `data` (the scan's A and 1/A).
+        Call it after writing into `data` in place; assigning a new array
+        to `data` needs no call."""
+        self._derived = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad" if self.requires_grad else ""
@@ -164,17 +182,30 @@ def _check_finite_output(kind: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_carry(kind: str, name: str, arr, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A carried plain-array input, such as a scan state: it gets no gradient,
-    so it must match its shape and dtype exactly and be finite."""
-    arr = np.asarray(arr)
+def _check_carry(kind: str, name: str, carry, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A carried input, such as a scan state: it gets no gradient, so it must
+    match its shape and dtype exactly and be finite.  A carry returned by a
+    primitive is marked and not rescanned; a plain array is checked at every
+    use."""
+    if isinstance(carry, Tensor):
+        arr, marked = carry.data, carry._checked is carry.data
+    else:
+        arr, marked = np.asarray(carry), False
     if arr.shape != shape:
         raise ShapeError(f"{kind}: {name} must have shape {shape}, got {arr.shape}")
     if arr.dtype != dtype:
         raise ShapeError(f"{kind}: mixed dtypes {dtype} vs {name} {arr.dtype}")
-    if not np.isfinite(arr).all():
+    if not marked and not np.isfinite(arr).all():
         raise NonFiniteError(f"{kind}: {name} contains non-finite values")
     return arr
+
+
+def _carry(arr: np.ndarray) -> Tensor:
+    """A state a primitive returns for the next call, built from checked
+    arrays: a no-grad Tensor, marked so that call does not rescan it."""
+    out = Tensor(arr)
+    out._checked = out.data
+    return out
 
 
 def _common_dtype(kind: str, tensors: Sequence[Tensor]):
@@ -278,12 +309,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary_broadcast("mul", np.multiply, a, b)
 
 
-# The logistic and softplus kernels use exp forms, not np.logaddexp: on a
-# float32 [378, 512] array (numpy 2.4, one Xeon core) the logaddexp forms took
-# 7.0 ms (sigmoid) and 5.6 ms (softplus) against 0.27 ms and 0.60 ms for the
-# forms below, and they were the top self-time entry of an LM forward +
-# backward.  The sigmoid works in place: silu calls it on every [L, E] block
-# activation.
+# The logistic kernel and the scan's softplus use exp forms, not np.logaddexp:
+# on a float32 [378, 512] array (numpy 2.4, one Xeon core) the logaddexp forms
+# took 7.0 ms (sigmoid) and 5.6 ms (softplus) against 0.27 ms and 0.60 ms for
+# the exp forms, and they were the top self-time entry of an LM forward +
+# backward.  The sigmoid works in place: silu, the conv and the scan's gate
+# call it on [L, E] block activations.
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-x) overflows to inf only where the sigmoid rounds to 0 anyway,
@@ -320,18 +351,6 @@ def silu(x: Tensor) -> Tensor:
         _accumulate(x, g * (sig * (1.0 + x.data * (1.0 - sig))))
 
     return _make_node("silu", out_data, (x,), backward_fn)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)), which cannot overflow;
-    softplus(0) = ln 2."""
-    _check_finite_inputs("softplus", (x,))
-    out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, g * _sigmoid(x.data))
-
-    return _make_node("softplus", out_data, (x,), backward_fn)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -444,18 +463,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make_node(kind, out_data, (x, gain, bias), backward_fn)
 
 
-def conv1d_depthwise(x: Tensor, kernel: Tensor,
-                     ctx: np.ndarray | None = None) -> Tensor:
-    """Causal depthwise 1-D convolution.
+def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
+                     ctx: Tensor | np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Causal depthwise 1-D convolution plus a bias, through SiLU.
 
-    x: [L, D], kernel: [w, D], ctx: [w-1, D] inputs that precede x (zeros
-    when None).  With xp = [ctx || x], y[t, d] = sum_i kernel[i, d] *
-    xp[t + i, d], so y[t] never sees x[>t].  Like selective_scan's h0, ctx
-    is a plain array and gets no gradient.
+    x: [L, D], kernel: [w, D], bias: [D], ctx: [w-1, D] inputs that precede
+    x (zeros when None).  With xp = [ctx || x],
+
+        y[t, d] = silu(sum_i kernel[i, d] xp[t + i, d] + bias[d])
+
+    so y[t] never sees x[>t].  Returns (y [L, D], ctx_final [w-1, D]): the
+    last w-1 rows of xp, the context of the next call.  Like
+    selective_scan's h0, ctx gets no gradient, and ctx_final is a marked
+    no-grad carry.
     """
     kind = "conv1d-depthwise"
-    dtype = _common_dtype(kind, (x, kernel))
-    _check_finite_inputs(kind, (x, kernel))
+    inputs = (x, kernel, bias)
+    dtype = _common_dtype(kind, inputs)
+    _check_finite_inputs(kind, inputs)
     if x.data.ndim != 2 or kernel.data.ndim != 2:
         raise ShapeError(f"{kind}: expects x [L,D], kernel [w,D]; "
                          f"got {x.shape}, {kernel.shape}")
@@ -463,14 +488,22 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor,
     w, Dk = kernel.data.shape
     if D != Dk:
         raise ShapeError(f"{kind}: channel mismatch {D} vs {Dk}")
+    if bias.shape != (D,):
+        raise ShapeError(f"{kind}: bias must have shape {(D,)}, got {bias.shape}")
     ctx = (np.zeros((w - 1, D), dtype) if ctx is None
            else _check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
     xp = np.concatenate([ctx, x.data], axis=0)          # [L+w-1, D]
-    out_data = np.zeros_like(x.data)
+    pre = np.zeros_like(x.data)                         # conv + bias, pre-SiLU
     for i in range(w):
-        out_data += kernel.data[i] * xp[i:i + L]
+        pre += kernel.data[i] * xp[i:i + L]
+    pre += bias.data
+    sig = _sigmoid(pre)
+    out_data = pre * sig
 
     def backward_fn(g: np.ndarray) -> None:
+        g = g * (sig * (1.0 + pre * (1.0 - sig)))       # through the SiLU
+        if bias.requires_grad or bias._backward_fn is not None:
+            _accumulate(bias, g.sum(axis=0))
         if x.requires_grad or x._backward_fn is not None:
             gxp = np.zeros_like(xp)
             for i in range(w):
@@ -480,7 +513,8 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor,
             gk = np.stack([(xp[i:i + L] * g).sum(axis=0) for i in range(w)])
             _accumulate(kernel, gk)
 
-    return _make_node(kind, out_data, (x, kernel), backward_fn)
+    # the copy owns its rows, so the carry does not pin the [L+w-1, D] join
+    return _make_node(kind, out_data, inputs, backward_fn), _carry(xp[L:].copy())
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -584,20 +618,49 @@ def gather_rows(x: Tensor, ids) -> Tensor:
     return _make_node(kind, out_data, (x,), backward_fn)
 
 
-def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
-                   D: Tensor, h0: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Selective SSM over one sequence: ZOH discretization, scan, readout and
-    the skip term D u.
+def _derived_A(kind: str, A_log: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """A^T = -exp(A_log^T) and 1/A^T = -exp(-A_log^T), both [N, E] and
+    checked finite.
 
-    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; D: [E]; h0: [E, N]
-    carried state (zeros when None).  With A = -exp(A_log) and
-    1/A = -exp(-A_log):
+    A marked A_log (a parameter) keeps them in `_derived` while its `.data`
+    is the array they came from, so a decode step does not redo two [E, N]
+    exps and their checks per block; an in-place write into `.data` must be
+    followed by `drop_derived`.  A plain leaf derives them at every use, as
+    it is checked at every use.  Callers only read the returned arrays.
+    """
+    cached = A_log._derived
+    if cached is not None and cached[0] is A_log.data:
+        return cached[1], cached[2]
+    with np.errstate(over="ignore"):
+        # np.exp of the transposed view would return an F-ordered array and
+        # bring the strided inner loops back: transpose into C order first
+        A_logT = np.ascontiguousarray(A_log.data.T)
+        A = -np.exp(A_logT)                  # never crosses zero, so 1/A is exact
+        inv_A = -np.exp(-A_logT)
+    if not (np.isfinite(A).all() and np.isfinite(inv_A).all()):
+        raise NonFiniteError(f"{kind}: exp(+-A_log) overflows")
+    if A_log._checked is not None:
+        A_log._derived = (A_log.data, A, inv_A)
+    return A, inv_A
+
+
+def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
+                   D: Tensor, z: Tensor, dt_bias: Tensor,
+                   h0: Tensor | np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Selective SSM over one sequence: the step size's bias and softplus,
+    ZOH discretization, scan, readout, the skip term D u and the gate silu(z).
+
+    u, dt, z: [L, E]; A_log: [E, N]; B, C: [L, N]; D, dt_bias: [E]; h0:
+    [E, N] carried state (zeros when None).  With A = -exp(A_log),
+    1/A = -exp(-A_log) and delta = softplus(dt + dt_bias), computed as
+    max(x, 0) + log1p(exp(-|x|)), which cannot overflow:
 
         Abar_t = exp(delta_t A),  Bbar_t = (Abar_t - 1) (1/A) B_t   (exact ZOH)
-        h_t = Abar_t h_{t-1} + Bbar_t u_t,  y_t = C_t . h_t + D u_t
+        h_t = Abar_t h_{t-1} + Bbar_t u_t
+        y_t = (C_t . h_t + D u_t) silu(z_t)
 
-    Returns (y [L, E], h_final [E, N]); the final state is a plain array of
-    its own for the generation carry and gets no gradient.
+    Returns (y [L, E], h_final [E, N]); the final state is a marked no-grad
+    Tensor for the generation carry.  A and 1/A come from `_derived_A`.
 
     Layout: the kernel works on the transposed state h^T [N, E], so every
     [., N, E] broadcast runs numpy's inner loop over the E contiguous
@@ -613,31 +676,34 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
     Abar_{t+1} dh_{t+1} once and everything else vectorised over [L, N, E].
     """
     kind = "selective-scan"
-    inputs = (u, delta, A_log, B, C, D)
+    inputs = (u, dt, A_log, B, C, D, z, dt_bias)
     dtype = _common_dtype(kind, inputs)
-    if any(t.data.ndim != 2 for t in inputs[:5]) or D.data.ndim != 1:
-        raise ShapeError(f"{kind}: expects 2-D u, delta, A_log, B, C and 1-D D, "
-                         f"got {[t.shape for t in inputs]}")
+    if u.data.ndim != 2 or A_log.data.ndim != 2:
+        raise ShapeError(f"{kind}: expects 2-D u and A_log, got {u.shape} and {A_log.shape}")
     L, E = u.shape
     N = A_log.shape[1]
-    expected = ((L, E), (L, E), (E, N), (L, N), (L, N), (E,))
+    expected = ((L, E), (L, E), (E, N), (L, N), (L, N), (E,), (L, E), (E,))
     if L == 0 or any(t.shape != s for t, s in zip(inputs, expected)):
-        raise ShapeError(f"{kind}: expects u, delta [L, E], A_log [E, N], B, C [L, N], "
-                         f"D [E] with L >= 1; got {[t.shape for t in inputs]}")
+        raise ShapeError(f"{kind}: expects u, dt, z [L, E], A_log [E, N], B, C [L, N], "
+                         f"D, dt_bias [E] with L >= 1; got {[t.shape for t in inputs]}")
     _check_finite_inputs(kind, inputs)
     if h0 is not None:
         h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
     grad = any(t.requires_grad or t._backward_fn is not None for t in inputs)
     T = L if grad else min(L, SCAN_BLOCK)
+    A, inv_A = _derived_A(kind, A_log)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # np.exp of the transposed view would return an F-ordered array and
-        # bring the strided inner loops back: transpose into C order first
-        A_logT = np.ascontiguousarray(A_log.data.T)                 # [N, E]
-        A = -np.exp(A_logT)                  # never crosses zero, so 1/A is exact
-        inv_A = -np.exp(-A_logT)
-        if not (np.isfinite(A).all() and np.isfinite(inv_A).all()):
-            raise NonFiniteError(f"{kind}: exp(+-A_log) overflows")
+        # delta = max(x, 0) + log1p(exp(-|x|)) with x = dt + dt_bias, in place
+        x = dt.data + dt_bias.data
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"{kind}: dt + dt_bias overflows")
+        delta = np.abs(x)
+        np.negative(delta, out=delta)
+        np.exp(delta, out=delta)
+        np.log1p(delta, out=delta)
+        delta += np.maximum(x, 0.0)
+
         Abar = np.empty((T, N, E), dtype)
         coef = np.empty_like(Abar)                                  # (Abar - 1) / A
         states = np.empty_like(Abar)                                # h_t^T
@@ -651,7 +717,7 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
             # the operation order is that of Abar = exp(delta A),
             # Bbar = (Abar - 1) (1/A) B, and states[t] starts as the input
             # term Bbar_t u_t, into which the loop adds the decayed carry
-            np.multiply(delta.data[s:s + n, None, :], A, out=Ab)
+            np.multiply(delta[s:s + n, None, :], A, out=Ab)
             np.exp(Ab, out=Ab)
             np.subtract(Ab, 1.0, out=cf)
             cf *= inv_A
@@ -667,15 +733,23 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
             # y_t = C_t . h_t for every t at once: the same products as one per step
             np.matmul(rw, C.data[s:s + n, :, None], out=y[s:s + n, :, None])
         y += u.data * D.data
-    h_final = _check_finite_output(kind, h.T.copy())
+    h_final = _carry(_check_finite_output(kind, h.T.copy()))
+    sig = _sigmoid(z.data)
     if not grad:
+        sig *= z.data                                               # silu(z)
+        y *= sig
         return _make_node(kind, y, inputs, None), h_final
+    silu_z = z.data * sig
 
     def backward_fn(g: np.ndarray) -> None:
         # reductions go through einsum: summing a short axis with .sum() is
         # several times slower in numpy
-        need_u, need_delta, need_A_log, need_B, need_C, need_D = (
-            t.requires_grad or t._backward_fn is not None for t in inputs)
+        (need_u, need_dt, need_A_log, need_B, need_C, need_D, need_z,
+         need_dt_bias) = (t.requires_grad or t._backward_fn is not None for t in inputs)
+        need_delta = need_dt or need_dt_bias
+        if need_z:
+            _accumulate(z, g * y * (sig * (1.0 + z.data * (1.0 - sig))))
+        g = g * silu_z                                              # d/dy before the gate
         if need_C:
             _accumulate(C, np.einsum("le,lne->ln", g, states))
         if need_D:
@@ -709,12 +783,17 @@ def selective_scan(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor
                 dz[0] += np.multiply(dh[0], h0.T, out=dh[0])
             dz *= Abar
             if need_delta:
-                _accumulate(delta, np.einsum("lne,ne->le", dz, A))
+                gx = np.einsum("lne,ne->le", dz, A)
+                gx *= _sigmoid(x)                                   # softplus' = sigmoid
+                if need_dt:
+                    _accumulate(dt, gx)
+                if need_dt_bias:
+                    _accumulate(dt_bias, gx.sum(axis=0))
             if need_A_log:
-                dA_log += np.einsum("lne,le->ne", dz, delta.data) * A   # dA/dA_log = A
+                dA_log += np.einsum("lne,le->ne", dz, delta) * A    # dA/dA_log = A
                 _accumulate(A_log, dA_log.T)
 
-    return _make_node(kind, y, inputs, backward_fn), h_final
+    return _make_node(kind, y * silu_z, inputs, backward_fn), h_final
 
 
 PRIMITIVES: dict[str, Callable] = {
@@ -723,7 +802,6 @@ PRIMITIVES: dict[str, Callable] = {
     "mul": mul,
     "sigmoid": sigmoid,
     "silu": silu,
-    "softplus": softplus,
     "exp": exp,
     "log": log,
     "abs": absolute,

@@ -1,19 +1,23 @@
 """Mamba-style language model built from diffcore primitives.
 
 A block is: pre-norm -> in_proj -> split into (signal, gate); the signal
-passes a causal depthwise conv, SiLU, and a selective scan whose (B_t, C_t,
-delta_t) are projected pointwise from the post-conv activations; the scan
-output plus a learned skip D.u is gated by silu(gate) and projected back,
-with a residual connection.  Discretization, scan, readout and the D.u skip
-are one diffcore `selective-scan` node: exact ZOH rewritten as
-Bbar = (Abar - 1) . B / A, exact because A = -exp(A_log) never crosses zero,
-then the recurrence, whose backward is one reverse-time adjoint sweep.
+passes a causal depthwise conv with its bias and SiLU, then a selective scan
+whose (B_t, C_t, dt_t) are projected pointwise from the post-conv
+activations; the scan output plus a learned skip D.u is gated by silu(gate)
+and projected back, with a residual connection.  The delta bias and softplus,
+discretization, scan, readout, the D.u skip and the gate are one diffcore
+`selective-scan` node: exact ZOH rewritten as Bbar = (Abar - 1) . B / A,
+exact because A = -exp(A_log) never crosses zero, then the recurrence, whose
+backward is one reverse-time adjoint sweep.  This is the interface of
+Mamba's fused kernels (Gu & Dao 2023, arXiv 2312.00752):
+selective_scan_fn(u, delta, A, B, C, D, z, delta_bias, delta_softplus) and
+causal_conv1d_fn(x, weight, bias, activation="silu").
 
-A block is 19 tape nodes at any length: layer-norm (with its gain and bias),
-in_proj matmul, 2 slices (signal, gate), conv1d-depthwise, add (conv bias),
-silu, x_proj matmul, 3 slices (dt, B, C), dt_proj matmul, add (dt bias),
-softplus, selective-scan, silu (gate), mul, out_proj matmul and the residual
-add.  Embedding is one gather-rows node, and the final norm one layer-norm.
+A block is 13 tape nodes at any length: layer-norm (with its gain and bias),
+in_proj matmul, 2 slices (signal, gate), conv1d-depthwise (with its bias and
+SiLU), x_proj matmul, 3 slices (dt, B, C), dt_proj matmul, selective-scan,
+out_proj matmul and the residual add.  Embedding is one gather-rows node, and
+the final norm one layer-norm.
 
 Generation carries a ScanState (per-block SSM state + conv context), so
 decoding one token costs O(1) in sequence length and reuses the exact same
@@ -119,18 +123,14 @@ class WordTokenizer:
 # differentiable selective scan
 
 
-def selective_scan_tape(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
-                        D: Tensor, h0: np.ndarray | None = None
-                        ) -> tuple[Tensor, np.ndarray]:
-    """Selective scan of one block on the tape: one `selective-scan` node.
-
-    u, delta: [L, E]; A_log: [E, N]; B, C: [L, N]; D: [E]; h0: carried
-    state [E, N] or None.  Discretizes with exact ZOH under A = -exp(A_log),
-    runs h_t = Abar_t . h_{t-1} + Bbar_t u_t and reads out
-    y_t = C_t . h_t + D u_t.  Returns (y [L, E], final state [E, N] as a
-    detached array for generation carry).
-    """
-    return dc.selective_scan(u, delta, A_log, B, C, D, h0)
+def selective_scan_tape(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
+                        D: Tensor, z: Tensor, dt_bias: Tensor,
+                        h0: Tensor | np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Selective scan of one block on the tape: one `selective-scan` node,
+    with delta = softplus(dt + dt_bias) and the gate silu(z).  Returns
+    (y [L, E], final state [E, N] as a no-grad Tensor for generation carry);
+    see `diffcore.selective_scan`."""
+    return dc.selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,10 @@ def selective_scan_tape(u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: T
 
 @dataclass
 class BlockState:
-    h: np.ndarray         # [E, N] SSM state
-    conv_ctx: np.ndarray  # [w-1, E] trailing pre-conv activations
+    """One block's carry, as the primitives return it: marked no-grad
+    Tensors, so the next step does not rescan them."""
+    h: Tensor         # [E, N] SSM state
+    conv_ctx: Tensor  # [w-1, E] trailing pre-conv activations
 
 
 @dataclass
@@ -187,39 +189,30 @@ class MambaBlock:
         yield "out_proj", self.out_proj
 
     def select_params(self, u: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Pointwise input-dependent parameters (B_t, C_t, delta_t) from u [L, E]."""
+        """Pointwise input-dependent parameters (B_t, C_t, dt_t) from u [L, E];
+        the scan takes delta_t = softplus(dt_t + dt_bias)."""
         R, N = self.cfg.dt_rank, self.cfg.d_state
         sel = dc.matmul(u, self.x_proj)                     # [L, R+2N]
         dt_low = dc.tslice(sel, 1, 0, R)
         B = dc.tslice(sel, 1, R, R + N)                     # [L, N]
         C = dc.tslice(sel, 1, R + N, R + 2 * N)             # [L, N]
-        delta = dc.softplus(dc.add(dc.matmul(dt_low, self.dt_proj), self.dt_bias))
-        return B, C, delta
+        return B, C, dc.matmul(dt_low, self.dt_proj)        # dt [L, E]
 
     def forward(self, x: Tensor, state: BlockState | None = None
                 ) -> tuple[Tensor, BlockState]:
-        cfg = self.cfg
-        E, w = cfg.d_inner, cfg.d_conv
-        L = x.shape[0]
-
+        E = self.cfg.d_inner
         xn = dc.layer_norm(x, self.ln_g, self.ln_b)
         proj = dc.matmul(xn, self.in_proj)                  # [L, 2E]
         u_pre = dc.tslice(proj, 1, 0, E)
         gate = dc.tslice(proj, 1, E, 2 * E)
 
-        ctx = np.zeros((w - 1, E), u_pre.dtype) if state is None else state.conv_ctx
-        conv = dc.add(dc.conv1d_depthwise(u_pre, self.conv_w, ctx), self.conv_b)
-        u = dc.silu(conv)                                   # [L, E]
-
-        B, C, delta = self.select_params(u)
-
-        y, h_final = selective_scan_tape(u, delta, self.A_log, B, C, self.D_skip,
-                                         None if state is None else state.h)
-        out = dc.matmul(dc.mul(y, dc.silu(gate)), self.out_proj)
-
-        # the copy owns its rows, so the carry does not pin the [L+w-1, E] join
-        tail = np.concatenate([ctx, u_pre.data])[L:].copy()
-        return dc.add(x, out), BlockState(h=h_final, conv_ctx=tail)
+        u, conv_ctx = dc.conv1d_depthwise(u_pre, self.conv_w, self.conv_b,
+                                          None if state is None else state.conv_ctx)
+        B, C, dt = self.select_params(u)
+        y, h_final = selective_scan_tape(u, dt, self.A_log, B, C, self.D_skip, gate,
+                                         self.dt_bias, None if state is None else state.h)
+        out = dc.matmul(y, self.out_proj)
+        return dc.add(x, out), BlockState(h=h_final, conv_ctx=conv_ctx)
 
 
 # ---------------------------------------------------------------------------

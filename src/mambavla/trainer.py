@@ -170,7 +170,9 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
     zero gradient (decay still applies).  Non-finite gradients raise, naming
     the parameter group, and so does an update with non-finite new values,
     which leaves that parameter unchanged: the write is in place, so no
-    primitive would check it again (see `diffcore`).
+    primitive would check it again, and it calls `drop_derived` so that
+    values cached from the old ones, like the scan's A, are derived anew
+    (see `diffcore`).
 
     The update runs in place in the state's scratch arrays, in the operation
     order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
@@ -214,6 +216,7 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
                 f"non-finite update in parameter group "
                 f"{name.split('.', 1)[0]!r} ({name})")
         p.data[...] = s
+        p.drop_derived()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 `discretize_zoh` is the textbook zero-order-hold discretization,
 `continuous_ode_oracle` integrates the continuous-time system with RK4, and
-`_scan_per_step` runs the discrete recurrence one step at a time.  None of
-them is on the model path: `diffcore.selective_scan` discretizes and scans
+`_scan_per_step` runs the discrete recurrence one step at a time; `softplus`
+and `silu` are the scan's step-size and gate kernels.  None of them is on
+the model path: `diffcore.selective_scan` discretizes and scans
 in place, and the tests hold it to these.
 
 Shapes follow the per-channel diagonal convention:
@@ -80,6 +81,17 @@ def discretize_zoh(A: np.ndarray, B: np.ndarray,
         Abar = np.exp(z)
         Bbar = _phi(z) * delta[:, None] * B[None, :]
     return Abar, Bbar
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """The scan's step size delta = softplus(dt + dt_bias) as a function of
+    x = dt + dt_bias, in the operation order of `diffcore.selective_scan`."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def silu(z: np.ndarray) -> np.ndarray:
+    """The scan's gate silu(z), in the operation order of `diffcore`."""
+    return z * (1.0 / (1.0 + np.exp(-z)))
 
 
 def _scan_per_step(Abar, Bbar, C, x, h0):

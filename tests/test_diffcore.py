@@ -23,9 +23,24 @@ def t64(values, requires_grad=False):
 # frozen forward values
 
 
+def _delta_scan(dt, dt_bias):
+    """One scan step that reads the fused delta = softplus(dt + dt_bias) out
+    as exp(-delta), one channel per column of dt [1, E]: A = -1, h0 = 1 and
+    u = 0 give h_final = Abar = exp(-delta), and the gate z = 64 has
+    silu(z) = 64 exactly, so y = 64 exp(-delta)."""
+    E, dtype = dt.shape[1], dt.dtype
+    const = lambda a: dc.tensor(a, dtype)
+    return dc.selective_scan(const(np.zeros((1, E))), dt, const(np.zeros((E, 1))),
+                             const([[1.0]]), const([[1.0]]), const(np.zeros(E)),
+                             const(np.full((1, E), 64.0)), dt_bias,
+                             h0=np.ones((E, 1), dtype))
+
+
 def test_softplus_at_zero_is_ln2():
-    out = dc.softplus(t64([0.0]))
-    assert abs(out.item() - math.log(2.0)) < 1e-12
+    # the scan's delta where dt + dt_bias = 0, through the array path of exp
+    for dtype in (np.float32, np.float64):
+        _, h_final = _delta_scan(dc.tensor([[0.75]], dtype), dc.tensor([-0.75], dtype))
+        assert h_final.data[0, 0] == np.exp(np.array([-math.log(2.0)], dtype))[0]
 
 
 def test_silu_derivative_at_zero_is_half():
@@ -64,19 +79,21 @@ def test_conv1d_depthwise_is_causal():
     L, D, w = 10, 3, 4
     x = RNG.standard_normal((L, D))
     k = t64(RNG.standard_normal((w, D)))
-    base = dc.conv1d_depthwise(t64(x), k).data
+    b = t64(RNG.standard_normal(D))
+    base = dc.conv1d_depthwise(t64(x), k, b)[0].data
     bumped = x.copy()
     bumped[7] += 100.0
-    after = dc.conv1d_depthwise(t64(bumped), k).data
+    after = dc.conv1d_depthwise(t64(bumped), k, b)[0].data
     assert np.array_equal(base[:7], after[:7])        # bit-identical before t
     assert not np.allclose(base[7:], after[7:])
 
 
 def test_conv1d_depthwise_matches_manual():
     x = t64([[1.0], [2.0], [3.0]])
-    k = t64([[0.5], [1.0]])                           # y[t] = 0.5*x[t-1] + 1*x[t]
-    np.testing.assert_allclose(dc.conv1d_depthwise(x, k).data,
-                               [[1.0], [2.5], [4.0]])
+    k = t64([[0.5], [1.0]])                           # 0.5*x[t-1] + 1*x[t] + 0.5
+    pre = np.array([[1.5], [3.0], [4.5]])
+    np.testing.assert_allclose(dc.conv1d_depthwise(x, k, t64([0.5]))[0].data,
+                               pre / (1.0 + np.exp(-pre)), rtol=1e-15)
 
 
 def test_conv1d_depthwise_ctx_is_the_rows_before_x():
@@ -84,11 +101,16 @@ def test_conv1d_depthwise_ctx_is_the_rows_before_x():
     x = RNG.standard_normal((L, D))
     ctx = RNG.standard_normal((w - 1, D))
     k = t64(RNG.standard_normal((w, D)))
-    joined = dc.conv1d_depthwise(t64(np.concatenate([ctx, x])), k).data
-    assert np.array_equal(dc.conv1d_depthwise(t64(x), k, ctx).data, joined[w - 1:])
+    b = t64(RNG.standard_normal(D))
+    joined, joined_ctx = dc.conv1d_depthwise(t64(np.concatenate([ctx, x])), k, b)
+    y, ctx_final = dc.conv1d_depthwise(t64(x), k, b, ctx)
+    assert np.array_equal(y.data, joined.data[w - 1:])
+    # the returned context is the last w-1 inputs, whatever came before
+    assert np.array_equal(ctx_final.data, x[L - w + 1:])
+    assert np.array_equal(ctx_final.data, joined_ctx.data)
     # zeros when None
-    assert np.array_equal(dc.conv1d_depthwise(t64(x), k).data,
-                          dc.conv1d_depthwise(t64(x), k, np.zeros((w - 1, D))).data)
+    assert np.array_equal(dc.conv1d_depthwise(t64(x), k, b)[0].data,
+                          dc.conv1d_depthwise(t64(x), k, b, np.zeros((w - 1, D)))[0].data)
 
 
 def test_concat_slice_roundtrip():
@@ -157,7 +179,6 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.mul(x, t64(rows[:, None]))), p23)
     _check(lambda x: dc.mean_pool(dc.silu(x)), p23)
     _check(lambda x: dc.mean_pool(dc.sigmoid(x)), p23)
-    _check(lambda x: dc.mean_pool(dc.softplus(x)), p23)
     _check(lambda x: dc.mean_pool(dc.exp(x)), p23 * 0.5)
     _check(lambda x: dc.mean_pool(dc.log(x)), np.abs(p23) + 0.5)
     _check(lambda x: dc.mean_pool(dc.absolute(x)),
@@ -167,8 +188,8 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.mul(dc.mean_pool(x, axis=1), t64(rows))), p23)
     _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(x, t64(np.ones(3)),
                                                       t64(np.zeros(3))), t64(mix))), p23)
-    _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(x, t64(kern))), sig)
-    _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(t64(sig), x)), kern)
+    _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(x, t64(kern), t64(bias))[0]), sig)
+    _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(t64(sig), x, t64(bias))[0]), kern)
     _check(lambda x: dc.mean_pool(dc.mul(dc.log_softmax_rows(x), t64(mix))), p23)
     _check(lambda x: dc.mean_pool(dc.concat([x, dc.silu(x)], axis=1)), p23)
     _check(lambda x: dc.mean_pool(dc.tslice(x, axis=1, start=1, stop=3)), p23)
@@ -179,7 +200,7 @@ def test_grad_every_primitive(trial):
     scan_args = _scan_inputs(rng)
     readout = rng.standard_normal(scan_args[0].shape)
     h0 = rng.standard_normal((3, 2))
-    for i in range(6):
+    for i in range(8):
         def scan_loss(x, i=i):
             args = [t64(a) for a in scan_args]
             args[i] = x
@@ -187,12 +208,17 @@ def test_grad_every_primitive(trial):
             return dc.mean_pool(dc.mul(y, t64(readout)))
         _check(scan_loss, scan_args[i])
 
-    # conv1d-depthwise from a carried context (a constant: it gets no gradient)
+    # conv1d-depthwise with respect to x, kernel and bias, from a carried
+    # context (a constant: it gets no gradient)
     ctx = rng.standard_normal((2, 3))
-    _check(lambda x: dc.mean_pool(dc.mul(dc.conv1d_depthwise(x, t64(kern), ctx),
-                                         t64(sig))), sig)
-    _check(lambda x: dc.mean_pool(dc.mul(dc.conv1d_depthwise(t64(sig), x, ctx),
-                                         t64(sig))), kern)
+    conv_args = (sig, kern, bias)
+    for i in range(3):
+        def conv_loss(x, i=i):
+            args = [t64(a) for a in conv_args]
+            args[i] = x
+            y, _ = dc.conv1d_depthwise(*args, ctx)
+            return dc.mean_pool(dc.mul(y, t64(sig)))
+        _check(conv_loss, conv_args[i])
 
     # layer-norm with respect to x, gain and bias
     gain, shift = rng.standard_normal(3), rng.standard_normal(3)
@@ -207,24 +233,28 @@ def test_grad_every_primitive(trial):
 
 
 def _scan_inputs(rng, L=4, E=3, N=2):
-    """(u, delta, A_log, B, C, D) for selective-scan, with delta > 0."""
+    """(u, dt, A_log, B, C, D, z, dt_bias) for selective-scan."""
     return (rng.standard_normal((L, E)),
-            np.abs(rng.standard_normal((L, E))) * 0.5 + 0.05,
+            rng.standard_normal((L, E)),
             rng.standard_normal((E, N)) * 0.5,
             rng.standard_normal((L, N)),
             rng.standard_normal((L, N)),
-            rng.standard_normal(E))
+            rng.standard_normal(E),
+            rng.standard_normal((L, E)),
+            rng.standard_normal(E) * 0.5 - 1.0)
 
 
-def _scan_composition(u, delta, A_log, B, C, D, h0):
-    """The selective scan as a per-step composition of primitives: ZOH
-    discretization with A = -exp(A_log), then one step per token, then the
-    skip term D u.
+def _scan_composition(u, dt, A_log, B, C, D, z, dt_bias, h0):
+    """The selective scan as the composition of primitives it replaces:
+    delta = softplus(dt + dt_bias) as log(1 + exp(.)), ZOH discretization
+    with A = -exp(A_log), one step per token, the skip term D u, and the
+    gate silu(z).
 
     The state is kept transposed, h^T [N, E], so trailing broadcasting lines
     the [1, E] rows delta_t and u_t up with it; multiplying the identity by
     an operand with transpose_b transposes A_log and each B_t."""
     minus = t64(-1.0)
+    delta = dc.log(dc.add(dc.exp(dc.add(dt, dt_bias)), t64(1.0)))
     eye = t64(np.eye(A_log.shape[1]))
     A_logT = dc.matmul(eye, A_log, transpose_b=True)                  # [N, E]
     negA = dc.mul(dc.exp(A_logT), minus)
@@ -238,7 +268,19 @@ def _scan_composition(u, delta, A_log, B, C, D, h0):
         Bx = dc.mul(dc.mul(coef, B_t), dc.tslice(u, 0, t, t + 1))
         hT = dc.add(dc.mul(Abar, hT), Bx)
         ys.append(dc.matmul(dc.tslice(C, 0, t, t + 1), hT))          # [1, E]
-    return dc.add(dc.concat(ys, axis=0), dc.mul(u, D)), hT.data.T
+    y = dc.add(dc.concat(ys, axis=0), dc.mul(u, D))
+    return dc.mul(y, dc.silu(z)), hT.data.T
+
+
+def _conv_composition(x, kernel, bias, ctx):
+    """conv1d-depthwise as the composition of primitives it replaces: the
+    causal window sum over [ctx || x], the bias, then SiLU."""
+    L, w = x.shape[0], kernel.shape[0]
+    xp = dc.concat([t64(ctx), x], axis=0)
+    conv = dc.mul(dc.tslice(xp, 0, 0, L), dc.tslice(kernel, 0, 0, 1))
+    for i in range(1, w):
+        conv = dc.add(conv, dc.mul(dc.tslice(xp, 0, i, i + L), dc.tslice(kernel, 0, i, i + 1)))
+    return dc.silu(dc.add(conv, bias)), xp.data[L:]
 
 
 def test_selective_scan_matches_per_step_composition():
@@ -251,7 +293,8 @@ def test_selective_scan_matches_per_step_composition():
         leaves = [t64(a, requires_grad=True) for a in arrays]
         y, h_final = scan(*leaves, h0)
         dc.backward(dc.mean_pool(dc.mul(y, readout)))
-        results.append((y.data, h_final, [leaf.grad for leaf in leaves]))
+        results.append((y.data, getattr(h_final, "data", h_final),
+                        [leaf.grad for leaf in leaves]))
     (y, h_final, grads), (y_ref, h_ref, grads_ref) = results
     np.testing.assert_allclose(y, y_ref, rtol=1e-10)
     np.testing.assert_allclose(h_final, h_ref, rtol=1e-10)
@@ -259,43 +302,65 @@ def test_selective_scan_matches_per_step_composition():
         np.testing.assert_allclose(grad, grad_ref, rtol=1e-10)
 
 
+def test_conv1d_depthwise_matches_composition():
+    rng = np.random.default_rng(6)
+    arrays = (rng.standard_normal((7, 5)), rng.standard_normal((4, 5)),
+              rng.standard_normal(5))
+    ctx = rng.standard_normal((3, 5))
+    readout = t64(rng.standard_normal((7, 5)))
+    results = []
+    for conv in (dc.conv1d_depthwise, _conv_composition):
+        leaves = [t64(a, requires_grad=True) for a in arrays]
+        y, ctx_final = conv(*leaves, ctx)
+        dc.backward(dc.mean_pool(dc.mul(y, readout)))
+        results.append((y.data, getattr(ctx_final, "data", ctx_final),
+                        [leaf.grad for leaf in leaves]))
+    (y, ctx_final, grads), (y_ref, ctx_ref, grads_ref) = results
+    np.testing.assert_allclose(y, y_ref, rtol=1e-10)
+    assert np.array_equal(ctx_final, ctx_ref)
+    for grad, grad_ref in zip(grads, grads_ref):
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-10)
+
+
 def test_selective_scan_matches_reference_kernels():
     rng = np.random.default_rng(8)
-    u, delta, A_log, B, C, _ = _scan_inputs(rng, L=12, E=4, N=3)
+    u, dt, A_log, B, C, _, z, dt_bias = _scan_inputs(rng, L=12, E=4, N=3)
     h0 = rng.standard_normal((4, 3))
-    y, h_final = dc.selective_scan(t64(u), t64(delta), t64(A_log), t64(B), t64(C),
-                                   t64(np.zeros(4)), h0=h0)
-    Abar, Bbar = ref.discretize_zoh(-np.exp(A_log), B, delta)
+    y, h_final = dc.selective_scan(t64(u), t64(dt), t64(A_log), t64(B), t64(C),
+                                   t64(np.zeros(4)), t64(z), t64(dt_bias), h0=h0)
+    Abar, Bbar = ref.discretize_zoh(-np.exp(A_log), B, ref.softplus(dt + dt_bias))
     y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, h0)
-    np.testing.assert_allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(h_final, h_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y.data, y_ref * ref.silu(z), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(h_final.data, h_ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_selective_scan_discretization_is_bit_identical(dtype):
-    # the in-place discretization and scan must keep the operation order of
-    # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B and of the per-step
-    # recurrence h_t = Abar_t h_{t-1} + Bbar_t u_t, y_t = h_t . C_t
+    # the in-place step size, discretization, scan and gate must keep the
+    # operation order of delta = softplus(dt + dt_bias), Abar = exp(delta A),
+    # Bbar = (Abar - 1) (1/A) B, the per-step recurrence
+    # h_t = Abar_t h_{t-1} + Bbar_t u_t, y_t = h_t . C_t, and (y + D u) silu(z)
     rng = np.random.default_rng(11)
-    u, delta, A_log, B, C, _ = (a.astype(dtype) for a in _scan_inputs(rng, L=16, E=6, N=4))
-    D = np.zeros(6, dtype)
+    u, dt, A_log, B, C, D, z, dt_bias = (a.astype(dtype) for a in
+                                         _scan_inputs(rng, L=16, E=6, N=4))
     A, inv_A = -np.exp(A_log), -np.exp(-A_log)
-    Abar = np.exp(delta[:, :, None] * A)
+    Abar = np.exp(ref.softplus(dt + dt_bias)[:, :, None] * A)
     Bbar = (Abar - 1.0) * inv_A * B[:, None, :]
     for h0 in (None, rng.standard_normal((6, 4)).astype(dtype)):
         y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
-                                         for a in (u, delta, A_log, B, C, D)), h0=h0)
+                                         for a in (u, dt, A_log, B, C, D, z, dt_bias)),
+                                       h0=h0)
         carry = np.zeros((6, 4), dtype) if h0 is None else h0
         y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, carry)
         assert y.dtype == dtype and h_final.dtype == dtype
-        assert np.array_equal(y.data, y_ref)
-        assert np.array_equal(h_final, h_ref)
+        assert np.array_equal(y.data, (y_ref + u * D) * ref.silu(z))
+        assert np.array_equal(h_final.data, h_ref)
 
 
 def test_selective_scan_final_state_owns_its_memory():
     # generation carries h_final; a view would keep the whole trajectory alive
     _, h_final = dc.selective_scan(*(t64(a) for a in _scan_inputs(np.random.default_rng(12))))
-    assert h_final.flags.owndata
+    assert h_final.data.flags.owndata
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -310,7 +375,7 @@ def test_selective_scan_without_gradient_equals_gradient_path(dtype):
     y_grad, h_grad = dc.selective_scan(*leaves, h0=h0)
     assert not y.requires_grad and y_grad.requires_grad
     assert np.array_equal(y.data, y_grad.data)
-    assert np.array_equal(h_final, h_grad)
+    assert np.array_equal(h_final.data, h_grad.data)
 
 
 def test_selective_scan_without_gradient_allocates_no_trajectory():
@@ -362,8 +427,6 @@ ELEMENTWISE_REFS = {
     "sigmoid": (dc.sigmoid, _sigmoid_ref, lambda x: _sigmoid_ref(x) * _sigmoid_ref(-x)),
     "silu": (dc.silu, lambda x: x * _sigmoid_ref(x),
              lambda x: _sigmoid_ref(x) * (1.0 + x * _sigmoid_ref(-x))),
-    "softplus": (dc.softplus, lambda x: max(x, 0.0) + math.log1p(math.exp(-abs(x))),
-                 _sigmoid_ref),
 }
 
 
@@ -391,7 +454,6 @@ def test_elementwise_kernels_at_extreme_inputs(kind, dtype):
 
 def test_elementwise_kernels_exact_points():
     for dtype in (np.float32, np.float64):
-        assert dc.softplus(dc.tensor([0.0], dtype=dtype)).data[0] == dtype(math.log(2.0))
         assert dc.sigmoid(dc.tensor([0.0], dtype=dtype)).data[0] == 0.5
         for fn in (dc.silu, dc.sigmoid):
             x = dc.tensor([0.0], dtype=dtype, requires_grad=True)
@@ -403,8 +465,7 @@ def test_elementwise_kernels_exact_points():
 # resolution, so sigmoid's slope there is checked against the math reference
 # above and its finite-difference check stops at 15
 GRAD_POINTS = {"sigmoid": (-30.0, -1e-8, 0.0, 15.0),
-               "silu": (-30.0, -1e-8, 0.0, 30.0),
-               "softplus": (-30.0, -1e-8, 0.0, 30.0)}
+               "silu": (-30.0, -1e-8, 0.0, 30.0)}
 
 
 @pytest.mark.parametrize("kind", sorted(GRAD_POINTS))
@@ -414,10 +475,47 @@ def test_elementwise_kernels_grad_check_up_to_30(kind):
         _check(lambda x: dc.mean_pool(fn(x)), [point])  # is lost in a shared mean
 
 
+def _softplus_ref(x):
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_delta_at_extreme_inputs(dtype):
+    """The scan's fused softplus at dt = STRESS_X: nothing overflows forward
+    or backward, and exp(-delta) and its slope match the math to a few ulp,
+    times delta, which exp turns from an absolute into a relative error."""
+    dt = dc.tensor([STRESS_X], dtype, requires_grad=True)
+    y, h_final = _delta_scan(dt, dc.tensor(np.zeros(len(STRESS_X)), dtype))
+    dc.backward(dc.mean_pool(y))
+    slope = dt.grad[0] * len(STRESS_X) / 64.0         # undo the mean and the gate; exact
+    finfo = np.finfo(dtype)
+    value_ref = lambda x: math.exp(-_softplus_ref(x))
+    slope_ref = lambda x: -math.exp(-_softplus_ref(x)) * _sigmoid_ref(x)
+    for got, ref_fn in ((h_final.data[:, 0], value_ref), (slope, slope_ref)):
+        assert got.dtype == dtype and np.isfinite(got).all()
+        for xi, gi in zip(dt.data[0], got):
+            ref = ref_fn(float(xi))
+            if abs(ref) >= finfo.tiny:
+                growth = max(1.0, _softplus_ref(float(xi)))
+                assert abs(gi - ref) <= 8 * finfo.eps * growth * abs(ref), (xi, gi, ref)
+            else:                                     # below the normal range
+                assert abs(gi - ref) <= finfo.tiny, (xi, gi, ref)
+
+
+def test_scan_delta_grad_check_up_to_30():
+    # below dt = -8 the change exp(-delta) sees is under float64's resolution
+    # next to 1, so the slope in that tail is checked against the math in
+    # test_scan_delta_at_extreme_inputs; here dt and dt_bias one at a time
+    for point in (-8.0, -1e-8, 0.0, 30.0):
+        _check(lambda x: dc.mean_pool(_delta_scan(x, t64([0.0]))[0]), [[point]])
+        _check(lambda x: dc.mean_pool(_delta_scan(t64([[0.0]]), x)[0]), [point])
+
+
 def _sigmoid_composition(x):
-    """The pose head's former on-tape sigmoid: exp(-softplus(-x)), 4 nodes."""
+    """The pose head's former on-tape sigmoid: exp(-softplus(-x)), with the
+    softplus as log(1 + exp(.))."""
     minus = t64(-1.0)
-    return dc.exp(dc.mul(dc.softplus(dc.mul(x, minus)), minus))
+    return dc.exp(dc.mul(dc.log(dc.add(dc.exp(dc.mul(x, minus)), t64(1.0))), minus))
 
 
 def test_sigmoid_matches_composition_it_replaces():
@@ -524,23 +622,37 @@ def test_shape_mismatch_raises():
         dc.add(t64(RNG.standard_normal((2, 3))), t64(RNG.standard_normal((4,))))
     with pytest.raises(dc.ShapeError):
         dc.conv1d_depthwise(t64(RNG.standard_normal((5, 2))),
-                            t64(RNG.standard_normal((3, 4))))
+                            t64(RNG.standard_normal((3, 4))), t64(np.zeros(2)))
 
 
 def test_conv1d_depthwise_rejects_bad_ctx():
     x = t64(RNG.standard_normal((5, 2)))
     k = t64(RNG.standard_normal((3, 2)))
+    b = t64(np.zeros(2))
     with pytest.raises(dc.ShapeError, match="ctx"):
-        dc.conv1d_depthwise(x, k, np.zeros((3, 2)))            # w rows, not w-1
+        dc.conv1d_depthwise(x, k, b, np.zeros((3, 2)))         # w rows, not w-1
     with pytest.raises(dc.ShapeError, match="ctx"):
-        dc.conv1d_depthwise(x, k, np.zeros((2, 3)))
+        dc.conv1d_depthwise(x, k, b, np.zeros((2, 3)))
     with pytest.raises(dc.ShapeError, match="ctx"):
-        dc.conv1d_depthwise(x, k, np.zeros((2, 2), dtype=np.float32))
+        dc.conv1d_depthwise(x, k, b, np.zeros((2, 2), dtype=np.float32))
     for bad in (np.nan, np.inf):
         ctx = np.zeros((2, 2))
         ctx[1, 0] = bad
         with pytest.raises(dc.NonFiniteError, match="ctx"):
-            dc.conv1d_depthwise(x, k, ctx)
+            dc.conv1d_depthwise(x, k, b, ctx)
+
+
+def test_conv1d_depthwise_rejects_bad_bias():
+    x = t64(RNG.standard_normal((5, 2)))
+    k = t64(RNG.standard_normal((3, 2)))
+    for shape in ((3,), (1, 2)):
+        with pytest.raises(dc.ShapeError, match="bias"):
+            dc.conv1d_depthwise(x, k, t64(np.zeros(shape)))
+    with pytest.raises(dc.ShapeError, match="mixed dtypes"):
+        dc.conv1d_depthwise(x, k, dc.tensor(np.zeros(2), dtype=np.float32))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(dc.NonFiniteError, match="conv1d-depthwise: input 2"):
+            dc.conv1d_depthwise(x, k, t64([0.0, bad]))
 
 
 def test_nonfinite_input_rejected():
@@ -569,10 +681,12 @@ def test_selective_scan_rejects_bad_shapes_and_dtypes():
     args = [t64(a) for a in _scan_inputs(np.random.default_rng(9), L=4, E=3, N=2)]
     h0 = np.zeros((3, 2))
     bad_shapes = {0: (4, 2),      # u: E differs
-                  1: (5, 3),      # delta: L differs
+                  1: (5, 3),      # dt: L differs
                   2: (3, 3),      # A_log: N differs from B and C
                   4: (4, 3),      # C: N differs
-                  5: (2,)}        # D: E differs
+                  5: (2,),        # D: E differs
+                  6: (4, 2),      # z: E differs
+                  7: (3, 1)}      # dt_bias: not [E]
     for i, shape in bad_shapes.items():
         broken = list(args)
         broken[i] = t64(np.zeros(shape))
@@ -582,23 +696,32 @@ def test_selective_scan_rejects_bad_shapes_and_dtypes():
         dc.selective_scan(*(t64(a.data[:0]) if a.shape[0] == 4 else a for a in args))
     with pytest.raises(dc.ShapeError):
         dc.selective_scan(*args, h0=np.zeros((2, 3)))
-    with pytest.raises(dc.ShapeError):
-        dc.selective_scan(*args[:4], dc.tensor(args[4].data, dtype=np.float32), args[5])
+    for i in (4, 6, 7):                    # C, z, dt_bias
+        broken = list(args)
+        broken[i] = dc.tensor(args[i].data, dtype=np.float32)
+        with pytest.raises(dc.ShapeError, match="mixed dtypes"):
+            dc.selective_scan(*broken)
     with pytest.raises(dc.ShapeError):
         dc.selective_scan(*args, h0=h0.astype(np.float32))
 
 
 def test_selective_scan_rejects_non_finite_inputs_and_carry():
-    arrays = _scan_inputs(np.random.default_rng(10), L=4, E=3, N=2)
-    for i in range(6):
-        args = [t64(a) for a in arrays]
+    def fresh_args():                      # t64 wraps an array without copying it
+        return [t64(a) for a in _scan_inputs(np.random.default_rng(10), L=4, E=3, N=2)]
+
+    for i in range(8):
+        args = fresh_args()
         args[i].data.flat[0] = np.nan
-        with pytest.raises(dc.NonFiniteError, match="selective-scan"):
+        with pytest.raises(dc.NonFiniteError, match=f"selective-scan: input {i}"):
             dc.selective_scan(*args)
+    args = fresh_args()                    # finite dt and dt_bias whose sum is not
+    args[1].data.flat[0] = args[7].data[0] = 1e308
+    with pytest.raises(dc.NonFiniteError, match="dt \\+ dt_bias overflows"):
+        dc.selective_scan(*args)
     h0 = np.zeros((3, 2))
     h0[1, 1] = np.nan
-    with pytest.raises(dc.NonFiniteError, match="selective-scan"):
-        dc.selective_scan(*[t64(a) for a in arrays], h0=h0)
+    with pytest.raises(dc.NonFiniteError, match="selective-scan: h0"):
+        dc.selective_scan(*fresh_args(), h0=h0)
 
 
 # ---------------------------------------------------------------------------
@@ -681,5 +804,7 @@ def test_concat_slice_seam_recovery(n1, n2, axis):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_softplus_monotone(a, b):
+    # the scan's delta grows with dt, so its state decay exp(-delta) shrinks
     lo, hi = sorted((a, b))
-    assert dc.softplus(t64([lo])).item() <= dc.softplus(t64([hi])).item() + 1e-12
+    h_final = _delta_scan(t64([[lo, hi]]), t64([0.0, 0.0]))[1].data[:, 0]
+    assert h_final[0] >= h_final[1] - 1e-12

@@ -100,14 +100,23 @@ def test_zoh_rejects_bad_shapes_and_nonfinite():
 # the model's scan, dc.selective_scan
 
 
+# silu(64) is exactly 64 in float32 and float64 (sigmoid(64) rounds to 1),
+# and a power of two scales y exactly: a gate the tests divide back out
+GATE = 64.0
+
+
 def _selective_scan(A, B, C, x, delta, h0=None):
     """dc.selective_scan in float64 on the continuous-time system: A [D, N]
-    negative, B, C [L, N], x, delta [L, D], and no skip term (D = 0).
+    negative, B, C [L, N], x, delta [L, D], no skip term (D = 0) and the
+    gate divided back out.  The scan takes delta as softplus(dt + dt_bias):
+    dt = log(expm1(delta)) with dt_bias = 0 gives it to within rounding.
     Returns (y, h_final) arrays."""
+    L, D = x.shape
     y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=np.float64)
-                                     for a in (x, delta, np.log(-A), B, C,
-                                               np.zeros(x.shape[1]))), h0=h0)
-    return y.data, h_final
+                                     for a in (x, np.log(np.expm1(delta)), np.log(-A), B, C,
+                                               np.zeros(D), np.full((L, D), GATE),
+                                               np.zeros(D))), h0=h0)
+    return y.data / GATE, h_final.data
 
 
 def _random_system(rng, L, D, N):
@@ -163,11 +172,13 @@ def test_scan_in_place_matches_per_step_loop(dtype):
     rng = np.random.default_rng(17)
     L, D, N = 33, 5, 4
     A_log = (rng.standard_normal((D, N)) * 0.5).astype(dtype)
-    delta = rng.uniform(0.05, 0.5, size=(L, D)).astype(dtype)
+    dt = rng.uniform(-3.0, 0.0, size=(L, D)).astype(dtype)
     B = rng.standard_normal((L, N)).astype(dtype)
     x = rng.standard_normal((L, D)).astype(dtype)
-    # Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B in the primitive's order
-    Abar = np.exp(delta[:, :, None] * -np.exp(A_log))
+    gate, no_bias = np.full((L, D), GATE, dtype), np.zeros(D, dtype)
+    # delta = softplus(dt), Abar = exp(delta A), Bbar = (Abar - 1) (1/A) B in
+    # the primitive's order
+    Abar = np.exp(ref.softplus(dt)[:, :, None] * -np.exp(A_log))
     Bbar = (Abar - 1.0) * -np.exp(-A_log) * B[:, None, :]
     readouts = [rng.standard_normal((L, N)).astype(dtype)]
     for n in range(N):
@@ -178,13 +189,14 @@ def test_scan_in_place_matches_per_step_loop(dtype):
         carry = np.zeros((D, N), dtype) if h0 is None else h0
         for C in readouts:
             y, h = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
-                                       for a in (x, delta, A_log, B, C, np.zeros(D))),
+                                       for a in (x, dt, A_log, B, C, np.zeros(D),
+                                                 gate, no_bias)),
                                      h0=h0)
             y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, x, carry)
             assert y.dtype == dtype and h.dtype == dtype
-            assert np.array_equal(y.data, y_ref) and np.array_equal(h, h_ref)
+            assert np.array_equal(y.data, y_ref * GATE) and np.array_equal(h.data, h_ref)
             # a carried state must not keep the whole trajectory alive
-            assert h.flags.owndata and not np.shares_memory(h, y.data)
+            assert h.data.flags.owndata and not np.shares_memory(h.data, y.data)
 
 
 def test_scan_rejects_empty_and_mismatched():
@@ -192,11 +204,12 @@ def test_scan_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         dc.selective_scan(*(dc.tensor(a, dtype=np.float64) for a in
                             (np.zeros((0, 1)), np.ones((0, 1)), A_log,
-                             np.ones((0, 1)), np.ones((0, 1)), np.ones(1))))
-    with pytest.raises(ValueError):        # delta's time axis differs from u's
+                             np.ones((0, 1)), np.ones((0, 1)), np.ones(1),
+                             np.ones((0, 1)), np.zeros(1))))
+    with pytest.raises(ValueError):        # dt's time axis differs from u's
         dc.selective_scan(*(dc.tensor(a, dtype=np.float64) for a in
                             (np.zeros((5, 1)), np.ones((3, 1)), A_log, C.repeat(5, 0),
-                             C.repeat(5, 0), np.ones(1))))
+                             C.repeat(5, 0), np.ones(1), np.ones((5, 1)), np.zeros(1))))
 
 
 def test_scan_stability_bound():

@@ -275,6 +275,38 @@ def test_adamw_overflowing_update_names_parameter():
     assert np.all(p.data == np.float32(3e38))
 
 
+def test_scan_reads_A_log_after_in_place_and_new_array_writes(tmp_path):
+    """The scan derives A = -exp(A_log) once per A_log array: after
+    adamw_step writes A_log in place, and after A_log is given a new array,
+    the next forward uses the new A, as a model loaded with the same
+    weights does."""
+    model = tiny_model(seed=3)
+    trainer.set_stage(model, "cotrain")
+    state = trainer.init_optim(model)
+    path = str(tmp_path / "weights.rmck")
+
+    def logits(m):
+        return m.lm.lm_forward([1, 5, 9, 13, 2])[0].data
+
+    def reloaded(m):
+        trainer.save_checkpoint(m, path)
+        return trainer.load_checkpoint(path)
+
+    before = logits(model)                            # derives every block's A
+    A_logs = {name: p for name, p in model.named_params() if name.endswith(".A_log")}
+    assert len(A_logs) == 2
+    trainer.adamw_step(model, {name: np.ones_like(p.data) for name, p in A_logs.items()},
+                       state, lr=0.1)
+    after_step = logits(model)
+    assert not np.array_equal(after_step, before)
+    assert np.array_equal(after_step, logits(reloaded(model)))
+    for p in A_logs.values():
+        p.data = p.data * np.float32(0.5)
+    after_new_array = logits(model)
+    assert not np.array_equal(after_new_array, after_step)
+    assert np.array_equal(after_new_array, logits(reloaded(model)))
+
+
 # ---------------------------------------------------------------------------
 # run_stage
 
