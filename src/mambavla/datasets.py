@@ -4,17 +4,14 @@ Stage 1.1 pairs rendered scenes with captions describing their shape, color,
 and placement.  Stage 1.2 mixes those captions with instruction QA derived
 from the simulator (planning strings and affordance yes/no).  Stage 2 is the
 Appendix-B-style episode set: RGB+depth frames with ground-truth contact
-poses.  Every generator is a pure function of its seed, and the on-disk form
-(RMIM frames + JSON-lines manifest) regenerates byte-identically.
+poses.  Every generator is a pure function of its seed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from mambavla import fileio, simworld
+from mambavla import simworld
 from mambavla.config import SimConfig
 
 __all__ = [
@@ -25,10 +22,6 @@ __all__ = [
     "make_instruct_samples",
     "make_manip_samples",
     "episode_rows",
-    "write_stage1_dataset",
-    "write_manip_dataset",
-    "load_stage1_dataset",
-    "load_manip_dataset",
 ]
 
 _COLOR_NAMES = {
@@ -105,7 +98,7 @@ def corpus_texts() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# in-memory generators (training and tests consume these directly)
+# generators
 
 
 def make_caption_samples(n: int, seed: int,
@@ -181,103 +174,15 @@ def make_manip_samples(n: int, seed: int, cam: SimConfig | None = None,
 
 
 def episode_rows(episodes: list[simworld.ManipEpisode]) -> list[dict]:
-    """Stage-2 training rows (manifest schema, arrays in memory)."""
+    """Stage-2 training rows: the image, prompt and ground-truth pose."""
     rows = []
     for ep in episodes:
         pose = ep.gt_pose
         rows.append({
             "image": ep.rgb.astype(np.float32),
-            "depth": ep.depth.astype(np.float32),
             "prompt": ep.prompt,
             "pos_uv": (float(pose.contact_pixel[0]),
                        float(pose.contact_pixel[1])),
             "rot": np.asarray(pose.a_dir, dtype=np.float64),
-            "success": bool(ep.success),
-            "dq": float(ep.dq),
-            "seed": int(ep.seed),
         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# on-disk form
-
-
-def write_stage1_dataset(out_dir: str, rows: list[dict]) -> str:
-    """Write RMIM frames + manifest; returns the manifest path."""
-    image_dir = os.path.join(out_dir, "images")
-    os.makedirs(image_dir, exist_ok=True)
-    manifest = []
-    for i, row in enumerate(rows):
-        rel = os.path.join("images", f"frame_{i:05d}.rmim")
-        fileio.write_rmim(os.path.join(out_dir, rel),
-                          np.asarray(row["image"], dtype=np.float32))
-        manifest.append({"image": rel, "prompt": row["prompt"],
-                         "answer": row["answer"]})
-    path = os.path.join(out_dir, "manifest.jsonl")
-    fileio.write_jsonl(path, manifest)
-    return path
-
-
-def write_manip_dataset(out_dir: str,
-                        episodes: list[simworld.ManipEpisode]) -> str:
-    """Write RGB+depth RMIM frames + the stage-2 manifest schema."""
-    image_dir = os.path.join(out_dir, "images")
-    os.makedirs(image_dir, exist_ok=True)
-    manifest = []
-    for i, ep in enumerate(episodes):
-        rel = os.path.join("images", f"episode_{i:05d}.rmim")
-        fileio.write_rmim(os.path.join(out_dir, rel),
-                          ep.rgb.astype(np.float32),
-                          depth=ep.depth.astype(np.float32))
-        pose = ep.gt_pose
-        manifest.append({
-            "image": rel,
-            "prompt": ep.prompt,
-            "pos_uv": [float(pose.contact_pixel[0]),
-                       float(pose.contact_pixel[1])],
-            "rot": [float(x) for x in np.asarray(pose.a_dir).reshape(-1)],
-            "success": bool(ep.success),
-            "dq": float(ep.dq),
-            "seed": int(ep.seed),
-        })
-    path = os.path.join(out_dir, "manifest.jsonl")
-    fileio.write_jsonl(path, manifest)
-    return path
-
-
-def load_stage1_dataset(out_dir: str) -> list[dict]:
-    rows = fileio.read_jsonl(os.path.join(out_dir, "manifest.jsonl"))
-    out = []
-    for row in rows:
-        for key in ("image", "prompt", "answer"):
-            if key not in row:
-                raise fileio.FormatError(f"stage-1 manifest row missing {key!r}")
-        rgb, _ = fileio.read_rmim(os.path.join(out_dir, row["image"]))
-        out.append({"image": rgb, "prompt": row["prompt"],
-                    "answer": row["answer"]})
-    return out
-
-
-def load_manip_dataset(out_dir: str) -> list[dict]:
-    """Rows with image/depth arrays plus the manifest pose fields."""
-    rows = fileio.read_jsonl(os.path.join(out_dir, "manifest.jsonl"))
-    out = []
-    for row in rows:
-        for key in ("image", "prompt", "pos_uv", "rot", "success"):
-            if key not in row:
-                raise fileio.FormatError(f"manip manifest row missing {key!r}")
-        rgb, depth = fileio.read_rmim(os.path.join(out_dir, row["image"]))
-        if depth is None:
-            raise fileio.FormatError(
-                f"manip frame {row['image']!r} has no depth channel")
-        rot = np.asarray(row["rot"], dtype=np.float64)
-        if rot.size != 9:
-            raise fileio.FormatError("manip manifest rot must have 9 floats")
-        out.append({"image": rgb, "depth": depth, "prompt": row["prompt"],
-                    "pos_uv": tuple(row["pos_uv"]),
-                    "rot": rot.reshape(3, 3),
-                    "success": bool(row["success"]),
-                    "dq": float(row.get("dq", 0.0)),
-                    "seed": int(row.get("seed", 0))})
-    return out

@@ -1,7 +1,7 @@
-"""Byte-level file formats: RMIM images, RMCK checkpoints, JSONL manifests.
+"""The RMCK checkpoint format, read and written at the byte level.
 
-Both binary formats are little-endian and fully specified here so that a
-fixed seed reproduces files byte-for-byte.  Writes go through a same-directory
+RMCK is little-endian and fully specified here so that a fixed seed
+reproduces a checkpoint byte-for-byte.  Writes go through a same-directory
 temp file plus os.replace, so readers never observe a half-written file.
 """
 
@@ -19,11 +19,9 @@ class FormatError(ValueError):
     """A file does not conform to its declared byte-level format."""
 
 
-RMIM_MAGIC = b"RMIM"
-RMIM_VERSION = 1
 RMCK_MAGIC = b"RMCK"
 RMCK_VERSION = 1
-_DTYPE_F32 = 0  # the only payload dtype either format defines
+_DTYPE_F32 = 0  # the only payload dtype the format defines
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -45,58 +43,6 @@ def _take(buf: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:
         raise FormatError(f"truncated file: expected {n} bytes for {what} "
                           f"at offset {offset}, have {len(buf) - offset}")
     return buf[offset:offset + n], offset + n
-
-
-# ---------------------------------------------------------------------------
-# RMIM: magic, u32 version, u32 W, u32 H, u8 channels (3 = RGB, 4 = RGB+depth),
-# then W*H*channels little-endian f32, row-major, channel-last.
-
-
-def write_rmim(path: str, rgb: np.ndarray, depth: np.ndarray | None = None) -> None:
-    rgb = np.asarray(rgb, dtype=np.float32)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise FormatError(f"rgb must be [H, W, 3], got {rgb.shape}")
-    if not np.all(np.isfinite(rgb)) or rgb.min() < 0.0 or rgb.max() > 1.0:
-        raise FormatError("rgb values must be finite and in [0, 1]")
-    h, w = rgb.shape[:2]
-    if depth is None:
-        channels = 3
-        pixels = rgb
-    else:
-        depth = np.asarray(depth, dtype=np.float32)
-        if depth.shape != (h, w):
-            raise FormatError(f"depth shape {depth.shape} does not match rgb {(h, w)}")
-        if not np.all(np.isfinite(depth)) or depth.min() < 0.0:
-            raise FormatError("depth values must be finite and >= 0")
-        channels = 4
-        pixels = np.concatenate([rgb, depth[:, :, None]], axis=2)
-    header = RMIM_MAGIC + struct.pack("<IIIB", RMIM_VERSION, w, h, channels)
-    body = np.ascontiguousarray(pixels, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + body)
-
-
-def read_rmim(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Returns (rgb [H, W, 3] float32, depth [H, W] float32 or None)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, off = _take(buf, 0, 4, "magic")
-    if magic != RMIM_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {RMIM_MAGIC!r}")
-    head, off = _take(buf, off, 13, "header")
-    version, w, h, channels = struct.unpack("<IIIB", head)
-    if version != RMIM_VERSION:
-        raise FormatError(f"unsupported image format version {version}")
-    if channels not in (3, 4):
-        raise FormatError(f"channels must be 3 or 4, got {channels}")
-    body, off = _take(buf, off, w * h * channels * 4, "pixel payload")
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after pixel payload")
-    pixels = np.frombuffer(body, dtype="<f4").reshape(h, w, channels).copy()
-    if not np.all(np.isfinite(pixels)):
-        raise FormatError("non-finite pixel values")
-    rgb = pixels[:, :, :3]
-    depth = pixels[:, :, 3] if channels == 4 else None
-    return rgb, depth
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +84,10 @@ def read_rmck(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raw, off = _take(buf, off, 4, f"tensor {i} name length")
         (name_len,) = struct.unpack("<I", raw)
         raw, off = _take(buf, off, name_len, f"tensor {i} name")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"tensor {i} name is not valid UTF-8: {err}") from err
         raw, off = _take(buf, off, 2, f"{name}: dtype/rank")
         dtype_code, rank = struct.unpack("<BB", raw)
         if dtype_code != _DTYPE_F32:
@@ -168,26 +117,3 @@ def read_rmck(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(f"config blob is a JSON {type(config).__name__}, "
                           f"not an object")
     return tensors, config
-
-
-# ---------------------------------------------------------------------------
-# JSONL manifests
-
-
-def write_jsonl(path: str, records: list[dict]) -> None:
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as err:
-                raise FormatError(f"{path}:{lineno}: bad JSON line: {err}") from err
-    return records

@@ -105,19 +105,6 @@ class WordTokenizer:
                 parts.append(tok)
         return " ".join(parts)
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.id_to_token:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "WordTokenizer":
-        with open(path, "r", encoding="utf-8") as fh:
-            toks = [line.rstrip("\n") for line in fh]
-        if toks[:3] != list(cls.RESERVED):
-            raise ValueError(f"{path}: not a vocabulary file (bad reserved rows)")
-        return cls(toks[3:])
-
 
 # ---------------------------------------------------------------------------
 # differentiable selective scan

@@ -385,6 +385,11 @@ def load_checkpoint(path: str) -> VlaModel:
             raise fileio.FormatError(
                 f"checkpoint config field {name!r} must be "
                 f"{type(defaults[name]).__name__}, got {type(value).__name__}")
+    stage = config.get("stage", "")
+    if stage not in ("", *STAGES):
+        raise fileio.FormatError(
+            f"checkpoint config field 'stage' must be '' or one of {STAGES}, "
+            f"got {stage!r}")
     cfg = ModelConfig(**cfg_dict)
     model = VlaModel(cfg, seed=0)
     names = {name for name, _ in model.named_params()}
@@ -401,8 +406,8 @@ def load_checkpoint(path: str) -> VlaModel:
                 f"checkpoint tensor {name!r} has shape {t.shape}, "
                 f"expected {p.data.shape}")
         p.data = t.astype(p.data.dtype)
-    if config.get("stage"):
-        set_stage(model, config["stage"])
+    if stage:
+        set_stage(model, stage)
     return model
 
 

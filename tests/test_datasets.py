@@ -1,13 +1,11 @@
 """Dataset generators: caption grounding, QA grounding, vocabulary closure,
-manifest schemas, and byte-identical regeneration."""
-
-import os
+and byte-identical regeneration from a seed."""
 
 import numpy as np
 import pytest
 
 from mambavla import datasets as ds
-from mambavla import fileio, simworld
+from mambavla import simworld
 from mambavla.mamba import WordTokenizer
 
 
@@ -34,12 +32,21 @@ def test_caption_samples_shapes_and_cycle():
         assert simworld.ARCHETYPES[i % 3] in row["answer"]
 
 
-def test_caption_samples_deterministic():
-    a = ds.make_caption_samples(4, seed=9)
-    b = ds.make_caption_samples(4, seed=9)
+@pytest.mark.parametrize("make", [
+    ds.make_caption_samples,
+    ds.make_instruct_samples,
+    lambda n, seed: ds.episode_rows(ds.make_manip_samples(n, seed=seed)),
+], ids=["caption", "instruct", "manip"])
+def test_samples_deterministic(make):
+    """Same seed -> identical image bytes and text and pose fields."""
+    a = make(4, seed=9)
+    b = make(4, seed=9)
+    assert len(a) == len(b) == 4
     for ra, rb in zip(a, b):
-        assert ra["image"].tobytes() == rb["image"].tobytes()
-        assert ra["answer"] == rb["answer"]
+        assert ra.keys() == rb.keys()
+        for key in ra:
+            assert np.asarray(ra[key]).tobytes() == \
+                np.asarray(rb[key]).tobytes(), key
 
 
 def test_instruct_samples_grounded():
@@ -79,66 +86,6 @@ def test_manip_samples_successful_only():
     assert all(ep.success for ep in eps)
     seeds = [ep.seed for ep in eps]
     assert seeds == sorted(seeds) and seeds[0] >= 0
-
-
-def test_stage1_roundtrip(tmp_path):
-    rows = ds.make_caption_samples(3, seed=5)
-    manifest = ds.write_stage1_dataset(str(tmp_path), rows)
-    assert os.path.basename(manifest) == "manifest.jsonl"
-    loaded = ds.load_stage1_dataset(str(tmp_path))
-    assert len(loaded) == 3
-    for orig, back in zip(rows, loaded):
-        assert np.array_equal(orig["image"], back["image"])
-        assert (orig["prompt"], orig["answer"]) == \
-            (back["prompt"], back["answer"])
-
-
-def test_manip_roundtrip(tmp_path):
-    eps = ds.make_manip_samples(4, seed=2)
-    ds.write_manip_dataset(str(tmp_path), eps)
-    loaded = ds.load_manip_dataset(str(tmp_path))
-    assert len(loaded) == 4
-    for ep, row in zip(eps, loaded):
-        assert np.array_equal(row["image"], ep.rgb.astype(np.float32))
-        assert np.array_equal(row["depth"], ep.depth.astype(np.float32))
-        assert np.array_equal(row["rot"], ep.gt_pose.a_dir)
-        assert row["pos_uv"] == ep.gt_pose.contact_pixel
-        assert row["success"] == ep.success
-        assert row["dq"] == ep.dq and row["seed"] == ep.seed
-
-
-def test_regeneration_byte_identical(tmp_path):
-    """Fixed seed -> identical manifest and frame bytes across two runs."""
-    dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
-    for d in dirs:
-        ds.write_manip_dataset(d, ds.make_manip_samples(5, seed=7))
-        ds.write_stage1_dataset(os.path.join(d, "cap"),
-                                ds.make_caption_samples(3, seed=7))
-    for rel in ["manifest.jsonl", os.path.join("images", "episode_00000.rmim"),
-                os.path.join("cap", "manifest.jsonl"),
-                os.path.join("cap", "images", "frame_00002.rmim")]:
-        a = open(os.path.join(dirs[0], rel), "rb").read()
-        b = open(os.path.join(dirs[1], rel), "rb").read()
-        assert a == b, rel
-
-
-def test_load_rejects_missing_keys(tmp_path):
-    fileio.write_jsonl(str(tmp_path / "manifest.jsonl"),
-                       [{"image": "x.rmim", "prompt": "p"}])
-    with pytest.raises(fileio.FormatError, match="answer"):
-        ds.load_stage1_dataset(str(tmp_path))
-
-
-def test_load_manip_rejects_missing_depth(tmp_path):
-    os.makedirs(tmp_path / "images")
-    rgb = np.zeros((4, 4, 3), dtype=np.float32)
-    fileio.write_rmim(str(tmp_path / "images" / "e.rmim"), rgb)
-    fileio.write_jsonl(str(tmp_path / "manifest.jsonl"), [{
-        "image": "images/e.rmim", "prompt": "p", "pos_uv": [0.5, 0.5],
-        "rot": [1, 0, 0, 0, 1, 0, 0, 0, 1],
-        "success": True, "dq": 0.2, "seed": 0}])
-    with pytest.raises(fileio.FormatError, match="depth"):
-        ds.load_manip_dataset(str(tmp_path))
 
 
 def test_generators_reject_empty():

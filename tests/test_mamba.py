@@ -61,14 +61,6 @@ def test_tokenizer_bos_eos_wrap():
     assert tok.decode(ids) == "a b"
 
 
-def test_tokenizer_save_load_roundtrip(tmp_path):
-    tok = mamba.WordTokenizer.build(["lift the lid", "open the door ."])
-    path = str(tmp_path / "vocab.txt")
-    tok.save(path)
-    again = mamba.WordTokenizer.load(path)
-    assert again.id_to_token == tok.id_to_token
-
-
 def test_tokenizer_decode_rejects_bad_id():
     tok = mamba.WordTokenizer.build(["a"])
     with pytest.raises(ValueError):

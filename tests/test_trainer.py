@@ -5,6 +5,7 @@ roundtrips, and the parameter report."""
 import math
 import os
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -553,14 +554,38 @@ def test_checkpoint_tensor_count_matches_model(tmp_path):
     assert len(tensors) == sum(1 for _ in model.named_params())
 
 
-def test_checkpoint_bad_magic_is_format_error(tmp_path):
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: b"XXXX" + raw[4:], "bad magic"),
+    (lambda raw: raw[:4] + struct.pack("<I", 9) + raw[8:],
+     "unsupported checkpoint version 9"),
+    (lambda raw: raw[:-5], "truncated file"),
+    (lambda raw: raw + b"\x00\x00", "2 trailing bytes"),
+    (lambda raw: raw.replace(b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00a"),
+     "duplicate tensor name 'a'"),
+    (lambda raw: raw.replace(b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00\xff"),
+     "tensor 1 name is not valid UTF-8"),
+], ids=["magic", "version", "truncated", "trailing", "duplicate", "name_utf8"])
+def test_checkpoint_malformed_bytes_are_format_error(tmp_path, corrupt, message):
+    path = str(tmp_path / "model.rmck")
+    # two tensors named "a" and "b": each name is a u32 length 1, then the byte
+    fileio.write_rmck(path, {"a": np.zeros((2, 3)), "b": np.ones((2, 3))},
+                      {"stage": ""})
+    raw = open(path, "rb").read()
+    corrupted = corrupt(raw)
+    assert corrupted != raw
+    open(path, "wb").write(corrupted)
+    with pytest.raises(fileio.FormatError, match=re.escape(message)):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("stage", ["bogus", 3, ["align"]])
+def test_checkpoint_unknown_stage_is_format_error(tmp_path, stage):
     model = tiny_model()
     path = str(tmp_path / "model.rmck")
-    trainer.save_checkpoint(model, path)
-    raw = bytearray(open(path, "rb").read())
-    raw[:4] = b"XXXX"
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(fileio.FormatError, match="magic"):
+    tensors = {name: p.data for name, p in model.named_params()}
+    fileio.write_rmck(path, tensors,
+                      {"model": vars(model.cfg).copy(), "stage": stage})
+    with pytest.raises(fileio.FormatError, match="field 'stage'"):
         trainer.load_checkpoint(path)
 
 

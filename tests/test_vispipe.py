@@ -1,11 +1,11 @@
-"""Vision pipeline: patch encoding, projection, multimodal composition order,
-and the RMIM image container."""
+"""Vision pipeline: patch encoding, projection and multimodal composition
+order."""
 
 import numpy as np
 import pytest
 
 from mambavla import diffcore as dc
-from mambavla import fileio, vispipe
+from mambavla import vispipe
 from mambavla.config import ModelConfig
 
 RNG = np.random.default_rng(7)
@@ -250,70 +250,3 @@ def test_caption_overfit_distinguishes_images():
     wanted = [cap for _, cap in pairs]
     assert decoded == wanted, f"decoded {decoded}, wanted {wanted}"
 
-
-# ---------------------------------------------------------------------------
-# RMIM image container
-
-
-def test_rmim_roundtrip_rgb_only(tmp_path):
-    path = str(tmp_path / "img.rmim")
-    rgb = RNG.random((8, 6, 3)).astype(np.float32)
-    fileio.write_rmim(path, rgb)
-    back, depth = fileio.read_rmim(path)
-    np.testing.assert_array_equal(back, rgb)
-    assert depth is None
-
-
-def test_rmim_roundtrip_with_depth(tmp_path):
-    path = str(tmp_path / "img.rmim")
-    rgb = RNG.random((5, 7, 3)).astype(np.float32)
-    depth = (RNG.random((5, 7)) * 3.0).astype(np.float32)
-    fileio.write_rmim(path, rgb, depth)
-    back_rgb, back_depth = fileio.read_rmim(path)
-    np.testing.assert_array_equal(back_rgb, rgb)
-    np.testing.assert_array_equal(back_depth, depth)
-
-
-def test_rmim_header_layout_is_exact(tmp_path):
-    import struct
-    path = str(tmp_path / "img.rmim")
-    rgb = np.zeros((2, 3, 3), dtype=np.float32)   # H=2, W=3
-    fileio.write_rmim(path, rgb)
-    raw = open(path, "rb").read()
-    assert raw[:4] == b"RMIM"
-    version, w, h = struct.unpack_from("<III", raw, 4)
-    channels = raw[16]
-    assert (version, w, h, channels) == (1, 3, 2, 3)
-    assert len(raw) == 17 + 2 * 3 * 3 * 4
-
-
-def test_rmim_rejects_malformed_files(tmp_path):
-    rgb = np.zeros((2, 2, 3), dtype=np.float32)
-    good = str(tmp_path / "good.rmim")
-    fileio.write_rmim(good, rgb)
-    raw = open(good, "rb").read()
-
-    cases = {
-        "magic": b"XXXX" + raw[4:],
-        "version": raw[:4] + b"\x09\x00\x00\x00" + raw[8:],
-        "channels": raw[:16] + b"\x07" + raw[17:],
-        "truncated": raw[:-5],
-        "trailing": raw + b"\x00\x00",
-    }
-    for name, corrupted in cases.items():
-        bad = str(tmp_path / f"{name}.rmim")
-        with open(bad, "wb") as fh:
-            fh.write(corrupted)
-        with pytest.raises(fileio.FormatError):
-            fileio.read_rmim(bad)
-
-
-def test_rmim_write_validates_values(tmp_path):
-    path = str(tmp_path / "img.rmim")
-    with pytest.raises(fileio.FormatError):
-        fileio.write_rmim(path, np.full((2, 2, 3), 1.5, dtype=np.float32))
-    with pytest.raises(fileio.FormatError):
-        fileio.write_rmim(path, np.zeros((2, 2, 3), dtype=np.float32),
-                          np.full((2, 2), -1.0, dtype=np.float32))
-    with pytest.raises(fileio.FormatError):
-        fileio.write_rmim(path, np.zeros((2, 3), dtype=np.float32))
