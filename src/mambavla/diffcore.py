@@ -4,18 +4,21 @@ The primitive set is closed: every model operation in this package composes
 from the 17 kinds registered in `PRIMITIVES`.  Each primitive validates input
 shapes/dtypes, rejects non-finite values, and registers a backward closure
 on the implicit tape (the parent links of the output tensor) when an input
-needs a gradient.  `grad_check` verifies any composition against central
-finite differences.
+has `requires_grad`, the only gradient flag.  `backward` clears the `.grad`
+of every tensor it reaches before its sweep, so a leaf's `.grad` is the
+last sweep's gradient, never a sum over sweeps.  `grad_check` verifies any
+composition against central finite differences.
 
-Each array is checked for finiteness once: a primitive checks and marks its
-output, `param` checks and marks a parameter, and primitives skip marked
-inputs.  Plain leaves (constants, user tensors) are checked at every use.  A
-parameter given a new `.data` array is checked again at its next use.  The
-hole: a non-finite value written in place into a marked array is not seen
-at the input.  A NaN still fails the output check of the first node it
-reaches, but an inf can vanish (exp, sigmoid or the scan's softplus at
--inf), so code that writes into a parameter in place, like the optimizer,
-checks what it writes.
+Each array is checked for finiteness once, by one rule for every primitive:
+a primitive checks and marks its output, `param` checks and marks a
+parameter, and primitives skip marked inputs.  Plain leaves (constants,
+user tensors) are checked whole at every use.  A parameter given a new
+`.data` array is checked again at its next use.  The hole: a non-finite
+value written in place into a marked array is not seen at the input.  A
+NaN still fails the output check of the first node it reaches, but an inf
+can vanish (exp, sigmoid or the scan's softplus at -inf), so code that
+writes into a parameter in place, like the optimizer, checks what it
+writes.
 
 Carried state follows the same rule.  The state a primitive returns for the
 next call (the scan's final state, the conv's trailing context) is a no-grad
@@ -93,9 +96,11 @@ class TapeError(RuntimeError):
 class Tensor:
     """A dense float32/float64 array plus optional autodiff bookkeeping.
 
-    `data` is always C-contiguous row-major.  `grad` is populated on
-    requires_grad leaves after `backward`.  Internal nodes carry parent
-    links and a backward closure until the tape is consumed.
+    `data` is always C-contiguous row-major.  `requires_grad` is the only
+    gradient flag: callers set it on leaves, and a primitive sets it on
+    exactly the outputs that get a backward closure, which keep their parent
+    links and the closure until the tape is consumed.  `grad` holds, on a
+    requires_grad leaf, the gradient of the last `backward` that reached it.
 
     `_checked` is the finiteness mark: on node outputs and parameters, the
     array last found finite, trusted while it is still `data` (an in-place
@@ -130,9 +135,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def drop_derived(self) -> None:
         """Forget the values derived from `data` (the scan's A and 1/A).
@@ -220,8 +222,7 @@ def _make_node(kind: str, out_data: np.ndarray, parents: Sequence[Tensor],
                backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
     out = Tensor(_check_finite_output(kind, out_data))
     out._checked = out.data
-    if backward_fn is not None and any(p.requires_grad or p._backward_fn is not None
-                                       for p in parents):
+    if backward_fn is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -259,15 +260,15 @@ def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor) -> Tensor:
 
     if kind == "add":
         def backward_fn(g: np.ndarray) -> None:
-            if a.requires_grad or a._backward_fn is not None:
+            if a.requires_grad:
                 _accumulate(a, _unbroadcast(g, a))
-            if b.requires_grad or b._backward_fn is not None:
+            if b.requires_grad:
                 _accumulate(b, _unbroadcast(g, b))
     else:  # mul
         def backward_fn(g: np.ndarray) -> None:
-            if a.requires_grad or a._backward_fn is not None:
+            if a.requires_grad:
                 _accumulate(a, _unbroadcast(g * b.data, a))
-            if b.requires_grad or b._backward_fn is not None:
+            if b.requires_grad:
                 _accumulate(b, _unbroadcast(g * a.data, b))
 
     return _make_node(kind, out_data, (a, b), backward_fn)
@@ -290,9 +291,9 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     out_data = am @ bm
 
     def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad or a._backward_fn is not None:
+        if a.requires_grad:
             _accumulate(a, g @ bm.T)
-        if b.requires_grad or b._backward_fn is not None:
+        if b.requires_grad:
             gbm = am.T @ g                       # gradient w.r.t. op_b(b)
             _accumulate(b, gbm.T if transpose_b else gbm)
 
@@ -449,11 +450,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data += bias.data
 
     def backward_fn(g: np.ndarray) -> None:
-        if gain.requires_grad or gain._backward_fn is not None:
+        if gain.requires_grad:
             _accumulate(gain, _unbroadcast(g * y, gain))
-        if bias.requires_grad or bias._backward_fn is not None:
+        if bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias))
-        if x.requires_grad or x._backward_fn is not None:
+        if x.requires_grad:
             # d/dx of (x-mu)/sigma: project out the mean and the y-component
             gy = g * gain.data
             gm = gy.mean(axis=-1, keepdims=True)
@@ -502,14 +503,14 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
 
     def backward_fn(g: np.ndarray) -> None:
         g = g * (sig * (1.0 + pre * (1.0 - sig)))       # through the SiLU
-        if bias.requires_grad or bias._backward_fn is not None:
+        if bias.requires_grad:
             _accumulate(bias, g.sum(axis=0))
-        if x.requires_grad or x._backward_fn is not None:
+        if x.requires_grad:
             gxp = np.zeros_like(xp)
             for i in range(w):
                 gxp[i:i + L] += kernel.data[i] * g
             _accumulate(x, gxp[w - 1:])
-        if kernel.requires_grad or kernel._backward_fn is not None:
+        if kernel.requires_grad:
             gk = np.stack([(xp[i:i + L] * g).sum(axis=0) for i in range(w)])
             _accumulate(kernel, gk)
 
@@ -549,7 +550,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward_fn(g: np.ndarray) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._backward_fn is not None:
+            if t.requires_grad:
                 sl = [np.s_[:]] * g.ndim
                 sl[axis] = np.s_[start:stop]
                 _accumulate(t, g[tuple(sl)])
@@ -558,12 +559,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous window [start, stop) along one axis.
-
-    An unmarked source is checked only in the consumed window -- scanning
-    the whole source on every step would turn a length-L sweep of slices
-    quadratic -- and so stays unmarked.
-    """
+    """Contiguous window [start, stop) along one axis."""
+    _check_finite_inputs("slice", (x,))
     ndim = x.data.ndim
     if not (-ndim <= axis < ndim):
         raise ShapeError(f"slice: axis {axis} out of range for shape {x.shape}")
@@ -575,9 +572,6 @@ def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [np.s_[:]] * ndim
     sl[axis] = np.s_[start:stop]
     out_data = np.ascontiguousarray(x.data[tuple(sl)])
-    if x._checked is not x.data and not np.all(np.isfinite(out_data)):
-        raise NonFiniteError(f"slice: non-finite value in window [{start}, {stop}) "
-                             f"of axis {axis}")
 
     def backward_fn(g: np.ndarray) -> None:
         if x.grad is None:
@@ -590,12 +584,12 @@ def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def gather_rows(x: Tensor, ids) -> Tensor:
     """Rows x[ids] of a 2-D table, in the order of ids; a row may repeat.
 
-    ids must be a non-empty 1-D integer sequence in [0, rows).  Like tslice,
-    an unmarked table is checked only in the gathered rows.  Backward adds
-    each output row's gradient into its table row, so repeated ids
+    ids must be a non-empty 1-D integer sequence in [0, rows).  Backward
+    adds each output row's gradient into its table row, so repeated ids
     accumulate.
     """
     kind = "gather-rows"
+    _check_finite_inputs(kind, (x,))
     if x.data.ndim != 2:
         raise ShapeError(f"{kind}: expects a 2-D table, got {x.shape}")
     ids = np.asarray(ids)
@@ -607,8 +601,6 @@ def gather_rows(x: Tensor, ids) -> Tensor:
         raise ShapeError(f"{kind}: ids must lie in [0, {rows}), got "
                          f"[{ids.min()}, {ids.max()}]")
     out_data = x.data[ids]
-    if x._checked is not x.data and not np.all(np.isfinite(out_data)):
-        raise NonFiniteError(f"{kind}: non-finite value in a gathered row")
 
     def backward_fn(g: np.ndarray) -> None:
         if x.grad is None:
@@ -689,7 +681,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
     _check_finite_inputs(kind, inputs)
     if h0 is not None:
         h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
-    grad = any(t.requires_grad or t._backward_fn is not None for t in inputs)
+    grad = any(t.requires_grad for t in inputs)
     T = L if grad else min(L, SCAN_BLOCK)
     A, inv_A = _derived_A(kind, A_log)
 
@@ -745,7 +737,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
         # reductions go through einsum: summing a short axis with .sum() is
         # several times slower in numpy
         (need_u, need_dt, need_A_log, need_B, need_C, need_D, need_z,
-         need_dt_bias) = (t.requires_grad or t._backward_fn is not None for t in inputs)
+         need_dt_bias) = (t.requires_grad for t in inputs)
         need_delta = need_dt or need_dt_bias
         if need_z:
             _accumulate(z, g * y * (sig * (1.0 + z.data * (1.0 - sig))))
@@ -825,12 +817,10 @@ PRIMITIVES: dict[str, Callable] = {
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar root.
 
-    Gradients add into each requires_grad leaf's `.grad`, and the returned
-    {leaf: gradient} holds those same arrays for every such leaf reached by
-    the graph.  So they are this root's gradient only when the caller cleared
-    the buffers first (`Tensor.zero_grad`); otherwise they also carry what
-    earlier sweeps left there.  The tape is consumed: a second backward on
-    the same root raises TapeError.
+    Every tensor the root reaches has its `.grad` cleared first, so each
+    reached requires_grad leaf's `.grad`, and the returned {leaf: gradient}
+    holding those same arrays, is this root's gradient alone.  The tape is
+    consumed: a second backward on the same root raises TapeError.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
@@ -844,6 +834,7 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            node.grad = None            # drop what an earlier sweep left
             topo.append(node)
             continue
         if id(node) in seen:

@@ -82,13 +82,8 @@ class WordTokenizer:
         room = max_vocab - len(cls.RESERVED)
         return cls(ranked[:room])
 
-    def encode(self, text: str, add_bos: bool = False, add_eos: bool = False) -> list[int]:
-        ids = [self.token_to_id.get(tok, self.UNK) for tok in _TOKEN_RE.findall(text)]
-        if add_bos:
-            ids.insert(0, self.BOS)
-        if add_eos:
-            ids.append(self.EOS)
-        return ids
+    def encode(self, text: str) -> list[int]:
+        return [self.token_to_id.get(tok, self.UNK) for tok in _TOKEN_RE.findall(text)]
 
     def decode(self, ids: list[int]) -> str:
         parts: list[str] = []
@@ -144,7 +139,6 @@ class MambaBlock:
         M, E, N = cfg.d_model, cfg.d_inner, cfg.d_state
         R, w = cfg.dt_rank, cfg.d_conv
         self.cfg = cfg
-        self.dtype = dtype
 
         self.ln_g = dc.param(np.ones(M), dtype)
         self.ln_b = dc.param(np.zeros(M), dtype)
@@ -213,7 +207,6 @@ class LanguageModel:
                  dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.cfg = cfg
-        self.dtype = dtype
         self.embed = dc.param(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)), dtype)
         self.blocks = [MambaBlock(cfg, rng, dtype) for _ in range(cfg.n_blocks)]
         self.lnf_g = dc.param(np.ones(cfg.d_model), dtype)

@@ -194,7 +194,6 @@ class PoseHead:
                              f"expected one of {HEAD_VARIANTS}")
         M, H = cfg.d_model, cfg.head_hidden
         self.cfg = cfg
-        self.dtype = dtype
         # the feature norm is parameter-free: a constant unit gain and zero
         # bias, leaves that are not parameters
         self.norm_gain = dc.tensor(np.ones(M), dtype)

@@ -317,10 +317,6 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
                               for idx in batch]
                 loss = dc.mean_pool(dc.concat(per_sample, axis=0))
 
-            # backward adds into each leaf's .grad: clear every buffer so the
-            # step sees this batch's gradient alone
-            for p in params.values():
-                p.zero_grad()
             grads_by_tensor = dc.backward(loss)
             grads = {name: grads_by_tensor[p] for name, p in params.items()
                      if p in grads_by_tensor}

@@ -602,6 +602,17 @@ def test_leaf_off_tape_gets_no_grad():
     assert bystander.grad is None
 
 
+def test_backward_clears_the_gradient_of_an_earlier_sweep():
+    """Two sweeps that share a leaf: the second returns, and leaves in
+    .grad, its own gradient alone; the first's result is not changed."""
+    x = t64([1.0, 2.0], requires_grad=True)
+    first = dc.backward(dc.mean_pool(dc.mul(x, x)))              # 2x / 2
+    second = dc.backward(dc.mean_pool(dc.mul(x, t64([3.0, 5.0]))))
+    np.testing.assert_array_equal(first[x], [1.0, 2.0])
+    np.testing.assert_array_equal(second[x], [1.5, 2.5])
+    assert x.grad is second[x]
+
+
 def test_deep_chain_no_recursion_limit():
     x = t64([0.5], requires_grad=True)
     y = x
@@ -661,6 +672,12 @@ def test_nonfinite_input_rejected():
         dc.silu(bad)
     with pytest.raises(dc.NonFiniteError):
         dc.add(t64([1.0]), t64([np.inf]))
+    # slice and gather-rows check a plain leaf whole, not just what they read
+    table = t64([[0.0, 1.0], [2.0, 3.0], [4.0, np.nan]])
+    with pytest.raises(dc.NonFiniteError, match="slice: input 0"):
+        dc.tslice(table, 0, 0, 2)
+    with pytest.raises(dc.NonFiniteError, match="gather-rows: input 0"):
+        dc.gather_rows(table, [0, 1])
 
 
 def test_nonfinite_output_rejected():
@@ -738,6 +755,10 @@ def test_marked_inputs_are_not_rescanned(scanned_sizes):
     scanned_sizes.clear()
     dc.matmul(x, w)               # a plain leaf is scanned at every use
     assert scanned_sizes == [12, 15]
+    scanned_sizes.clear()
+    dc.tslice(hidden, 0, 1, 2)    # so a sweep of slices over a node stays linear
+    dc.gather_rows(w, [2, 2, 0])
+    assert scanned_sizes == [4, 15]
 
 
 def test_param_rejects_non_finite_values():

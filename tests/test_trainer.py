@@ -99,8 +99,6 @@ def test_manip_stage_forward_builds_no_tape():
 
 
 def _all_grads(model, tok, rows):
-    for _, p in model.named_params():
-        p.zero_grad()
     dc.backward(dc.mean_pool(dc.concat(
         [trainer._stage1_sample_loss(model, tok, row) for row in rows], axis=0)))
     return {name: p.grad for name, p in model.named_params()}
@@ -347,8 +345,6 @@ def test_run_stage_gradient_is_this_steps_alone():
     assert any(after_run[name] is not None for name, _ in model.named_params()
                if model.is_trainable(name))
 
-    for _, p in model.named_params():
-        p.zero_grad()
     loss = dc.mean_pool(dc.concat(
         [trainer._stage1_sample_loss(model, tok, row)], axis=0))
     dc.backward(loss)
