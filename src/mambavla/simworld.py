@@ -43,6 +43,7 @@ _LIGHT = np.array([-0.4, -0.6, -0.7]) / np.linalg.norm([-0.4, -0.6, -0.7])
 _AMBIENT, _DIFFUSE = 0.35, 0.6
 _BG_COLOR = np.array([0.06, 0.06, 0.08])
 _MIN_PART_PIXELS = 0.05      # movable part must cover >= 5% of the frame
+_MIN_BASE_PIXELS = 0.02      # base must cover >= 2% of the frame
 
 PART_BACKGROUND, PART_BASE, PART_MOVABLE = 0, 1, 2
 
@@ -60,10 +61,11 @@ class Box:
     center: np.ndarray
     half: np.ndarray
 
-    def faces(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(4 corner vertices, outward normal) per face, in camera frame."""
+    def triangles(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(3 vertices, outward normal) pairs in camera frame: two per face,
+        faces in the order -x, +x, -y, +y, -z, +z."""
         c, h = self.center, self.half
-        out = []
+        tris = []
         for axis in range(3):
             for sign in (-1.0, 1.0):
                 n = np.zeros(3)
@@ -74,22 +76,13 @@ class Box:
                 eb = np.zeros(3); eb[b] = h[b]
                 verts = np.stack([base - ea - eb, base + ea - eb,
                                   base + ea + eb, base - ea + eb])
-                out.append((verts, n))
-        return out
-
-    def triangles(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(3 vertices, outward normal) pairs — two per face."""
-        tris = []
-        for verts, n in self.faces():
-            tris.append((verts[[0, 1, 2]], n))
-            tris.append((verts[[0, 2, 3]], n))
+                tris += [(verts[[0, 1, 2]], n), (verts[[0, 2, 3]], n)]
         return tris
 
     def surface_distance(self, p: np.ndarray) -> float:
         """Distance from a point to the box surface (0 inside counts as 0)."""
         d = np.abs(p - self.center) - self.half
-        outside = np.linalg.norm(np.maximum(d, 0.0))
-        return float(outside)
+        return float(np.linalg.norm(np.maximum(d, 0.0)))
 
     def outward_normal_at(self, p: np.ndarray) -> np.ndarray:
         """Outward normal of the face nearest to a point at/near the surface."""
@@ -169,6 +162,13 @@ def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 
 def render_buffers(scene: Scene) -> RenderResult:
+    """Z-buffer rasterization of every scene triangle into four buffers.
+
+    Each triangle is tested against the whole grid of pixel centres: the
+    barycentric test is the clip.  A pixel goes to a triangle only if its 1/z
+    beats the buffer by more than 1e-12, so the earliest triangle in
+    `Scene.triangles` order wins a tie within 1e-12.
+    """
     cam = scene.cam
     if cam.fx <= 0 or cam.fy <= 0:
         raise ValueError("render: focal lengths must be positive")
@@ -178,10 +178,7 @@ def render_buffers(scene: Scene) -> RenderResult:
     zinv = np.zeros((H, W))               # z-buffer keyed on 1/z (0 = empty)
     part = np.zeros((H, W), dtype=np.uint8)
     normal = np.zeros((H, W, 3))
-
-    # pixel-centre grid, shared across triangles
-    us = (np.arange(W) + 0.5)
-    vs = (np.arange(H) + 0.5)
+    gu, gv = np.meshgrid(np.arange(W) + 0.5, np.arange(H) + 0.5)  # pixel centres
 
     for verts, n, color, part_id in scene.triangles():
         z = verts[:, 2]
@@ -189,35 +186,20 @@ def render_buffers(scene: Scene) -> RenderResult:
             continue                      # behind / at the camera: drop
         px = cam.fx * verts[:, 0] / z + cam.cx
         py = cam.fy * verts[:, 1] / z + cam.cy
-        x0, x1 = max(0, int(np.floor(px.min() - 0.5))), \
-            min(W - 1, int(np.ceil(px.max() - 0.5)))
-        y0, y1 = max(0, int(np.floor(py.min() - 0.5))), \
-            min(H - 1, int(np.ceil(py.max() - 0.5)))
-        if x0 > x1 or y0 > y1:
-            continue
         area2 = (px[1] - px[0]) * (py[2] - py[0]) - (px[2] - px[0]) * (py[1] - py[0])
         if abs(area2) < 1e-12:
             continue                      # edge-on
-        gu, gv = np.meshgrid(us[x0:x1 + 1], vs[y0:y1 + 1])
         w0 = ((px[1] - gu) * (py[2] - gv) - (px[2] - gu) * (py[1] - gv)) / area2
         w1 = ((px[2] - gu) * (py[0] - gv) - (px[0] - gu) * (py[2] - gv)) / area2
         w2 = 1.0 - w0 - w1
-        inside = (w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9)
-        if not inside.any():
-            continue
         # 1/z is affine in screen space, so this is perspective-correct
         zi = w0 / z[0] + w1 / z[1] + w2 / z[2]
-        win = inside & (zi > zinv[y0:y1 + 1, x0:x1 + 1] + 1e-12)
-        if not win.any():
-            continue
-        shade = _shade(color, n)
-        sub = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        zinv[sub] = np.where(win, zi, zinv[sub])
-        depth[sub] = np.where(win, 1.0 / zi, depth[sub])
-        part[sub] = np.where(win, part_id, part[sub])
-        for k in range(3):
-            rgb[sub][:, :, k] = np.where(win, shade[k], rgb[sub][:, :, k])
-            normal[sub][:, :, k] = np.where(win, n[k], normal[sub][:, :, k])
+        win = (w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9) & (zi > zinv + 1e-12)
+        zinv[win] = zi[win]
+        depth[win] = 1.0 / zi[win]
+        part[win] = part_id
+        rgb[win] = _shade(color, n)
+        normal[win] = n
     return RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
 
 
@@ -325,8 +307,9 @@ def spawn_object(seed: int, kind: str | None = None,
                  cam: SimConfig | None = None) -> Scene:
     """Deterministic scene from an integer seed.
 
-    Redraws geometry (same rng stream, still deterministic) until the movable
-    part covers at least 5% of the rendered pixels.
+    Redraws geometry (same rng stream, still deterministic) until the scene
+    is visible: the movable part covers at least `_MIN_PART_PIXELS` (5%) and
+    the base at least `_MIN_BASE_PIXELS` (2%) of the rendered pixels.
     """
     cam = cam or SimConfig()
     rng = np.random.default_rng(seed)
@@ -339,7 +322,7 @@ def spawn_object(seed: int, kind: str | None = None,
         scene = Scene(obj=_BUILDERS[kind](rng), cam=cam)
         buf = render_buffers(scene)
         if np.sum(buf.part_id == PART_MOVABLE) >= _MIN_PART_PIXELS * n_pixels \
-                and np.sum(buf.part_id == PART_BASE) >= 0.02 * n_pixels:
+                and np.sum(buf.part_id == PART_BASE) >= _MIN_BASE_PIXELS * n_pixels:
             return scene
     raise RuntimeError(f"spawn_object: could not place a visible {kind} "
                        f"after 50 draws (seed {seed})")
@@ -431,16 +414,25 @@ _PROMPTS = {
 }
 
 
-def _pose_from_pixel(buf: RenderResult, row: int, col: int, cam: SimConfig,
-                     rng: np.random.Generator | None) -> EndEffectorPose:
-    """Appendix-B style pose: z = -surface normal, y random orthogonal."""
-    h, w = buf.depth.shape
-    n_out = buf.normal[row, col]
-    z = -_unit(n_out)
-    if rng is None:                            # deterministic completion
-        seed_vec = np.array([1.0, 0.0, 0.0])
-        if abs(seed_vec @ z) > 0.9:
-            seed_vec = np.array([0.0, 1.0, 0.0])
+def _contact_pose(buf: RenderResult, cam: SimConfig,
+                  rng: np.random.Generator | None) -> EndEffectorPose:
+    """Appendix-B contact: a movable pixel approached along z = -normal.
+
+    With an rng: a random movable pixel and a random y axis orthogonal to z.
+    With None: the movable pixel nearest the part centroid and a fixed
+    completion of the frame.
+    """
+    rows, cols = np.nonzero(buf.part_id == PART_MOVABLE)
+    if len(rows) == 0:
+        raise ValueError("contact: movable part not visible")
+    if rng is None:
+        pick = np.argmin((rows - rows.mean()) ** 2 + (cols - cols.mean()) ** 2)
+    else:
+        pick = rng.integers(len(rows))
+    row, col = int(rows[pick]), int(cols[pick])
+    z = -_unit(buf.normal[row, col])
+    if rng is None:
+        seed_vec = np.array([0.0, 1.0, 0.0] if abs(z[0]) > 0.9 else [1.0, 0.0, 0.0])
     else:
         while True:
             seed_vec = rng.standard_normal(3)
@@ -450,6 +442,7 @@ def _pose_from_pixel(buf: RenderResult, row: int, col: int, cam: SimConfig,
     y = _unit(seed_vec - (seed_vec @ z) * z)
     x = np.cross(y, z)
     R = np.stack([x, y, z], axis=1)            # axes as columns
+    h, w = buf.depth.shape
     pixel = ((col + 0.5) / w, (row + 0.5) / h)
     pose = EndEffectorPose(a_dir=R, contact_pixel=pixel)
     pose.a_pos = lift_to_3d(pixel, buf.depth, cam)
@@ -463,9 +456,7 @@ def collect_episode(seed: int, kind: str | None = None,
     scene = spawn_object(seed, kind, cam)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     buf = render_buffers(scene)
-    rows, cols = np.nonzero(buf.part_id == PART_MOVABLE)
-    pick = int(rng.integers(len(rows)))
-    pose = _pose_from_pixel(buf, int(rows[pick]), int(cols[pick]), cam, rng)
+    pose = _contact_pose(buf, cam, rng)
     success, dq = interact(scene, pose)
     return ManipEpisode(rgb=buf.rgb, depth=buf.depth,
                         prompt=_PROMPTS[scene.obj.archetype],
@@ -519,24 +510,13 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
 def oracle_policy(obs: Observation) -> EndEffectorPose:
     """Reads ground truth: contact at the movable pixel nearest the part
     centroid, approach opposite the rendered normal."""
-    buf = render_buffers(obs.scene)
-    rows, cols = np.nonzero(buf.part_id == PART_MOVABLE)
-    if len(rows) == 0:
-        raise ValueError("oracle: movable part not visible")
-    cr, cc = rows.mean(), cols.mean()
-    pick = int(np.argmin((rows - cr) ** 2 + (cols - cc) ** 2))
-    return _pose_from_pixel(buf, int(rows[pick]), int(cols[pick]),
-                            obs.cam, rng=None)
+    return _contact_pose(render_buffers(obs.scene), obs.cam, None)
 
 
 def random_normal_policy(rng: np.random.Generator):
     """Appendix-B sampler as a policy: random movable pixel, z = -normal."""
     def policy(obs: Observation) -> EndEffectorPose:
-        buf = render_buffers(obs.scene)
-        rows, cols = np.nonzero(buf.part_id == PART_MOVABLE)
-        pick = int(rng.integers(len(rows)))
-        return _pose_from_pixel(buf, int(rows[pick]), int(cols[pick]),
-                                obs.cam, rng)
+        return _contact_pose(render_buffers(obs.scene), obs.cam, rng)
     return policy
 
 

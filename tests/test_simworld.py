@@ -17,14 +17,14 @@ from mambavla import simworld as sw
 def raycast(scene, row, col, cam):
     """Moller-Trumbore over the scene triangles through a pixel centre.
 
-    Returns the smallest hit depth (ray parameterized so t equals camera-z),
-    or None when nothing is hit.
+    Returns (depth, normal, color, part_id) of the nearest hit, the ray
+    parameterized so t equals camera-z, or None when nothing is hit.
     """
     d = np.array([((col + 0.5) - cam.cx) / cam.fx,
                   ((row + 0.5) - cam.cy) / cam.fy,
                   1.0])
     best = None
-    for verts, _n, _c, _p in scene.triangles():
+    for verts, n, color, part_id in scene.triangles():
         v0, v1, v2 = verts
         e1, e2 = v1 - v0, v2 - v0
         h = np.cross(d, e2)
@@ -41,9 +41,24 @@ def raycast(scene, row, col, cam):
         if v < -1e-9 or u + v > 1 + 1e-9:
             continue
         t = f * (e2 @ q)
-        if t > 1e-6 and (best is None or t < best):
-            best = t
+        if t > 1e-6 and (best is None or t < best[0]):
+            best = (t, n, color, part_id)
     return best
+
+
+def assert_pixel_matches_raycast(scene, buf, r, c):
+    """The z-buffer's winner at (r, c) is the nearest ray hit, or nothing."""
+    hit = raycast(scene, r, c, scene.cam)
+    if buf.part_id[r, c] == sw.PART_BACKGROUND:
+        assert hit is None, f"raycast hit background pixel ({r}, {c})"
+        assert buf.depth[r, c] == 0.0 and not buf.normal[r, c].any()
+        return
+    assert hit is not None, f"raycast missed rendered pixel ({r}, {c})"
+    t, n, color, part_id = hit
+    assert buf.part_id[r, c] == part_id
+    assert np.array_equal(buf.normal[r, c], n)
+    assert np.array_equal(buf.rgb[r, c], sw._shade(color, n))
+    assert buf.depth[r, c] == pytest.approx(t, rel=1e-9)
 
 
 def plain_scene(box, cam=None):
@@ -174,8 +189,9 @@ def test_lift_matches_raycast_over_thousand_pixels():
         pick = rng.permutation(len(rows))[:60]
         for j in pick:
             r, c = int(rows[j]), int(cols[j])
-            t = raycast(scene, r, c, cam)
-            assert t is not None, f"raycast missed rendered pixel ({r}, {c})"
+            found = raycast(scene, r, c, cam)
+            assert found is not None, f"raycast missed rendered pixel ({r}, {c})"
+            t = found[0]
             pixel = ((c + 0.5) / cam.width, (r + 0.5) / cam.height)
             lifted = lift_to_3d(pixel, buf.depth, cam)
             hit = t * np.array([((c + 0.5) - cam.cx) / cam.fx,
@@ -183,6 +199,53 @@ def test_lift_matches_raycast_over_thousand_pixels():
             assert np.linalg.norm(lifted - hit) <= 1e-3
             checked += 1
     assert checked >= 1000
+
+
+@pytest.mark.parametrize("kind", sw.ARCHETYPES)
+@pytest.mark.parametrize("opened", [False, True], ids=["q0", "qmax"])
+def test_zbuffer_winner_matches_raycast(kind, opened):
+    """Depth, part, normal and shade all come from the nearest ray hit, with
+    the joint closed and fully open: up to 30 pixels each of background, base
+    and movable part per scene.  Both sides sample at pixel centres, so this
+    holds at silhouettes too, where the base often shows only as a rim."""
+    rng = np.random.default_rng(1)
+    checked = {sw.PART_BACKGROUND: 0, sw.PART_BASE: 0, sw.PART_MOVABLE: 0}
+    for seed in range(3):
+        scene = sw.spawn_object(200 + seed, kind)
+        scene.obj.q = scene.obj.q_max if opened else 0.0
+        buf = sw.render_buffers(scene)
+        for part in checked:
+            rows, cols = np.nonzero(buf.part_id == part)
+            for j in rng.permutation(len(rows))[:30]:
+                assert_pixel_matches_raycast(scene, buf, int(rows[j]), int(cols[j]))
+                checked[part] += 1
+    assert min(checked.values()) >= 30, checked
+
+
+def test_box_straddling_left_frame_edge_matches_raycast():
+    # front face spans columns -3.8 .. 9.4; the +x side face is visible too
+    scene = plain_scene(sw.Box(center=np.array([-0.8, 0.0, 2.0]),
+                               half=np.array([0.4, 0.3, 0.3])))
+    buf = sw.render_buffers(scene)
+    assert np.any(buf.part_id[:, 0] == sw.PART_MOVABLE)
+    assert not np.any(buf.part_id[:, 12:])
+    assert {tuple(n) for n in buf.normal[buf.part_id != 0]} == \
+        {(0.0, 0.0, -1.0), (1.0, 0.0, 0.0)}
+    for r, c in np.ndindex(buf.part_id.shape):
+        assert_pixel_matches_raycast(scene, buf, r, c)
+
+
+@pytest.mark.parametrize("center", [(3.0, 0.0, 2.0), (-3.0, 0.0, 2.0),
+                                    (0.0, 3.0, 2.0), (0.0, -3.0, 2.0)],
+                         ids=["right", "left", "below", "above"])
+def test_box_projecting_outside_frame_renders_empty(center):
+    scene = plain_scene(sw.Box(center=np.array(center),
+                               half=np.array([0.4, 0.4, 0.4])))
+    assert min(v[:, 2].min() for v, *_ in scene.triangles()) > 1.0
+    buf = sw.render_buffers(scene)
+    assert np.all(buf.depth == 0.0) and np.all(buf.part_id == 0)
+    assert np.all(buf.normal == 0.0)
+    assert np.all(buf.rgb == sw._BG_COLOR)
 
 
 # ---------------------------------------------------------------------------
