@@ -11,6 +11,7 @@ import json
 import os
 import struct
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -24,13 +25,15 @@ RMCK_VERSION = 1
 _DTYPE_F32 = 0  # the only payload dtype the format defines
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write payload to path via temp-file-then-rename in the same directory."""
+def atomic_write_bytes(path: str, parts: Iterable) -> None:
+    """Write the bytes-like parts (C-contiguous arrays are written from
+    their buffers) in order to path, via temp-file-then-rename in the same
+    directory."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,11 +64,11 @@ def write_rmck(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
         parts.append(encoded)
         parts.append(struct.pack("<BB", _DTYPE_F32, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.tobytes())
+        parts.append(arr)                     # written from its buffer, not copied
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<Q", len(blob)))
     parts.append(blob)
-    atomic_write_bytes(path, b"".join(parts))
+    atomic_write_bytes(path, parts)
 
 
 def read_rmck(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -21,7 +21,10 @@ the final norm one layer-norm.
 
 Generation carries a ScanState (per-block SSM state + conv context), so
 decoding one token costs O(1) in sequence length and reuses the exact same
-forward routine as training.
+forward routine as training.  Training packs a batch into one sequence
+instead: the forward takes the first row of each packed sequence as
+`starts`, and the scan and the conv start each one from zeros, as Mamba-2's
+kernels do with seq_idx (Dao & Gu 2024, arXiv 2405.21060).
 """
 
 from __future__ import annotations
@@ -107,12 +110,14 @@ class WordTokenizer:
 
 def selective_scan_tape(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
                         D: Tensor, z: Tensor, dt_bias: Tensor,
-                        h0: Tensor | np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                        h0: Tensor | np.ndarray | None = None,
+                        starts=None) -> tuple[Tensor, Tensor]:
     """Selective scan of one block on the tape: one `selective-scan` node,
-    with delta = softplus(dt + dt_bias) and the gate silu(z).  Returns
-    (y [L, E], final state [E, N] as a no-grad Tensor for generation carry);
-    see `diffcore.selective_scan`."""
-    return dc.selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0)
+    with delta = softplus(dt + dt_bias) and the gate silu(z), over one
+    sequence or, with starts, packed ones.  Returns (y [L, E], final state
+    [E, N] as a no-grad Tensor for generation carry); see
+    `diffcore.selective_scan`."""
+    return dc.selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +184,11 @@ class MambaBlock:
         C = dc.tslice(sel, 1, R + N, R + 2 * N)             # [L, N]
         return B, C, dc.matmul(dt_low, self.dt_proj)        # dt [L, E]
 
-    def forward(self, x: Tensor, state: BlockState | None = None
+    def forward(self, x: Tensor, state: BlockState | None = None, starts=None
                 ) -> tuple[Tensor, BlockState]:
+        """x [L, d_model] -> (x + block(x), carry).  starts packs several
+        sequences into x, each scanned and convolved from zeros; it excludes
+        a carried state, and the carry returned continues the last one."""
         E = self.cfg.d_inner
         xn = dc.layer_norm(x, self.ln_g, self.ln_b)
         proj = dc.matmul(xn, self.in_proj)                  # [L, 2E]
@@ -188,10 +196,12 @@ class MambaBlock:
         gate = dc.tslice(proj, 1, E, 2 * E)
 
         u, conv_ctx = dc.conv1d_depthwise(u_pre, self.conv_w, self.conv_b,
-                                          None if state is None else state.conv_ctx)
+                                          None if state is None else state.conv_ctx,
+                                          starts)
         B, C, dt = self.select_params(u)
         y, h_final = selective_scan_tape(u, dt, self.A_log, B, C, self.D_skip, gate,
-                                         self.dt_bias, None if state is None else state.h)
+                                         self.dt_bias, None if state is None else state.h,
+                                         starts)
         out = dc.matmul(y, self.out_proj)
         return dc.add(x, out), BlockState(h=h_final, conv_ctx=conv_ctx)
 
@@ -228,16 +238,18 @@ class LanguageModel:
         the vocabulary raises ShapeError."""
         return dc.gather_rows(self.embed, ids)
 
-    def forward_embedded(self, x: Tensor, state: ScanState | None = None
-                         ) -> tuple[Tensor, ScanState]:
+    def forward_embedded(self, x: Tensor, state: ScanState | None = None,
+                         starts=None) -> tuple[Tensor, ScanState]:
         """Run blocks over pre-embedded inputs.
 
         Returns (hidden [L, d_model] post final norm, state); callers apply
-        `lm_head` to the rows they read.
+        `lm_head` to the rows they read.  starts, the first row of each
+        sequence packed into x, runs them as one graph with no state or
+        conv context crossing a start (see `MambaBlock.forward`).
         """
         new_state = ScanState()
         for i, blk in enumerate(self.blocks):
-            x, bs = blk.forward(x, None if state is None else state.blocks[i])
+            x, bs = blk.forward(x, None if state is None else state.blocks[i], starts)
             new_state.blocks.append(bs)
         return dc.layer_norm(x, self.lnf_g, self.lnf_b), new_state
 

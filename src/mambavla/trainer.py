@@ -11,6 +11,11 @@ bit-identical across a stage run.
 trainable parameters, so a forward builds no backward tape through frozen
 groups.  A model with no stage has no trainable group and builds no tape at
 all, which is the inference setting.
+
+An align or cotrain step is one graph: the batch's (image, text) rows are
+packed into one sequence (`vispipe.multimodal_forward_packed`), with the
+scan state and conv context reset at each row's start, and the loss is the
+mean over rows of each row's masked mean, as if each row were its own graph.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from mambavla import fileio
 from mambavla.config import ModelConfig, StageHyperparams, TrainConfig
 from mambavla.mamba import LanguageModel, WordTokenizer
 from mambavla.policy import PoseHead, direction_loss, pool_global_token, position_loss
-from mambavla.vispipe import MlpProjector, PatchEncoder, multimodal_forward
+from mambavla.vispipe import (MlpProjector, PatchEncoder, multimodal_forward,
+                               multimodal_forward_packed)
 
 __all__ = [
     "STAGES",
@@ -58,8 +64,10 @@ class VlaModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0,
                  dtype=np.float32):
+        self._build(cfg, np.random.default_rng(seed), dtype)
+
+    def _build(self, cfg: ModelConfig, rng, dtype) -> None:
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
         self.encoder = PatchEncoder(cfg, rng, dtype)
         self.projector = MlpProjector(cfg, rng, dtype)
         self.lm = LanguageModel(cfg, rng, dtype)
@@ -100,11 +108,16 @@ def set_stage(model: VlaModel, stage: str) -> VlaModel:
 # losses
 
 
-def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None) -> dc.Tensor:
+def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
+                       starts=None) -> dc.Tensor:
     """Mean negative log-softmax of the target class over unmasked positions.
 
     ignore_mask: optional boolean [L]; True positions are excluded (visual
-    and prompt positions carry no supervision).
+    and prompt positions carry no supervision).  starts, the first row of
+    each sample packed into logits, checked as `diffcore.selective_scan`
+    checks its own, makes the loss the mean over samples of each sample's
+    masked mean, so a sample weighs the same however many positions it has;
+    every sample needs an unmasked position.
     """
     L, V = logits.data.shape
     targets = np.asarray(targets, dtype=np.int64)
@@ -116,9 +129,12 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None) -> dc.Tenso
         else ~np.asarray(ignore_mask, dtype=bool)
     if keep.shape != (L,):
         raise ValueError("ignore_mask must have one entry per position")
-    n_keep = int(keep.sum())
-    if n_keep == 0:
-        raise ValueError("cross_entropy: every position is masked")
+    starts = [0] if starts is None else dc._check_starts("cross-entropy", starts, L)
+    # unmasked positions of each sample, spread back over its rows
+    n_keep = np.add.reduceat(keep, starts, dtype=np.intp)
+    if (n_keep == 0).any():
+        raise ValueError("cross_entropy: every position of a sample is masked")
+    n_keep = np.repeat(n_keep * len(starts), np.diff(starts, append=L))
 
     dtype = logits.data.dtype
     onehot = np.zeros((L, V), dtype=dtype)
@@ -126,7 +142,7 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None) -> dc.Tenso
     logp = dc.matmul(dc.mul(dc.log_softmax_rows(logits),
                             dc.tensor(onehot, dtype=dtype)),
                      dc.tensor(np.ones((V, 1), dtype=dtype), dtype=dtype))  # [L, 1]
-    # negated mask weights fold the sign into the masked mean
+    # negated mask weights fold the sign into the masked means
     weights = (-keep.astype(dtype) / n_keep).reshape(1, L)
     return dc.matmul(dc.tensor(weights, dtype=dtype), logp)  # [1, 1]
 
@@ -235,13 +251,17 @@ def _encode_pair(tokenizer: WordTokenizer, prompt: str, answer: str):
     return inputs, np.asarray(targets), ignore
 
 
-def _stage1_sample_loss(model: VlaModel, tokenizer: WordTokenizer,
-                        row: dict) -> dc.Tensor:
-    inputs, targets, ignore = _encode_pair(tokenizer, row["prompt"],
-                                           row["answer"])
-    out = multimodal_forward(model.encoder, model.projector, model.lm,
-                             np.asarray(row["image"]), inputs)
-    return cross_entropy_loss(out.text_logits, targets, ignore)
+def _stage1_batch_loss(model: VlaModel, tokenizer: WordTokenizer,
+                       rows: list[dict]) -> dc.Tensor:
+    """The align/cotrain loss of a batch as one packed graph: the mean over
+    rows of each row's masked mean over its answer targets."""
+    inputs, targets, ignore = zip(*(_encode_pair(tokenizer, row["prompt"], row["answer"])
+                                    for row in rows))
+    out = multimodal_forward_packed(model.encoder, model.projector, model.lm,
+                                    [np.asarray(row["image"]) for row in rows], list(inputs))
+    starts = np.cumsum([0] + [len(t) for t in targets[:-1]])
+    return cross_entropy_loss(out.text_logits, np.concatenate(targets),
+                              np.concatenate(ignore), starts)
 
 
 def _backbone_feature(model: VlaModel, tokenizer: WordTokenizer,
@@ -312,10 +332,8 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
                 loss = dc.add(position_loss(out.pixel, gt_uv),
                               direction_loss(out.rot, gt_rot))
             else:
-                per_sample = [_stage1_sample_loss(model, tokenizer,
-                                                  dataset[idx])
-                              for idx in batch]
-                loss = dc.mean_pool(dc.concat(per_sample, axis=0))
+                loss = _stage1_batch_loss(model, tokenizer,
+                                          [dataset[idx] for idx in batch])
 
             grads_by_tensor = dc.backward(loss)
             grads = {name: grads_by_tensor[p] for name, p in params.items()
@@ -364,6 +382,16 @@ def save_checkpoint(model: VlaModel, path: str) -> None:
     fileio.write_rmck(path, tensors, config)
 
 
+class _ZeroDraws:
+    """Stands in for the init generator where every drawn value is about to
+    be overwritten: each draw is zeros of the requested size."""
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size, dtype=np.float32)
+
+    uniform = normal
+
+
 def load_checkpoint(path: str) -> VlaModel:
     tensors, config = fileio.read_rmck(path)
     cfg_dict = config.get("model")
@@ -387,7 +415,10 @@ def load_checkpoint(path: str) -> VlaModel:
             f"checkpoint config field 'stage' must be '' or one of {STAGES}, "
             f"got {stage!r}")
     cfg = ModelConfig(**cfg_dict)
-    model = VlaModel(cfg, seed=0)
+    # every value is overwritten below, so the parameters start as zeros
+    # rather than as random draws
+    model = VlaModel.__new__(VlaModel)
+    model._build(cfg, _ZeroDraws(), np.float32)
     names = {name for name, _ in model.named_params()}
     if names != set(tensors):
         missing = sorted(names - set(tensors))[:3]
@@ -401,7 +432,7 @@ def load_checkpoint(path: str) -> VlaModel:
             raise fileio.FormatError(
                 f"checkpoint tensor {name!r} has shape {t.shape}, "
                 f"expected {p.data.shape}")
-        p.data = t.astype(p.data.dtype)
+        p.data = t.astype(p.data.dtype, copy=False)
     if stage:
         set_stage(model, stage)
     return model

@@ -2,6 +2,9 @@
 
 The composition order is fixed — encode -> project -> concat -> language
 model — and visual tokens always precede text tokens in the concatenation.
+Several (image, prompt) pairs pack into one sequence [v_1 || t_1 || v_2 ||
+t_2 || ...] that runs as one graph, with the scan state and conv context
+reset at each pair's start; one pair is the single-sequence case.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ __all__ = [
     "MlpProjector",
     "MultimodalOutput",
     "multimodal_forward",
+    "multimodal_forward_packed",
     "generate_greedy_multimodal",
 ]
 
@@ -97,10 +101,10 @@ class MlpProjector:
 
 @dataclass
 class MultimodalOutput:
-    hidden: Tensor        # [n_visual + T, d_model], post final norm
-    text_logits: Tensor   # [T, vocab] — logits at the text positions
-    n_visual: int
-    state: ScanState
+    hidden: Tensor        # [sum of (n_visual + T_i), d_model], post final norm
+    text_logits: Tensor   # [sum of T_i, vocab] — logits at the text positions
+    n_visual: int         # visual positions of each pair
+    state: ScanState      # the carry after the last pair
 
 
 def multimodal_forward(encoder: PatchEncoder, projector: MlpProjector,
@@ -111,15 +115,38 @@ def multimodal_forward(encoder: PatchEncoder, projector: MlpProjector,
     The full last-layer hidden states (visual positions included) are exposed
     for the policy head; logits are returned for the text positions only.
     """
-    if len(prompt_ids) == 0:
-        raise ValueError("multimodal_forward: prompt must contain at least one token")
-    f_v = encoder.encode(image)
-    f_v_lm = projector.project(f_v)
-    seq = dc.concat([f_v_lm, lm.embed_tokens(prompt_ids)], axis=0)
-    hidden, state = lm.forward_embedded(seq)
-    n_vis = f_v_lm.shape[0]
-    text_logits = dc.matmul(dc.tslice(hidden, 0, n_vis, n_vis + len(prompt_ids)),
-                            lm.lm_head)
+    return multimodal_forward_packed(encoder, projector, lm, [image], [prompt_ids])
+
+
+def multimodal_forward_packed(encoder: PatchEncoder, projector: MlpProjector,
+                              lm: LanguageModel, images: list[np.ndarray],
+                              prompts: list[list[int]]) -> MultimodalOutput:
+    """B (image, prompt tokens) pairs -> one LM forward over [v_1 || t_1 ||
+    v_2 || t_2 || ...], with one gather of the text rows and one `lm_head`.
+
+    Each pair is its own sequence: the LM takes the pairs' first rows as
+    `starts`, so no state or conv context crosses from one pair into the
+    next, and each pair's rows equal those of its own forward up to
+    rounding.  With one pair there are no starts and the LM runs its
+    single-sequence path.  hidden and text_logits hold the pairs in order.
+    """
+    if len(images) != len(prompts) or len(images) == 0:
+        raise ValueError(f"multimodal_forward: needs as many images as prompts, at "
+                         f"least one; got {len(images)} and {len(prompts)}")
+    pieces, starts, text_rows = [], [], []
+    offset = 0
+    for image, ids in zip(images, prompts):
+        if len(ids) == 0:
+            raise ValueError("multimodal_forward: prompt must contain at least one token")
+        f_v_lm = projector.project(encoder.encode(image))
+        n_vis = f_v_lm.shape[0]
+        pieces += [f_v_lm, lm.embed_tokens(ids)]
+        starts.append(offset)
+        text_rows.append(np.arange(offset + n_vis, offset + n_vis + len(ids)))
+        offset += n_vis + len(ids)
+    hidden, state = lm.forward_embedded(dc.concat(pieces, axis=0), None,
+                                        starts if len(starts) > 1 else None)
+    text_logits = dc.matmul(dc.gather_rows(hidden, np.concatenate(text_rows)), lm.lm_head)
     return MultimodalOutput(hidden=hidden, text_logits=text_logits,
                             n_visual=n_vis, state=state)
 

@@ -390,6 +390,163 @@ def test_selective_scan_without_gradient_allocates_no_trajectory():
     assert peak < L * E * N * 8, f"peak {peak} bytes"
 
 
+# ---------------------------------------------------------------------------
+# packed sequences: starts reset the scan state and the conv context
+
+
+def _starts(lengths):
+    return np.cumsum([0] + list(lengths[:-1]))
+
+
+def _packed_and_alone(prim, arrays, lengths, seq_rows, readout, grad):
+    """prim over the packed rows with starts, and over each sequence alone
+    (its rows of every [L, .] input, shared inputs whole), each sequence's
+    loss the sum of its readout products.  Returns, for both, the outputs,
+    the final carry and the gradients (None without grad)."""
+    starts = _starts(lengths)
+    leaves = [t64(a, requires_grad=grad) for a in arrays]
+    y, carry = prim(*leaves, starts=starts)
+    if grad:
+        dc.backward(dc.mean_pool(dc.mul(y, t64(readout))))
+    packed = (y.data, carry.data, [leaf.grad for leaf in leaves])
+    ys, losses, leaves = [], [], [t64(a, requires_grad=grad) for a in arrays]
+    for s, n in zip(starts, lengths):
+        part = [dc.tslice(leaf, 0, s, s + n) if i in seq_rows else leaf
+                for i, leaf in enumerate(leaves)]
+        y_s, carry = prim(*part)
+        ys.append(y_s)
+        losses.append(dc.mul(y_s, t64(readout[s:s + n])))
+    if grad:
+        dc.backward(dc.mean_pool(dc.concat(losses, axis=0)))
+    alone = (np.concatenate([y_s.data for y_s in ys]), carry.data,
+             [leaf.grad for leaf in leaves])
+    return packed, alone
+
+
+# 16 is the no-gradient scan's block: a start inside a block, on its edge,
+# and sequences shorter than the conv's w - 1 = 3 rows of context
+PACKINGS = [(5, 16, 20), (16, 3, 22), (1, 2, 1, 9)]
+
+
+@pytest.mark.parametrize("lengths", PACKINGS)
+@pytest.mark.parametrize("grad", [False, True])
+def test_selective_scan_packed_equals_each_sequence_alone(lengths, grad):
+    rng = np.random.default_rng(30)
+    L = sum(lengths)
+    arrays = _scan_inputs(rng, L=L, E=5, N=3)
+    packed, alone = _packed_and_alone(dc.selective_scan, arrays, lengths,
+                                      {0, 1, 3, 4, 6}, rng.standard_normal((L, 5)), grad)
+    for a, b in zip(packed[:2], alone[:2]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    for g, g_ref in zip(packed[2], alone[2]):
+        assert (g is None) == (g_ref is None) == (not grad)
+        if grad:
+            np.testing.assert_allclose(g, g_ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("lengths", PACKINGS)
+def test_conv1d_depthwise_packed_equals_each_sequence_alone(lengths):
+    rng = np.random.default_rng(31)
+    L = sum(lengths)
+    arrays = (rng.standard_normal((L, 5)), rng.standard_normal((4, 5)),
+              rng.standard_normal(5))
+    packed, alone = _packed_and_alone(dc.conv1d_depthwise, arrays, lengths, {0},
+                                      rng.standard_normal((L, 5)), True)
+    np.testing.assert_allclose(packed[0], alone[0], rtol=1e-12, atol=1e-14)
+    # the carry continues the last sequence, zero-padded when it is short
+    assert np.array_equal(packed[1], alone[1])
+    for g, g_ref in zip(packed[2], alone[2]):
+        np.testing.assert_allclose(g, g_ref, rtol=1e-10)
+
+
+def test_one_sequence_as_starts_is_bit_identical_to_none():
+    rng = np.random.default_rng(32)
+    scan_args = _scan_inputs(rng, L=20, E=4, N=3)
+    conv_args = (rng.standard_normal((20, 4)), rng.standard_normal((4, 4)),
+                 rng.standard_normal(4))
+    for prim, arrays in ((dc.selective_scan, scan_args), (dc.conv1d_depthwise, conv_args)):
+        for grad in (False, True):
+            outs = [prim(*(t64(a, requires_grad=grad) for a in arrays), starts=starts)
+                    for starts in (None, [0])]
+            assert np.array_equal(outs[0][0].data, outs[1][0].data)
+            assert np.array_equal(outs[0][1].data, outs[1][1].data)
+
+
+def test_grad_check_through_interior_starts():
+    rng = np.random.default_rng(33)
+    starts = [0, 2, 3]
+    scan_args = _scan_inputs(rng, L=6, E=3, N=2)
+    readout = rng.standard_normal((6, 3))
+    for i in range(8):
+        def scan_loss(x, i=i):
+            args = [t64(a) for a in scan_args]
+            args[i] = x
+            y, _ = dc.selective_scan(*args, starts=starts)
+            return dc.mean_pool(dc.mul(y, t64(readout)))
+        _check(scan_loss, scan_args[i])
+    conv_args = (rng.standard_normal((6, 3)), rng.standard_normal((3, 3)),
+                 rng.standard_normal(3))
+    for i in range(3):
+        def conv_loss(x, i=i):
+            args = [t64(a) for a in conv_args]
+            args[i] = x
+            y, _ = dc.conv1d_depthwise(*args, starts=starts)
+            return dc.mean_pool(dc.mul(y, t64(readout)))
+        _check(conv_loss, conv_args[i])
+
+
+def test_packed_sequences_do_not_leak():
+    """Changing the first sequence's inputs changes no output row, and no
+    gradient row, of the second."""
+    rng = np.random.default_rng(34)
+    starts, L = [0, 7], 12
+    scan_args = list(_scan_inputs(rng, L=L, E=4, N=3))
+    conv_args = [rng.standard_normal((L, 4)), rng.standard_normal((4, 4)),
+                 rng.standard_normal(4)]
+    readout = t64(rng.standard_normal((L, 4)))
+    for prim, arrays, seq_rows in ((dc.selective_scan, scan_args, (0, 1, 3, 4, 6)),
+                                   (dc.conv1d_depthwise, conv_args, (0,))):
+        runs = []
+        for perturb in (False, True):
+            inputs = [a.copy() for a in arrays]
+            if perturb:
+                for i in seq_rows:
+                    inputs[i][:7] += rng.standard_normal(inputs[i][:7].shape)
+            leaves = [t64(a, requires_grad=i in seq_rows) for i, a in enumerate(inputs)]
+            y, _ = prim(*leaves, starts=starts)
+            dc.backward(dc.mean_pool(dc.mul(y, readout)))
+            runs.append((y.data, [leaves[i].grad for i in seq_rows]))
+        (y, grads), (y_pert, grads_pert) = runs
+        assert not np.array_equal(y[:7], y_pert[:7])
+        assert np.array_equal(y[7:], y_pert[7:])
+        for g, g_pert in zip(grads, grads_pert):
+            assert np.array_equal(g[7:], g_pert[7:])
+
+
+def test_bad_starts_raise_shape_error():
+    rng = np.random.default_rng(35)
+    scan_args = [t64(a) for a in _scan_inputs(rng, L=6, E=3, N=2)]
+    conv_args = (t64(rng.standard_normal((6, 3))), t64(rng.standard_normal((3, 3))),
+                 t64(rng.standard_normal(3)))
+    bad = ([2, 0, 4],                     # unsorted
+           [0, 3, 3],                     # repeated
+           [1, 3],                        # not from 0
+           [0, 6],                        # past the last row
+           [0, -1],
+           [],
+           [[0, 2]],
+           [0.0, 2.0])                    # not integers
+    for starts in bad:
+        with pytest.raises(dc.ShapeError, match="starts"):
+            dc.selective_scan(*scan_args, starts=starts)
+        with pytest.raises(dc.ShapeError, match="starts"):
+            dc.conv1d_depthwise(*conv_args, starts=starts)
+    with pytest.raises(dc.ShapeError, match="starts and h0"):
+        dc.selective_scan(*scan_args, h0=np.zeros((3, 2)), starts=[0, 3])
+    with pytest.raises(dc.ShapeError, match="starts and ctx"):
+        dc.conv1d_depthwise(*conv_args, np.zeros((2, 3)), starts=[0, 3])
+
+
 def test_gather_rows_accumulates_repeated_ids():
     table = t64(RNG.standard_normal((4, 3)), requires_grad=True)
     out = dc.gather_rows(table, [1, 3, 1, 1])

@@ -98,9 +98,18 @@ def test_manip_stage_forward_builds_no_tape():
         assert t._backward_fn is None and t._parents == () and not t.requires_grad
 
 
+def _sample_loss(model, tok, row):
+    """One row's align/cotrain loss on its own graph: the per-sample
+    composition that the packed batch loss must match."""
+    inputs, targets, ignore = trainer._encode_pair(tok, row["prompt"], row["answer"])
+    out = vispipe.multimodal_forward(model.encoder, model.projector, model.lm,
+                                     np.asarray(row["image"]), inputs)
+    return trainer.cross_entropy_loss(out.text_logits, targets, ignore)
+
+
 def _all_grads(model, tok, rows):
     dc.backward(dc.mean_pool(dc.concat(
-        [trainer._stage1_sample_loss(model, tok, row) for row in rows], axis=0)))
+        [_sample_loss(model, tok, row) for row in rows], axis=0)))
     return {name: p.grad for name, p in model.named_params()}
 
 
@@ -123,6 +132,61 @@ def test_stage_gradients_equal_those_of_a_full_tape(stage):
             assert np.array_equal(staged[name], reference[name]), name
         else:
             assert staged[name] is None, name
+
+
+# ---------------------------------------------------------------------------
+# packed align/cotrain batches
+
+
+@pytest.mark.parametrize("stage", ["align", "cotrain"])
+def test_packed_batch_matches_per_sample_composition(stage):
+    """In float64 the packed batch's loss and every parameter's gradient
+    equal those of the per-sample composition (each row its own graph, the
+    mean of the row losses) to rtol 1e-10."""
+    tok = tokenizer()
+    rows = (ds.make_caption_samples(3, seed=5) if stage == "align"
+            else ds.make_instruct_samples(3, seed=5))
+    assert len({len(tok.encode(r["prompt"] + " " + r["answer"])) for r in rows}) > 1
+    results = []
+    for packed in (True, False):
+        model = trainer.VlaModel(tiny_cfg(), seed=6, dtype=np.float64)
+        trainer.set_stage(model, stage)
+        for _, p in model.named_params():
+            p.requires_grad = True        # every gradient, not only the stage's
+        loss = (trainer._stage1_batch_loss(model, tok, rows) if packed
+                else dc.mean_pool(dc.concat([_sample_loss(model, tok, row)
+                                             for row in rows], axis=0)))
+        dc.backward(loss)
+        results.append((loss.item(), {name: p.grad for name, p in model.named_params()}))
+    (loss, grads), (loss_ref, grads_ref) = results
+    assert loss == pytest.approx(loss_ref, rel=1e-10)
+    for name, ref in grads_ref.items():
+        if name.startswith("head."):      # the pose head is not on this graph
+            assert grads[name] is None and ref is None, name
+        else:
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-10, err_msg=name)
+
+
+def test_packed_align_step_builds_122_nodes(monkeypatch):
+    """A default-config 4-row align step is one graph: per row the patch
+    encoder (3 nodes), the projector (5) and the embedding gather, then one
+    concat, 6 blocks of 13, the final norm, one gather of the text rows,
+    the vocabulary head and the 4-node loss."""
+    cfg = ModelConfig()
+    model = trainer.set_stage(trainer.VlaModel(cfg, seed=0), "align")
+    tok = WordTokenizer.build(ds.corpus_texts(), max_vocab=cfg.vocab_size)
+    rows = ds.make_caption_samples(4, seed=3)
+    kinds = []
+    make_node = dc._make_node
+
+    def spy(kind, *args):
+        kinds.append(kind)
+        return make_node(kind, *args)
+
+    monkeypatch.setattr(dc, "_make_node", spy)
+    trainer._stage1_batch_loss(model, tok, rows)
+    assert len(kinds) == 4 * 9 + 1 + 13 * 6 + 1 + 1 + 1 + 4 == 122, kinds
+    assert kinds.count("selective-scan") == cfg.n_blocks
 
 
 def test_unstaged_forward_holds_a_tenth_of_the_taped_one():
@@ -189,6 +253,34 @@ def test_masked_positions_have_zero_gradient():
     expect = p0.copy()
     expect[1] -= 1.0
     assert np.allclose(g[0], expect / 2, atol=1e-12)
+
+
+def test_cross_entropy_starts_average_the_samples_masked_means():
+    """With starts the loss is the mean over samples of each sample's masked
+    mean, whatever their lengths and masks."""
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((7, 6))
+    targets = [0, 2, 4, 1, 3, 5, 0]
+    ignore = np.array([True, False, False, False, True, False, True])
+    logits = dc.tensor(raw, dtype=np.float64)
+    packed = trainer.cross_entropy_loss(logits, targets, ignore, starts=[0, 2, 5])
+    alone = [trainer.cross_entropy_loss(dc.tensor(raw[a:b], dtype=np.float64),
+                                        targets[a:b], ignore[a:b]).item()
+             for a, b in ((0, 2), (2, 5), (5, 7))]
+    assert packed.item() == pytest.approx(np.mean(alone), rel=1e-14)
+    err = dc.grad_check(lambda t: trainer.cross_entropy_loss(
+        t, targets, ignore, starts=[0, 2, 5]), logits)
+    assert err <= 1e-6
+
+
+def test_cross_entropy_rejects_bad_starts_and_masked_samples():
+    logits = dc.tensor(np.zeros((4, 3)), dtype=np.float64)
+    for starts in ([1, 2], [0, 2, 2], [0, 4], [2, 0], []):
+        with pytest.raises(ValueError, match="starts"):
+            trainer.cross_entropy_loss(logits, [0, 1, 2, 0], starts=starts)
+    with pytest.raises(ValueError, match="masked"):
+        trainer.cross_entropy_loss(logits, [0, 1, 2, 0], [False, False, True, True],
+                                   starts=[0, 2])
 
 
 def test_cross_entropy_gradient_check():
@@ -346,7 +438,7 @@ def test_run_stage_gradient_is_this_steps_alone():
                if model.is_trainable(name))
 
     loss = dc.mean_pool(dc.concat(
-        [trainer._stage1_sample_loss(model, tok, row)], axis=0))
+        [_sample_loss(model, tok, row)], axis=0))
     dc.backward(loss)
     for name, p in model.named_params():
         if p.grad is None:
@@ -531,6 +623,39 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     orig = dict(model.named_params())
     for name, p in back.named_params():
         assert np.array_equal(p.data, orig[name].data), name
+
+
+@pytest.mark.parametrize("variant", ["mlp1", "ssm-mlp"])
+def test_checkpoint_roundtrip_other_head_variants(tmp_path, variant):
+    model = tiny_model(seed=8, head_variant=variant)
+    path = str(tmp_path / "model.rmck")
+    trainer.save_checkpoint(model, path)
+    back = trainer.load_checkpoint(path)
+    orig = dict(model.named_params())
+    assert [name for name, _ in back.named_params()] == list(orig)
+    for name, p in back.named_params():
+        assert p.data.dtype == np.float32 and np.array_equal(p.data, orig[name].data), name
+
+
+def test_rmck_bytes_follow_the_layout(tmp_path):
+    """The writer's bytes are exactly the documented layout, for a float64
+    matrix stored as f32, a vector and an empty tensor."""
+    tensors = {"w": np.arange(6, dtype=np.float64).reshape(2, 3),
+               "v": np.array([2.5, -1.0], np.float32),
+               "e": np.zeros((0, 4), np.float32)}
+    config = {"b": 1, "a": [2]}
+    path = str(tmp_path / "t.rmck")
+    fileio.write_rmck(path, tensors, config)
+    expect = b"RMCK" + struct.pack("<II", 1, 3)
+    for name, arr in tensors.items():
+        expect += struct.pack("<I", len(name)) + name.encode()
+        expect += struct.pack("<BB", 0, arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+        expect += arr.astype("<f4").tobytes()
+    blob = b'{"a": [2], "b": 1}'
+    expect += struct.pack("<Q", len(blob)) + blob
+    with open(path, "rb") as fh:
+        assert fh.read() == expect
+    assert os.listdir(tmp_path) == ["t.rmck"]      # no temp file left behind
 
 
 def test_checkpoint_refuses_float64_model(tmp_path):

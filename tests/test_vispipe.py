@@ -166,6 +166,74 @@ def test_composition_order_encode_project_concat_lm(monkeypatch):
     np.testing.assert_array_equal(calls[-1][1].data, visual_then_text)
 
 
+def _pair_rows(prompts, i, n_vis=16):
+    """Pair i's rows of the packed hidden states and of the text logits."""
+    text = np.cumsum([0] + [len(ids) for ids in prompts])
+    return (slice(text[i] + i * n_vis, text[i + 1] + (i + 1) * n_vis),
+            slice(text[i], text[i + 1]))
+
+
+def test_packed_pairs_equal_their_own_forwards():
+    _, enc, proj, lm = tiny_stack(dtype=np.float64)
+    images = [rand_image(seed=s) for s in (1, 2, 3)]
+    prompts = [[1, 5], [2, 7, 9, 3, 4], [6]]
+    out = vispipe.multimodal_forward_packed(enc, proj, lm, images, prompts)
+    assert out.hidden.shape == (3 * 16 + 8, 16) and out.n_visual == 16
+    for i, (image, ids) in enumerate(zip(images, prompts)):
+        alone = vispipe.multimodal_forward(enc, proj, lm, image, ids)
+        rows, text = _pair_rows(prompts, i)
+        np.testing.assert_allclose(out.hidden.data[rows], alone.hidden.data, rtol=1e-12)
+        np.testing.assert_allclose(out.text_logits.data[text], alone.text_logits.data,
+                                   rtol=1e-12)
+    # the carry continues the last pair
+    for packed_blk, alone_blk in zip(out.state.blocks, alone.state.blocks):
+        np.testing.assert_allclose(packed_blk.h.data, alone_blk.h.data, rtol=1e-12)
+        np.testing.assert_allclose(packed_blk.conv_ctx.data, alone_blk.conv_ctx.data,
+                                   rtol=1e-12)
+
+
+def test_packed_pairs_do_not_leak():
+    """A different image and prompt in the first pair change no row of the
+    pairs after it."""
+    _, enc, proj, lm = tiny_stack()
+    prompts = [[1, 5, 9], [2, 7, 3, 4], [6, 8]]
+    outs = [vispipe.multimodal_forward_packed(
+        enc, proj, lm, [rand_image(seed=first), rand_image(seed=2), rand_image(seed=3)],
+        [[first, 5, 9]] + prompts[1:]) for first in (1, 4)]
+    rows, text = _pair_rows(prompts, 0)
+    assert not np.array_equal(outs[0].hidden.data[rows], outs[1].hidden.data[rows])
+    after, text_after = slice(rows.stop, None), slice(text.stop, None)
+    assert np.array_equal(outs[0].hidden.data[after], outs[1].hidden.data[after])
+    assert np.array_equal(outs[0].text_logits.data[text_after],
+                          outs[1].text_logits.data[text_after])
+
+
+def test_multimodal_forward_node_count(monkeypatch):
+    """One pair is the single-sequence graph: encoder (3 nodes), projector
+    (5), embedding gather, concat, 13 per block, final norm, the text-row
+    gather and the vocabulary head."""
+    _, enc, proj, lm = tiny_stack()
+    kinds = []
+    make_node = dc._make_node
+
+    def spy(kind, *args):
+        kinds.append(kind)
+        return make_node(kind, *args)
+
+    monkeypatch.setattr(dc, "_make_node", spy)
+    vispipe.multimodal_forward(enc, proj, lm, rand_image(), [1, 5, 9])
+    assert len(kinds) == 3 + 5 + 1 + 1 + 13 * 2 + 1 + 1 + 1
+
+
+def test_packed_forward_needs_one_prompt_per_image():
+    _, enc, proj, lm = tiny_stack()
+    for images, prompts in (([], []), ([rand_image()], [[1], [2]])):
+        with pytest.raises(ValueError, match="as many images as prompts"):
+            vispipe.multimodal_forward_packed(enc, proj, lm, images, prompts)
+    with pytest.raises(ValueError, match="at least one token"):
+        vispipe.multimodal_forward_packed(enc, proj, lm, [rand_image()] * 2, [[1], []])
+
+
 def test_different_images_change_text_logits():
     _, enc, proj, lm = tiny_stack()
     a = vispipe.multimodal_forward(enc, proj, lm, rand_image(seed=1), [1, 5, 9])
