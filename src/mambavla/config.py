@@ -5,6 +5,7 @@ Every run is fully described by (ModelConfig, TrainConfig, SimConfig, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -44,6 +45,13 @@ class StageHyperparams:
     weight_decay: float
     epochs: int
 
+    def __post_init__(self):
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"StageHyperparams: {name} must be finite and >= 0, "
+                                 f"got {value}")
+
 
 @dataclass
 class TrainConfig:
@@ -61,6 +69,18 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 8
+
+    def __post_init__(self):
+        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+            raise ValueError(f"TrainConfig: batch_size must be an integer >= 1, "
+                             f"got {self.batch_size!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"TrainConfig: {name} must lie in [0, 1), got {value}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
+            raise ValueError(f"TrainConfig: adam_eps must be finite and > 0, "
+                             f"got {self.adam_eps}")
 
 
 @dataclass

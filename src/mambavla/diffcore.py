@@ -202,23 +202,21 @@ def _check_carry(kind: str, name: str, carry, shape: tuple[int, ...], dtype) -> 
     return arr
 
 
-def _check_starts(kind: str, starts, L: int, carry=None,
-                  carry_name: str = "") -> np.ndarray | None:
+def _check_starts(kind: str, starts, L: int) -> list[int]:
     """The first row of each sequence packed into L rows: a non-empty 1-D
-    integer sequence, strictly increasing from 0 and below L.  A packed call
-    starts every sequence from zero, so it takes no carry."""
+    integer sequence, strictly increasing from 0 and below L, returned as a
+    list.  None is one sequence, [0]."""
     if starts is None:
-        return None
-    if carry is not None:
-        raise ShapeError(f"{kind}: starts and {carry_name} are exclusive")
-    starts = np.asarray(starts)
-    if starts.ndim != 1 or starts.size == 0 or starts.dtype.kind not in "iu":
+        return [0]
+    arr = np.asarray(starts)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
         raise ShapeError(f"{kind}: starts must be a non-empty 1-D integer sequence, "
-                         f"got shape {starts.shape} of {starts.dtype}")
-    if starts[0] != 0 or starts[-1] >= L or (np.diff(starts) <= 0).any():
+                         f"got shape {arr.shape} of {arr.dtype}")
+    starts = arr.tolist()
+    if starts[0] != 0 or starts[-1] >= L or any(b <= a for a, b in zip(starts, starts[1:])):
         raise ShapeError(f"{kind}: starts must rise strictly from 0 and stay "
-                         f"below {L}, got {starts.tolist()}")
-    return starts.astype(np.intp)
+                         f"below {L}, got {starts}")
+    return starts
 
 
 def _carry(arr: np.ndarray) -> Tensor:
@@ -486,23 +484,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
                      ctx: Tensor | np.ndarray | None = None,
                      starts=None) -> tuple[Tensor, Tensor]:
-    """Causal depthwise 1-D convolution plus a bias, through SiLU.
+    """Causal depthwise 1-D convolution plus a bias, through SiLU, over the
+    sequences packed into x.
 
     x: [L, D], kernel: [w, D], bias: [D], ctx: [w-1, D] inputs that precede
-    x (zeros when None).  With xp = [ctx || x],
+    x (zeros when None); starts: the first row of each sequence, strictly
+    increasing from 0 (see `selective_scan`; None is one sequence).  With
+    xp = [ctx || x],
 
         y[t, d] = silu(sum_i kernel[i, d] xp[t + i, d] + bias[d])
 
-    so y[t] never sees x[>t].  Returns (y [L, D], ctx_final [w-1, D]): the
-    last w-1 rows of xp, the context of the next call.  Like
-    selective_scan's h0, ctx gets no gradient, and ctx_final is a marked
-    no-grad carry.
-
-    starts packs several sequences into x: strictly increasing rows that
-    begin at 0, each the first row of a sequence (see `selective_scan`).
-    Each sequence gets its own w-1 zero rows of context, so no row sees an
-    input from before its own start, and ctx_final continues the last
-    sequence.  starts and ctx are exclusive.
+    where a tap that reaches back across a later start reads zero: ctx is the
+    first sequence's context, each later sequence starts from w-1 zero rows,
+    and y[t] never sees a later row nor another sequence.  Returns (y [L, D],
+    ctx_final [w-1, D]): the last w-1 rows of xp, zero before the last start,
+    the context that continues the last sequence.  Like selective_scan's h0,
+    ctx gets no gradient, and ctx_final is a marked no-grad carry.
     """
     kind = "conv1d-depthwise"
     inputs = (x, kernel, bias)
@@ -517,25 +514,22 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
         raise ShapeError(f"{kind}: channel mismatch {D} vs {Dk}")
     if bias.shape != (D,):
         raise ShapeError(f"{kind}: bias must have shape {(D,)}, got {bias.shape}")
-    starts = _check_starts(kind, starts, L, ctx, "ctx")
-    if starts is None:
-        ctx = (np.zeros((w - 1, D), dtype) if ctx is None
-               else _check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
-        xp = np.concatenate([ctx, x.data], axis=0)      # [L+w-1, D]
-        rows = None
-    else:
-        # w-1 zero rows before each sequence; the conv then runs over the
-        # whole padded array, and rows picks each x row's output, whose
-        # inputs all lie in that row's own sequence
-        xp = np.insert(x.data, np.repeat(starts, w - 1), 0.0, axis=0)
-        rows = np.arange(L) + (w - 1) * np.repeat(np.arange(len(starts)),
-                                                  np.diff(starts, append=L))
-    n = xp.shape[0] - (w - 1)                           # L, plus the padding
-    pre = np.zeros((n, D), dtype)                       # conv + bias, pre-SiLU
+    later = _check_starts(kind, starts, L)[1:]
+    ctx = (np.zeros((w - 1, D), dtype) if ctx is None
+           else _check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
+    xp = np.concatenate([ctx, x.data], axis=0)          # [L+w-1, D]
+
+    def own(taps: np.ndarray, i: int) -> np.ndarray:
+        # tap i's rows [L, D], row t read at xp[t + i]: zero those that reach
+        # back across a later start, which then sum exactly as over w-1 zero
+        # rows of padding (adding a zero leaves every sum's bits alone)
+        for s in later:
+            taps[s:s + w - 1 - i] = 0.0
+        return taps
+
+    pre = np.zeros((L, D), dtype)                       # conv + bias, pre-SiLU
     for i in range(w):
-        pre += kernel.data[i] * xp[i:i + n]
-    if rows is not None:
-        pre = pre[rows]
+        pre += own(kernel.data[i] * xp[i:i + L], i)
     pre += bias.data
     sig = _sigmoid(pre)
     out_data = pre * sig
@@ -544,20 +538,20 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
         g = g * (sig * (1.0 + pre * (1.0 - sig)))       # through the SiLU
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=0))
-        if rows is not None:
-            g_rows, g = g, np.zeros((n, D), dtype)
-            g[rows] = g_rows
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for i in range(w):
-                gxp[i:i + n] += kernel.data[i] * g
-            _accumulate(x, gxp[w - 1:] if rows is None else gxp[rows + (w - 1)])
+                gxp[i:i + L] += own(kernel.data[i] * g, i)
+            _accumulate(x, gxp[w - 1:])
         if kernel.requires_grad:
-            gk = np.stack([(xp[i:i + n] * g).sum(axis=0) for i in range(w)])
+            gk = np.stack([own(xp[i:i + L] * g, i).sum(axis=0) for i in range(w)])
             _accumulate(kernel, gk)
 
-    # the copy owns its rows, so the carry does not pin the padded join
-    return _make_node(kind, out_data, inputs, backward_fn), _carry(xp[n:].copy())
+    # the copy owns its rows, so the carry does not pin the join
+    ctx_final = xp[L:].copy()
+    for s in later:                                     # rows before the last start
+        ctx_final[:max(0, s + w - 1 - L)] = 0.0
+    return _make_node(kind, out_data, inputs, backward_fn), _carry(ctx_final)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -682,12 +676,12 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
                    D: Tensor, z: Tensor, dt_bias: Tensor,
                    h0: Tensor | np.ndarray | None = None,
                    starts=None) -> tuple[Tensor, Tensor]:
-    """Selective SSM over one sequence, or several packed ones: the step
-    size's bias and softplus, ZOH discretization, scan, readout, the skip
-    term D u and the gate silu(z).
+    """Selective SSM over the sequences packed into L rows: the step size's
+    bias and softplus, ZOH discretization, scan, readout, the skip term D u
+    and the gate silu(z).
 
     u, dt, z: [L, E]; A_log: [E, N]; B, C: [L, N]; D, dt_bias: [E]; h0:
-    [E, N] carried state (zeros when None).  With A = -exp(A_log),
+    [E, N], the state before row 0 (zeros when None).  With A = -exp(A_log),
     1/A = -exp(-A_log) and delta = softplus(dt + dt_bias), computed as
     max(x, 0) + log1p(exp(-|x|)), which cannot overflow:
 
@@ -699,13 +693,13 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
     Tensor for the generation carry.  A and 1/A come from `_derived_A`.
 
     Packing: starts, the first row of each sequence (strictly increasing
-    from 0, below L), is the seq_idx of Mamba-2's kernels (Dao & Gu 2024,
-    arXiv 2405.21060).  At each start the carried state is zero: the forward
+    from 0, below L; None is one sequence), is the seq_idx of Mamba-2's
+    kernels (Dao & Gu 2024, arXiv 2405.21060).  h0 belongs to the first
+    sequence.  At each later start the carried state is zero: the forward
     skips the decay term Abar_t h_{t-1}, and the backward stops the adjoint
     carry and the dh_t h_{t-1} term there, so no sequence sees another
-    (Krell et al. 2021, arXiv 2107.02027).  h_final is the last sequence's.
-    starts and h0 are exclusive; with neither, the one sequence starts from
-    zeros.
+    (Krell et al. 2021, arXiv 2107.02027).  h_final continues the last
+    sequence.
 
     Layout: the kernel works on the transposed state h^T [N, E], so every
     [., N, E] broadcast runs numpy's inner loop over the E contiguous
@@ -732,15 +726,10 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
         raise ShapeError(f"{kind}: expects u, dt, z [L, E], A_log [E, N], B, C [L, N], "
                          f"D, dt_bias [E] with L >= 1; got {[t.shape for t in inputs]}")
     _check_finite_inputs(kind, inputs)
-    starts = _check_starts(kind, starts, L, h0, "h0")
+    # the rows h_{t-1} does not reach (row 0's h_{t-1} is h0 or zeros)
+    resets = set(_check_starts(kind, starts, L)[1:])
     if h0 is not None:
         h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
-    # reset[t]: h_{t-1} does not reach h_t (row 0 needs no entry: its h is
-    # h0 or zeros)
-    reset = None
-    if starts is not None:
-        reset = np.zeros(L, dtype=bool)
-        reset[starts[1:]] = True
     grad = any(t.requires_grad for t in inputs)
     T = L if grad else min(L, SCAN_BLOCK)
     A, inv_A = _derived_A(kind, A_log)
@@ -776,7 +765,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
             np.multiply(cf, B.data[s:s + n, :, None], out=st)
             st *= u.data[s:s + n, None, :]
             for t in range(n):
-                if reset is None or not reset[s + t]:
+                if s + t not in resets:
                     st[t] += np.multiply(Ab[t], h, out=decay)
                 h = st[t]
             np.copyto(rw, st.transpose(0, 2, 1))
@@ -812,7 +801,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
         dh = C.data[:, :, None] * g[:, None, :]                     # dy_t C_t
         carry = np.empty((N, E), dtype)
         for t in range(L - 2, -1, -1):
-            if reset is None or not reset[t + 1]:
+            if t + 1 not in resets:
                 dh[t] += np.multiply(Abar[t + 1], dh[t + 1], out=carry)
         if need_u or need_B:
             # Bbar = coef B is not kept: dh coef serves both gradients
@@ -833,8 +822,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
             # so it takes dh_t h_{t-1}, with h_{t-1} a shifted view of states
             dz *= inv_A
             dh_h = np.multiply(dh[1:], states[:-1], out=dh[1:])
-            if reset is not None:
-                dh_h[reset[1:]] = 0.0                               # h_{t-1} is not h_t's
+            dh_h[[t - 1 for t in resets]] = 0.0                     # h_{t-1} is not h_t's
             dz[1:] += dh_h
             if h0 is not None:
                 dz[0] += np.multiply(dh[0], h0.T, out=dh[0])

@@ -58,7 +58,7 @@ def _take(buf: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:
 def write_rmck(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
     parts = [RMCK_MAGIC, struct.pack("<II", RMCK_VERSION, len(tensors))]
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.require(arr, "<f4", "C")    # ascontiguousarray would make a 0-d array 1-D
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
@@ -103,7 +103,10 @@ def read_rmck(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raw, off = _take(buf, off, 4 * n_elem, f"{name}: payload")
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        try:
+            arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except ValueError as err:       # a zero dim beside one numpy cannot size
+            raise FormatError(f"{name}: dims {dims} are too large: {err}") from err
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{name}: non-finite values in payload")
         tensors[name] = arr

@@ -21,10 +21,10 @@ the final norm one layer-norm.
 
 Generation carries a ScanState (per-block SSM state + conv context), so
 decoding one token costs O(1) in sequence length and reuses the exact same
-forward routine as training.  Training packs a batch into one sequence
-instead: the forward takes the first row of each packed sequence as
-`starts`, and the scan and the conv start each one from zeros, as Mamba-2's
-kernels do with seq_idx (Dao & Gu 2024, arXiv 2405.21060).
+forward routine as training.  Training packs a batch into one sequence: the
+forward takes each sequence's first row as `starts`, Mamba-2's seq_idx (Dao &
+Gu 2024, arXiv 2405.21060), and one sequence is starts = [0].  A carried
+state belongs to the first sequence; the state returned continues the last.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def selective_scan_tape(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tens
                         h0: Tensor | np.ndarray | None = None,
                         starts=None) -> tuple[Tensor, Tensor]:
     """Selective scan of one block on the tape: one `selective-scan` node,
-    with delta = softplus(dt + dt_bias) and the gate silu(z), over one
-    sequence or, with starts, packed ones.  Returns (y [L, E], final state
-    [E, N] as a no-grad Tensor for generation carry); see
+    with delta = softplus(dt + dt_bias) and the gate silu(z), over the
+    sequences packed at starts (None is one).  Returns (y [L, E], final
+    state [E, N] as a no-grad Tensor for generation carry); see
     `diffcore.selective_scan`."""
     return dc.selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0, starts)
 
@@ -186,9 +186,9 @@ class MambaBlock:
 
     def forward(self, x: Tensor, state: BlockState | None = None, starts=None
                 ) -> tuple[Tensor, BlockState]:
-        """x [L, d_model] -> (x + block(x), carry).  starts packs several
-        sequences into x, each scanned and convolved from zeros; it excludes
-        a carried state, and the carry returned continues the last one."""
+        """x [L, d_model] -> (x + block(x), carry) over the sequences that
+        begin at starts (None is one); state is the first one's carry, each
+        later one starts from zeros, and the carry returned continues the last."""
         E = self.cfg.d_inner
         xn = dc.layer_norm(x, self.ln_g, self.ln_b)
         proj = dc.matmul(xn, self.in_proj)                  # [L, 2E]
@@ -243,9 +243,8 @@ class LanguageModel:
         """Run blocks over pre-embedded inputs.
 
         Returns (hidden [L, d_model] post final norm, state); callers apply
-        `lm_head` to the rows they read.  starts, the first row of each
-        sequence packed into x, runs them as one graph with no state or
-        conv context crossing a start (see `MambaBlock.forward`).
+        `lm_head` to the rows they read.  starts and state are as in
+        `MambaBlock.forward`: no state or conv context crosses a start.
         """
         new_state = ScanState()
         for i, blk in enumerate(self.blocks):

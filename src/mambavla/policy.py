@@ -272,8 +272,7 @@ class PoseHead:
             x0 = dc.add(dc.matmul(pooled, self.w_down), self.b_down)
             # each row is its own length-1 sequence: the block's conv and
             # scan must not carry one sample into the next
-            mixed = dc.concat([self.block.forward(dc.tslice(x0, 0, i, i + 1))[0]
-                               for i in range(x0.shape[0])], axis=0)
+            mixed, _ = self.block.forward(x0, starts=np.arange(x0.shape[0]))
             pos_out = self._branch(mixed, self.w_pos1, self.b_pos1,
                                    self.w_pos2, self.b_pos2)
             r6 = self._branch(mixed, self.w_dir1, self.b_dir1,

@@ -473,7 +473,10 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
     seeds are seed+index, so results are independent of execution order.  A
     policy that raises a ValueError or an ArithmeticError (such as
     `diffcore.NonFiniteError`) on a sample, or emits an invalid pose, scores a
-    failure for that episode, not an exception.
+    failure for that episode, not an exception.  Only those two count as
+    failed episodes: any other exception propagates, and a policy that
+    returns something other than an EndEffectorPose is a programming error,
+    raised as TypeError naming the returned type.
     """
     if episodes < 1:
         raise ValueError("evaluate: episodes must be >= 1")
@@ -491,6 +494,9 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
                  "success": False, "dq": 0.0}
         try:
             pose = policy(obs)
+            if not isinstance(pose, EndEffectorPose):
+                raise TypeError(f"evaluate: policy returned {type(pose).__name__}, "
+                                f"not an EndEffectorPose")
             pose.validate()
             if pose.a_pos is None:
                 pose.a_pos = lift_to_3d(pose.contact_pixel, buf.depth, cam)

@@ -114,10 +114,10 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
 
     ignore_mask: optional boolean [L]; True positions are excluded (visual
     and prompt positions carry no supervision).  starts, the first row of
-    each sample packed into logits, checked as `diffcore.selective_scan`
-    checks its own, makes the loss the mean over samples of each sample's
-    masked mean, so a sample weighs the same however many positions it has;
-    every sample needs an unmasked position.
+    each sample packed into logits (None is one sample), checked as
+    `diffcore.selective_scan` checks its own, makes the loss the mean over
+    samples of each sample's masked mean, so a sample weighs the same however
+    many positions it has; every sample needs an unmasked position.
     """
     L, V = logits.data.shape
     targets = np.asarray(targets, dtype=np.int64)
@@ -129,7 +129,7 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
         else ~np.asarray(ignore_mask, dtype=bool)
     if keep.shape != (L,):
         raise ValueError("ignore_mask must have one entry per position")
-    starts = [0] if starts is None else dc._check_starts("cross-entropy", starts, L)
+    starts = dc._check_starts("cross-entropy", starts, L)
     # unmasked positions of each sample, spread back over its rows
     n_keep = np.add.reduceat(keep, starts, dtype=np.intp)
     if (n_keep == 0).any():

@@ -4,7 +4,7 @@ The composition order is fixed — encode -> project -> concat -> language
 model — and visual tokens always precede text tokens in the concatenation.
 Several (image, prompt) pairs pack into one sequence [v_1 || t_1 || v_2 ||
 t_2 || ...] that runs as one graph, with the scan state and conv context
-reset at each pair's start; one pair is the single-sequence case.
+reset at each pair's start; one pair runs the same path with one start.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from mambavla import diffcore as dc
 from mambavla.config import ModelConfig
-from mambavla.diffcore import ShapeError, Tensor
+from mambavla.diffcore import NonFiniteError, ShapeError, Tensor
 from mambavla.mamba import LanguageModel, ScanState, greedy_continue
 
 __all__ = [
@@ -47,7 +47,8 @@ class PatchEncoder:
         yield "pos", self.pos
 
     def encode(self, image: np.ndarray) -> Tensor:
-        """RGB image [H, W, 3] -> visual features [n_patches, d_vis]."""
+        """RGB image [H, W, 3] of floats in [0, 1] -> visual features
+        [n_patches, d_vis].  A bad image fails here, naming the image."""
         p = self.cfg.patch_size
         image = np.asarray(image)
         if image.ndim != 3 or image.shape[2] != 3:
@@ -61,6 +62,13 @@ class PatchEncoder:
         if side * side != self.cfg.n_patches:
             raise ShapeError(f"encode: image side {h} does not match configured "
                              f"size {self.cfg.image_size}")
+        if image.dtype.kind != "f":
+            raise ShapeError(f"encode: image must hold floats in [0, 1], got {image.dtype}")
+        if not np.isfinite(image).all():
+            raise NonFiniteError("encode: image contains non-finite values")
+        if image.min() < 0.0 or image.max() > 1.0:
+            raise ValueError(f"encode: image values must lie in [0, 1], got "
+                             f"[{image.min()}, {image.max()}]")
         patches = (image.reshape(side, p, side, p, 3)
                         .transpose(0, 2, 1, 3, 4)
                         .reshape(side * side, p * p * 3))
@@ -127,8 +135,8 @@ def multimodal_forward_packed(encoder: PatchEncoder, projector: MlpProjector,
     Each pair is its own sequence: the LM takes the pairs' first rows as
     `starts`, so no state or conv context crosses from one pair into the
     next, and each pair's rows equal those of its own forward up to
-    rounding.  With one pair there are no starts and the LM runs its
-    single-sequence path.  hidden and text_logits hold the pairs in order.
+    rounding.  One pair is the same path with starts [0].  hidden and
+    text_logits hold the pairs in order.
     """
     if len(images) != len(prompts) or len(images) == 0:
         raise ValueError(f"multimodal_forward: needs as many images as prompts, at "
@@ -144,8 +152,7 @@ def multimodal_forward_packed(encoder: PatchEncoder, projector: MlpProjector,
         starts.append(offset)
         text_rows.append(np.arange(offset + n_vis, offset + n_vis + len(ids)))
         offset += n_vis + len(ids)
-    hidden, state = lm.forward_embedded(dc.concat(pieces, axis=0), None,
-                                        starts if len(starts) > 1 else None)
+    hidden, state = lm.forward_embedded(dc.concat(pieces, axis=0), None, starts)
     text_logits = dc.matmul(dc.gather_rows(hidden, np.concatenate(text_rows)), lm.lm_head)
     return MultimodalOutput(hidden=hidden, text_logits=text_logits,
                             n_visual=n_vis, state=state)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssm_reference as ref
@@ -398,29 +398,39 @@ def _starts(lengths):
     return np.cumsum([0] + list(lengths[:-1]))
 
 
-def _packed_and_alone(prim, arrays, lengths, seq_rows, readout, grad):
+def _packed_and_alone(prim, arrays, lengths, seq_rows, readout, grad, carry=None):
     """prim over the packed rows with starts, and over each sequence alone
-    (its rows of every [L, .] input, shared inputs whole), each sequence's
-    loss the sum of its readout products.  Returns, for both, the outputs,
-    the final carry and the gradients (None without grad)."""
+    (its rows of every [L, .] input, shared inputs whole, the first sequence
+    from carry and the others from zeros), each sequence's loss the sum of
+    its readout products.  Returns, for both, the outputs, the final carry
+    and the gradients (None without grad)."""
     starts = _starts(lengths)
     leaves = [t64(a, requires_grad=grad) for a in arrays]
-    y, carry = prim(*leaves, starts=starts)
+    y, last = prim(*leaves, carry, starts=starts)
     if grad:
         dc.backward(dc.mean_pool(dc.mul(y, t64(readout))))
-    packed = (y.data, carry.data, [leaf.grad for leaf in leaves])
+    packed = (y.data, last.data, [leaf.grad for leaf in leaves])
     ys, losses, leaves = [], [], [t64(a, requires_grad=grad) for a in arrays]
-    for s, n in zip(starts, lengths):
+    for k, (s, n) in enumerate(zip(starts, lengths)):
         part = [dc.tslice(leaf, 0, s, s + n) if i in seq_rows else leaf
                 for i, leaf in enumerate(leaves)]
-        y_s, carry = prim(*part)
+        y_s, last = prim(*part, carry if k == 0 else None)
         ys.append(y_s)
         losses.append(dc.mul(y_s, t64(readout[s:s + n])))
     if grad:
         dc.backward(dc.mean_pool(dc.concat(losses, axis=0)))
-    alone = (np.concatenate([y_s.data for y_s in ys]), carry.data,
+    alone = (np.concatenate([y_s.data for y_s in ys]), last.data,
              [leaf.grad for leaf in leaves])
     return packed, alone
+
+
+def _assert_packed_equals_alone(packed, alone, grad):
+    for a, b in zip(packed[:2], alone[:2]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    for g, g_ref in zip(packed[2], alone[2]):
+        assert (g is None) == (g_ref is None) == (not grad)
+        if grad:
+            np.testing.assert_allclose(g, g_ref, rtol=1e-10)
 
 
 # 16 is the no-gradient scan's block: a start inside a block, on its edge,
@@ -436,12 +446,7 @@ def test_selective_scan_packed_equals_each_sequence_alone(lengths, grad):
     arrays = _scan_inputs(rng, L=L, E=5, N=3)
     packed, alone = _packed_and_alone(dc.selective_scan, arrays, lengths,
                                       {0, 1, 3, 4, 6}, rng.standard_normal((L, 5)), grad)
-    for a, b in zip(packed[:2], alone[:2]):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-    for g, g_ref in zip(packed[2], alone[2]):
-        assert (g is None) == (g_ref is None) == (not grad)
-        if grad:
-            np.testing.assert_allclose(g, g_ref, rtol=1e-10)
+    _assert_packed_equals_alone(packed, alone, grad)
 
 
 @pytest.mark.parametrize("lengths", PACKINGS)
@@ -541,10 +546,50 @@ def test_bad_starts_raise_shape_error():
             dc.selective_scan(*scan_args, starts=starts)
         with pytest.raises(dc.ShapeError, match="starts"):
             dc.conv1d_depthwise(*conv_args, starts=starts)
-    with pytest.raises(dc.ShapeError, match="starts and h0"):
-        dc.selective_scan(*scan_args, h0=np.zeros((3, 2)), starts=[0, 3])
-    with pytest.raises(dc.ShapeError, match="starts and ctx"):
-        dc.conv1d_depthwise(*conv_args, np.zeros((2, 3)), starts=[0, 3])
+
+
+# the packed primitives' sequence-typed inputs, with (E, N) = (4, 3)
+_PACKED_PRIMS = {
+    "scan": (dc.selective_scan, {0, 1, 3, 4, 6},
+             lambda rng, L: _scan_inputs(rng, L=L, E=4, N=3),
+             lambda rng: rng.standard_normal((4, 3))),
+    "conv": (dc.conv1d_depthwise, {0},
+             lambda rng, L: (rng.standard_normal((L, 4)), rng.standard_normal((4, 4)),
+                             rng.standard_normal(4)),
+             lambda rng: rng.standard_normal((3, 4))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PACKED_PRIMS))
+def test_packed_carry_belongs_to_the_first_sequence(kind):
+    # h0 / ctx is the state before row 0: the first sequence runs from it
+    # as if alone, every later one from zeros; the last is shorter than the
+    # conv's w - 1 = 3 rows of context, so its carry holds a zero row
+    prim, seq_rows, make_inputs, make_carry = _PACKED_PRIMS[kind]
+    rng = np.random.default_rng(36)
+    lengths = (5, 7, 2)
+    arrays = make_inputs(rng, sum(lengths))
+    packed, alone = _packed_and_alone(prim, arrays, lengths, seq_rows,
+                                      rng.standard_normal((sum(lengths), 4)), True,
+                                      carry=make_carry(rng))
+    _assert_packed_equals_alone(packed, alone, True)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@example(kind="conv", lengths=[4, 1], with_carry=False, grad=True, seed=0)
+@given(kind=st.sampled_from(sorted(_PACKED_PRIMS)),
+       lengths=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+       with_carry=st.booleans(), grad=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_random_packings_match_each_sequence_alone(kind, lengths, with_carry, grad, seed):
+    prim, seq_rows, make_inputs, make_carry = _PACKED_PRIMS[kind]
+    rng = np.random.default_rng(seed)
+    L = sum(lengths)
+    arrays = make_inputs(rng, L)
+    readout = rng.standard_normal((L, 4))
+    carry = make_carry(rng) if with_carry else None
+    packed, alone = _packed_and_alone(prim, arrays, lengths, seq_rows, readout,
+                                      grad, carry=carry)
+    _assert_packed_equals_alone(packed, alone, grad)
 
 
 def test_gather_rows_accumulates_repeated_ids():

@@ -498,6 +498,14 @@ def test_evaluate_non_finite_position_is_failure():
     assert all("a_pos" in e["error"] and not e["success"] for e in log)
 
 
+@pytest.mark.parametrize("returned", [None, (0.5, 0.5), np.eye(3)],
+                         ids=["None", "tuple", "ndarray"])
+def test_evaluate_non_pose_return_is_type_error(returned):
+    # a programming error, not a scored episode
+    with pytest.raises(TypeError, match=f"policy returned {type(returned).__name__}"):
+        sw.evaluate(lambda obs: returned, episodes=2, seed=0)
+
+
 def test_evaluate_zero_depth_contact_is_failure():
     def corner_policy(obs):
         return EndEffectorPose(a_dir=np.eye(3), contact_pixel=(0.015, 0.015))

@@ -6,10 +6,13 @@ import math
 import os
 import re
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mambavla import datasets as ds
 from mambavla import diffcore as dc
@@ -535,7 +538,7 @@ def test_manip_head_pixel_depends_on_input():
     assert _position_loss_on(model, rows, tok) < 0.5 * start
 
 
-def _manip_step_nodes(monkeypatch, batch_size):
+def _manip_step_nodes(monkeypatch, batch_size, head_variant="mlp2"):
     """Primitive nodes on the tape of each of two steps of a tiny manip run:
     a spy on dc.backward walks each loss graph before the sweep consumes it."""
     counts = []
@@ -555,18 +558,19 @@ def _manip_step_nodes(monkeypatch, batch_size):
     with monkeypatch.context() as patch:
         patch.setattr(dc, "backward", spy)
         trainer.run_stage(
-            tiny_model(seed=4), "manip", manip_rows(8), epochs=2,
+            tiny_model(seed=4, head_variant=head_variant), "manip", manip_rows(8), epochs=2,
             hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
             train_cfg=TrainConfig(batch_size=batch_size), tokenizer=tokenizer(),
             seed=0, steps_limit=2)
     return counts
 
 
-def test_manip_step_is_one_graph_at_any_batch_size(monkeypatch):
+@pytest.mark.parametrize("head_variant", ["mlp2", "mlp1", "ssm-mlp"])
+def test_manip_step_is_one_graph_at_any_batch_size(monkeypatch, head_variant):
     """The head and both losses run on the whole batch at once, so a step's
     tape does not grow with the batch."""
-    small = _manip_step_nodes(monkeypatch, 2)
-    large = _manip_step_nodes(monkeypatch, 8)
+    small = _manip_step_nodes(monkeypatch, 2, head_variant)
+    large = _manip_step_nodes(monkeypatch, 8, head_variant)
     assert len(small) == len(large) == 2
     assert small[0] == small[1] == large[0] == large[1] > 0, (small, large)
 
@@ -577,6 +581,34 @@ def test_optimizer_moments_only_for_trainable_parameters():
     state = trainer.init_optim(model)
     trainable = {name for name, _ in model.named_params() if model.is_trainable(name)}
     assert set(state.m) == set(state.v) == trainable
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(batch_size=0), "batch_size"),
+    (dict(batch_size=-3), "batch_size"),
+    (dict(batch_size=2.0), "batch_size"),
+    (dict(beta1=1.0), "beta1"),
+    (dict(beta1=-0.1), "beta1"),
+    (dict(beta2=float("nan")), "beta2"),
+    (dict(adam_eps=0.0), "adam_eps"),
+    (dict(adam_eps=float("inf")), "adam_eps"),
+], ids=lambda v: str(v))
+def test_train_config_rejects_bad_values(kw, field):
+    # batch_size=0 used to fail inside run_stage's loop as a range() error
+    with pytest.raises(ValueError, match=f"TrainConfig: {field}"):
+        TrainConfig(**kw)
+
+
+@pytest.mark.parametrize("lr, weight_decay, field", [
+    (-1e-3, 0.0, "lr"),
+    (float("nan"), 0.0, "lr"),
+    (float("inf"), 0.0, "lr"),
+    (1e-3, -0.1, "weight_decay"),
+    (1e-3, float("nan"), "weight_decay"),
+])
+def test_stage_hyperparams_reject_bad_values(lr, weight_decay, field):
+    with pytest.raises(ValueError, match=f"StageHyperparams: {field}"):
+        StageHyperparams(lr=lr, weight_decay=weight_decay, epochs=1)
 
 
 def test_run_stage_schema_mismatch():
@@ -656,6 +688,64 @@ def test_rmck_bytes_follow_the_layout(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == expect
     assert os.listdir(tmp_path) == ["t.rmck"]      # no temp file left behind
+
+
+_RMCK_NAMES = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shapes=st.dictionaries(_RMCK_NAMES, st.lists(st.integers(0, 3), max_size=4),
+                              max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_rmck_roundtrips_random_shapes(shapes, seed):
+    # 0-d tensors included: the writer must not promote them to rank 1
+    rng = np.random.default_rng(seed)
+    tensors = {name: rng.standard_normal(shape).astype(np.float32)
+               for name, shape in shapes.items()}
+    config = {"shapes": {name: list(shape) for name, shape in shapes.items()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.rmck")
+        fileio.write_rmck(path, tensors, config)
+        back, back_config = fileio.read_rmck(path)
+    assert back_config == config
+    assert list(back) == list(tensors)
+    for name, arr in tensors.items():
+        assert back[name].shape == arr.shape and back[name].dtype == np.float32
+        assert np.array_equal(back[name], arr), name
+
+
+def _valid_rmck_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.rmck")
+        fileio.write_rmck(path, {"s": np.float32(1.5), "m": np.ones((2, 3)),
+                                 "e": np.zeros((0, 2))}, {"stage": "", "n": [1, 2]})
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_RMCK_BYTES = _valid_rmck_bytes()
+# the top byte of the empty tensor's second dim: 0x20 there makes the dims
+# (0, 2^61 + 2), an empty payload that numpy cannot shape
+_HUGE_DIM_BYTE = _RMCK_BYTES.index(struct.pack("<BB2Q", 0, 2, 0, 2)) + 2 + 8 + 7
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(edits=[(_HUGE_DIM_BYTE, 0x20)], cut=len(_RMCK_BYTES))
+@given(edits=st.lists(st.tuples(st.integers(0, len(_RMCK_BYTES) - 1),
+                                st.integers(0, 255)), min_size=1, max_size=4),
+       cut=st.integers(0, len(_RMCK_BYTES)))
+def test_rmck_byte_mutations_raise_only_format_error(edits, cut):
+    raw = bytearray(_RMCK_BYTES)
+    for pos, value in edits:
+        raw[pos] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.rmck")
+        with open(path, "wb") as fh:
+            fh.write(raw[:cut])
+        try:
+            fileio.read_rmck(path)
+        except fileio.FormatError:
+            pass
 
 
 def test_checkpoint_refuses_float64_model(tmp_path):

@@ -80,6 +80,35 @@ def test_encode_rejects_bad_shapes():
         enc.encode(np.zeros((16, 16, 3)))       # divisible but wrong resolution
 
 
+def _grey_with(value, dtype=np.float64):
+    """A mid-grey image with one entry set to value."""
+    image = np.full((32, 32, 3), 0.5, dtype)
+    image[5, 9, 1] = value
+    return image
+
+
+@pytest.mark.parametrize("image, error, message", [
+    (np.full((32, 32, 3), 128, np.uint8), dc.ShapeError, "uint8"),
+    (np.full((32, 32, 3), True), dc.ShapeError, "bool"),
+    (_grey_with(np.nan), dc.NonFiniteError, "non-finite"),
+    (_grey_with(np.inf, np.float32), dc.NonFiniteError, "non-finite"),
+    (_grey_with(255.0), ValueError, r"\[0, 1\]"),
+    (_grey_with(-0.25, np.float32), ValueError, r"\[0, 1\]"),
+], ids=["uint8", "bool", "nan", "inf", "above_1", "below_0"])
+def test_encode_rejects_bad_images(image, error, message):
+    # the image is checked where it enters, so the error names the image and
+    # not the first primitive it would reach
+    _, enc, _, _ = tiny_stack()
+    with pytest.raises(error, match=f"encode: image.*{message}"):
+        enc.encode(image)
+
+
+def test_encode_accepts_the_range_edges():
+    _, enc, _, _ = tiny_stack()
+    for value in (0.0, 1.0):
+        enc.encode(np.full((32, 32, 3), value, np.float32))
+
+
 def test_encode_deterministic():
     _, enc, _, _ = tiny_stack()
     img = rand_image()
