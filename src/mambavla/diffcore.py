@@ -1,7 +1,7 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The primitive set is closed: every model operation in this package composes
-from the 17 kinds registered in `PRIMITIVES`.  Each primitive validates input
+from the 18 kinds registered in `PRIMITIVES`.  Each primitive validates input
 shapes/dtypes, rejects non-finite values, and registers a backward closure
 on the implicit tape (the parent links of the output tensor) when an input
 has `requires_grad`, the only gradient flag.  `backward` clears the `.grad`
@@ -21,9 +21,10 @@ writes into a parameter in place, like the optimizer, checks what it
 writes.
 
 Carried state follows the same rule.  The state a primitive returns for the
-next call (the scan's final state, the conv's trailing context) is a no-grad
-Tensor built from checked arrays and marked, so the next decode step does not
-rescan it; a plain array passed as a carry is checked at every use.
+next call (the scan's final state, the conv's trailing context, and both
+from `mamba_inner`) is a no-grad Tensor built from checked arrays and
+marked, so the next decode step does not rescan it; a plain array passed as
+a carry is checked at every use.
 
 Values derived from a parameter are cached on it the same way: the scan's
 A = -exp(A_log) and 1/A are kept on the A_log tensor while its `.data` is
@@ -66,7 +67,9 @@ __all__ = [
     "tslice",
     "gather_rows",
     "selective_scan",
+    "mamba_inner",
     "backward",
+    "tape_nodes",
     "grad_check",
 ]
 
@@ -481,6 +484,56 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make_node(kind, out_data, (x, gain, bias), backward_fn)
 
 
+def _own_taps(taps: np.ndarray, i: int, w: int, later: Sequence[int]) -> np.ndarray:
+    """Tap i's rows [L, D] of a width-w conv, row t read at xp[t + i]: zero
+    those that reach back across a later start, which then sum exactly as
+    over w-1 zero rows of padding (adding a zero leaves every sum's bits
+    alone)."""
+    for s in later:
+        taps[s:s + w - 1 - i] = 0.0
+    return taps
+
+
+def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, ctx: np.ndarray,
+                  later: Sequence[int]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The conv's numpy forward on checked arrays (see `conv1d_depthwise`):
+    returns (y [L, D], ctx_final [w-1, D], saved), saved being what
+    `_conv_backward` reads."""
+    L, D = x.shape
+    w = kernel.shape[0]
+    xp = np.concatenate([ctx, x], axis=0)               # [L+w-1, D]
+    pre = _own_taps(kernel[0] * xp[:L], 0, w, later)    # conv + bias, pre-SiLU
+    for i in range(1, w):
+        pre += _own_taps(kernel[i] * xp[i:i + L], i, w, later)
+    pre += bias
+    sig = _sigmoid(pre)
+    # the copy owns its rows, so the carry does not pin the join
+    ctx_final = xp[L:].copy()
+    for s in later:                                     # rows before the last start
+        ctx_final[:max(0, s + w - 1 - L)] = 0.0
+    return pre * sig, ctx_final, (xp, kernel, later, pre, sig)
+
+
+def _conv_backward(g: np.ndarray, saved: tuple, need_x: bool, need_kernel: bool,
+                   need_bias: bool) -> tuple:
+    """Gradients (x, kernel, bias) of the conv from dL/dy, None where not needed."""
+    xp, kernel, later, pre, sig = saved
+    L, w = g.shape[0], kernel.shape[0]
+    g = g * (sig * (1.0 + pre * (1.0 - sig)))           # through the SiLU
+    gx = gk = gb = None
+    if need_bias:
+        gb = g.sum(axis=0)
+    if need_x:
+        gxp = np.zeros_like(xp)
+        for i in range(w):
+            gxp[i:i + L] += _own_taps(kernel[i] * g, i, w, later)
+        gx = gxp[w - 1:]
+    if need_kernel:
+        gk = np.stack([_own_taps(xp[i:i + L] * g, i, w, later).sum(axis=0)
+                       for i in range(w)])
+    return gx, gk, gb
+
+
 def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
                      ctx: Tensor | np.ndarray | None = None,
                      starts=None) -> tuple[Tensor, Tensor]:
@@ -500,6 +553,10 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
     ctx_final [w-1, D]): the last w-1 rows of xp, zero before the last start,
     the context that continues the last sequence.  Like selective_scan's h0,
     ctx gets no gradient, and ctx_final is a marked no-grad carry.
+
+    The arithmetic lives in `_conv_forward` and `_conv_backward`, which
+    `mamba_inner` calls as well; this node is their standalone form, and
+    the conv node of the composition `mamba_inner` is checked against.
     """
     kind = "conv1d-depthwise"
     inputs = (x, kernel, bias)
@@ -517,40 +574,14 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
     later = _check_starts(kind, starts, L)[1:]
     ctx = (np.zeros((w - 1, D), dtype) if ctx is None
            else _check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
-    xp = np.concatenate([ctx, x.data], axis=0)          # [L+w-1, D]
-
-    def own(taps: np.ndarray, i: int) -> np.ndarray:
-        # tap i's rows [L, D], row t read at xp[t + i]: zero those that reach
-        # back across a later start, which then sum exactly as over w-1 zero
-        # rows of padding (adding a zero leaves every sum's bits alone)
-        for s in later:
-            taps[s:s + w - 1 - i] = 0.0
-        return taps
-
-    pre = np.zeros((L, D), dtype)                       # conv + bias, pre-SiLU
-    for i in range(w):
-        pre += own(kernel.data[i] * xp[i:i + L], i)
-    pre += bias.data
-    sig = _sigmoid(pre)
-    out_data = pre * sig
+    out_data, ctx_final, saved = _conv_forward(x.data, kernel.data, bias.data, ctx, later)
 
     def backward_fn(g: np.ndarray) -> None:
-        g = g * (sig * (1.0 + pre * (1.0 - sig)))       # through the SiLU
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(w):
-                gxp[i:i + L] += own(kernel.data[i] * g, i)
-            _accumulate(x, gxp[w - 1:])
-        if kernel.requires_grad:
-            gk = np.stack([own(xp[i:i + L] * g, i).sum(axis=0) for i in range(w)])
-            _accumulate(kernel, gk)
+        for t, grad in zip(inputs, _conv_backward(g, saved, *(t.requires_grad
+                                                              for t in inputs))):
+            if grad is not None:
+                _accumulate(t, grad)
 
-    # the copy owns its rows, so the carry does not pin the join
-    ctx_final = xp[L:].copy()
-    for s in later:                                     # rows before the last start
-        ctx_final[:max(0, s + w - 1 - L)] = 0.0
     return _make_node(kind, out_data, inputs, backward_fn), _carry(ctx_final)
 
 
@@ -672,6 +703,132 @@ def _derived_A(kind: str, A_log: Tensor) -> tuple[np.ndarray, np.ndarray]:
     return A, inv_A
 
 
+def _scan_forward(kind: str, u: np.ndarray, dt: np.ndarray, A: np.ndarray,
+                  inv_A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+                  z: np.ndarray, dt_bias: np.ndarray, h0: np.ndarray | None,
+                  resets: set[int], grad: bool) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """The scan's numpy forward on checked arrays (see `selective_scan`; A
+    and inv_A [N, E] from `_derived_A`, resets the rows whose h_{t-1} is
+    zero).  Returns (y [L, E], h_final [E, N] checked finite, saved), saved
+    being what `_scan_backward` reads, or None without grad, which runs in
+    blocks of SCAN_BLOCK steps and keeps no trajectory."""
+    L, E = u.shape
+    N = A.shape[0]
+    dtype = u.dtype
+    T = L if grad else min(L, SCAN_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # delta = max(x, 0) + log1p(exp(-|x|)) with x = dt + dt_bias, in place
+        x = dt + dt_bias
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"{kind}: dt + dt_bias overflows")
+        delta = np.abs(x)
+        np.negative(delta, out=delta)
+        np.exp(delta, out=delta)
+        np.log1p(delta, out=delta)
+        delta += np.maximum(x, 0.0)
+
+        Abar = np.empty((T, N, E), dtype)
+        coef = np.empty_like(Abar)                                  # (Abar - 1) / A
+        states = np.empty_like(Abar)                                # h_t^T
+        rows = np.empty((T, E, N), dtype)                           # h_t for the readout
+        decay = np.empty((N, E), dtype)
+        y = np.empty((L, E), dtype)
+        h = np.zeros((N, E), dtype) if h0 is None else h0.T
+        for s in range(0, L, T):
+            n = min(T, L - s)
+            Ab, cf, st, rw = Abar[:n], coef[:n], states[:n], rows[:n]
+            # the operation order is that of Abar = exp(delta A),
+            # Bbar = (Abar - 1) (1/A) B, and states[t] starts as the input
+            # term Bbar_t u_t, into which the loop adds the decayed carry
+            np.multiply(delta[s:s + n, None, :], A, out=Ab)
+            np.exp(Ab, out=Ab)
+            np.subtract(Ab, 1.0, out=cf)
+            cf *= inv_A
+            np.multiply(cf, B[s:s + n, :, None], out=st)
+            st *= u[s:s + n, None, :]
+            for t in range(n):
+                if s + t not in resets:
+                    st[t] += np.multiply(Ab[t], h, out=decay)
+                h = st[t]
+            np.copyto(rw, st.transpose(0, 2, 1))
+            # the next block overwrites states, so it reads its carry from
+            # the last copied-back row, through a transposed view
+            h = rw[-1].T
+            # y_t = C_t . h_t for every t at once: the same products as one per step
+            np.matmul(rw, C[s:s + n, :, None], out=y[s:s + n, :, None])
+        y += u * D
+    h_final = _check_finite_output(kind, h.T.copy())
+    sig = _sigmoid(z)
+    if not grad:
+        sig *= z                                                    # silu(z)
+        y *= sig
+        return y, h_final, None
+    silu_z = z * sig
+    saved = (u, x, delta, A, inv_A, B, C, D, z, h0, resets, Abar, coef, states, y, sig, silu_z)
+    return y * silu_z, h_final, saved
+
+
+def _scan_backward(g: np.ndarray, saved: tuple, need_u: bool, need_dt: bool,
+                   need_A_log: bool, need_B: bool, need_C: bool, need_D: bool,
+                   need_z: bool, need_dt_bias: bool) -> list:
+    """Gradients (u, dt, A_log, B, C, D, z, dt_bias) of the scan from dL/dy,
+    None where not needed: the reverse-time adjoint dh_t = dy_t C_t +
+    Abar_{t+1} dh_{t+1} once, everything else vectorised over [L, N, E]."""
+    (u, x, delta, A, inv_A, B, C, D, z, h0, resets, Abar, coef, states, y, sig,
+     silu_z) = saved
+    L = u.shape[0]
+    grads = [None] * 8
+    need_delta = need_dt or need_dt_bias
+    # reductions go through einsum: summing a short axis with .sum() is
+    # several times slower in numpy
+    if need_z:
+        grads[6] = g * y * (sig * (1.0 + z * (1.0 - sig)))
+    g = g * silu_z                                                  # d/dy before the gate
+    if need_C:
+        grads[4] = np.einsum("le,lne->ln", g, states)
+    if need_D:
+        grads[5] = (g * u).sum(axis=0)
+    if not (need_u or need_delta or need_A_log or need_B):
+        return grads
+    dh = C[:, :, None] * g[:, None, :]                              # dy_t C_t
+    carry = np.empty(dh.shape[1:], dh.dtype)
+    for t in range(L - 2, -1, -1):
+        if t + 1 not in resets:
+            dh[t] += np.multiply(Abar[t + 1], dh[t + 1], out=carry)
+    if need_u or need_B:
+        # Bbar = coef B is not kept: dh coef serves both gradients
+        dh_coef = dh * coef
+        if need_u:
+            grads[0] = np.einsum("lne,ln->le", dh_coef, B)
+            grads[0] += g * D
+        if need_B:
+            grads[3] = np.einsum("lne,le->ln", dh_coef, u)
+    if need_delta or need_A_log:
+        dz = dh * u[:, None, :]                                     # d/dBbar, then
+        dz *= B[:, :, None]                                         # d/dcoef
+        if need_A_log:
+            # d(1/A)/dA_log = -1/A, and (Abar - 1) / A is coef
+            dA_log = -np.einsum("lne,lne->ne", dz, coef)
+        # d/d(delta A) = (dh_t h_{t-1} + dcoef / A) Abar_t; dh is spent,
+        # so it takes dh_t h_{t-1}, with h_{t-1} a shifted view of states
+        dz *= inv_A
+        dh_h = np.multiply(dh[1:], states[:-1], out=dh[1:])
+        dh_h[[t - 1 for t in resets]] = 0.0                         # h_{t-1} is not h_t's
+        dz[1:] += dh_h
+        if h0 is not None:
+            dz[0] += np.multiply(dh[0], h0.T, out=dh[0])
+        dz *= Abar
+        if need_delta:
+            gx = np.einsum("lne,ne->le", dz, A)
+            gx *= _sigmoid(x)                                       # softplus' = sigmoid
+            grads[1] = gx if need_dt else None
+            grads[7] = gx.sum(axis=0) if need_dt_bias else None
+        if need_A_log:
+            dA_log += np.einsum("lne,le->ne", dz, delta) * A        # dA/dA_log = A
+            grads[2] = dA_log.T
+    return grads
+
+
 def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
                    D: Tensor, z: Tensor, dt_bias: Tensor,
                    h0: Tensor | np.ndarray | None = None,
@@ -713,6 +870,10 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
     gradient the block is the whole sequence, and the trajectory is kept for
     the backward, which runs the reverse-time adjoint dh_t = dy_t C_t +
     Abar_{t+1} dh_{t+1} once and everything else vectorised over [L, N, E].
+
+    The arithmetic lives in `_scan_forward` and `_scan_backward`, which
+    `mamba_inner` calls as well; this node is their standalone form, and
+    the scan node of the composition `mamba_inner` is checked against.
     """
     kind = "selective-scan"
     inputs = (u, dt, A_log, B, C, D, z, dt_bias)
@@ -730,115 +891,110 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
     resets = set(_check_starts(kind, starts, L)[1:])
     if h0 is not None:
         h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
-    grad = any(t.requires_grad for t in inputs)
-    T = L if grad else min(L, SCAN_BLOCK)
+    needs = [t.requires_grad for t in inputs]
     A, inv_A = _derived_A(kind, A_log)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        # delta = max(x, 0) + log1p(exp(-|x|)) with x = dt + dt_bias, in place
-        x = dt.data + dt_bias.data
-        if not np.isfinite(x).all():
-            raise NonFiniteError(f"{kind}: dt + dt_bias overflows")
-        delta = np.abs(x)
-        np.negative(delta, out=delta)
-        np.exp(delta, out=delta)
-        np.log1p(delta, out=delta)
-        delta += np.maximum(x, 0.0)
-
-        Abar = np.empty((T, N, E), dtype)
-        coef = np.empty_like(Abar)                                  # (Abar - 1) / A
-        states = np.empty_like(Abar)                                # h_t^T
-        rows = np.empty((T, E, N), dtype)                           # h_t for the readout
-        decay = np.empty((N, E), dtype)
-        y = np.empty((L, E), dtype)
-        h = np.zeros((N, E), dtype) if h0 is None else h0.T
-        for s in range(0, L, T):
-            n = min(T, L - s)
-            Ab, cf, st, rw = Abar[:n], coef[:n], states[:n], rows[:n]
-            # the operation order is that of Abar = exp(delta A),
-            # Bbar = (Abar - 1) (1/A) B, and states[t] starts as the input
-            # term Bbar_t u_t, into which the loop adds the decayed carry
-            np.multiply(delta[s:s + n, None, :], A, out=Ab)
-            np.exp(Ab, out=Ab)
-            np.subtract(Ab, 1.0, out=cf)
-            cf *= inv_A
-            np.multiply(cf, B.data[s:s + n, :, None], out=st)
-            st *= u.data[s:s + n, None, :]
-            for t in range(n):
-                if s + t not in resets:
-                    st[t] += np.multiply(Ab[t], h, out=decay)
-                h = st[t]
-            np.copyto(rw, st.transpose(0, 2, 1))
-            # the next block overwrites states, so it reads its carry from
-            # the last copied-back row, through a transposed view
-            h = rw[-1].T
-            # y_t = C_t . h_t for every t at once: the same products as one per step
-            np.matmul(rw, C.data[s:s + n, :, None], out=y[s:s + n, :, None])
-        y += u.data * D.data
-    h_final = _carry(_check_finite_output(kind, h.T.copy()))
-    sig = _sigmoid(z.data)
-    if not grad:
-        sig *= z.data                                               # silu(z)
-        y *= sig
-        return _make_node(kind, y, inputs, None), h_final
-    silu_z = z.data * sig
+    y, h_final, saved = _scan_forward(kind, u.data, dt.data, A, inv_A, B.data, C.data,
+                                      D.data, z.data, dt_bias.data, h0, resets, any(needs))
+    if saved is None:
+        return _make_node(kind, y, inputs, None), _carry(h_final)
 
     def backward_fn(g: np.ndarray) -> None:
-        # reductions go through einsum: summing a short axis with .sum() is
-        # several times slower in numpy
-        (need_u, need_dt, need_A_log, need_B, need_C, need_D, need_z,
-         need_dt_bias) = (t.requires_grad for t in inputs)
-        need_delta = need_dt or need_dt_bias
-        if need_z:
-            _accumulate(z, g * y * (sig * (1.0 + z.data * (1.0 - sig))))
-        g = g * silu_z                                              # d/dy before the gate
-        if need_C:
-            _accumulate(C, np.einsum("le,lne->ln", g, states))
-        if need_D:
-            _accumulate(D, (g * u.data).sum(axis=0))
-        if not (need_u or need_delta or need_A_log or need_B):
-            return
-        dh = C.data[:, :, None] * g[:, None, :]                     # dy_t C_t
-        carry = np.empty((N, E), dtype)
-        for t in range(L - 2, -1, -1):
-            if t + 1 not in resets:
-                dh[t] += np.multiply(Abar[t + 1], dh[t + 1], out=carry)
-        if need_u or need_B:
-            # Bbar = coef B is not kept: dh coef serves both gradients
-            dh_coef = dh * coef
-            if need_u:
-                du = np.einsum("lne,ln->le", dh_coef, B.data)
-                du += g * D.data
-                _accumulate(u, du)
-            if need_B:
-                _accumulate(B, np.einsum("lne,le->ln", dh_coef, u.data))
-        if need_delta or need_A_log:
-            dz = dh * u.data[:, None, :]                            # d/dBbar, then
-            dz *= B.data[:, :, None]                                # d/dcoef
-            if need_A_log:
-                # d(1/A)/dA_log = -1/A, and (Abar - 1) / A is coef
-                dA_log = -np.einsum("lne,lne->ne", dz, coef)
-            # d/d(delta A) = (dh_t h_{t-1} + dcoef / A) Abar_t; dh is spent,
-            # so it takes dh_t h_{t-1}, with h_{t-1} a shifted view of states
-            dz *= inv_A
-            dh_h = np.multiply(dh[1:], states[:-1], out=dh[1:])
-            dh_h[[t - 1 for t in resets]] = 0.0                     # h_{t-1} is not h_t's
-            dz[1:] += dh_h
-            if h0 is not None:
-                dz[0] += np.multiply(dh[0], h0.T, out=dh[0])
-            dz *= Abar
-            if need_delta:
-                gx = np.einsum("lne,ne->le", dz, A)
-                gx *= _sigmoid(x)                                   # softplus' = sigmoid
-                if need_dt:
-                    _accumulate(dt, gx)
-                if need_dt_bias:
-                    _accumulate(dt_bias, gx.sum(axis=0))
-            if need_A_log:
-                dA_log += np.einsum("lne,le->ne", dz, delta) * A    # dA/dA_log = A
-                _accumulate(A_log, dA_log.T)
+        for t, grad in zip(inputs, _scan_backward(g, saved, *needs)):
+            if grad is not None:
+                _accumulate(t, grad)
 
-    return _make_node(kind, y * silu_z, inputs, backward_fn), h_final
+    return _make_node(kind, y, inputs, backward_fn), _carry(h_final)
+
+
+def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
+                dt_proj: Tensor, dt_bias: Tensor, A_log: Tensor, D: Tensor,
+                out_proj: Tensor, h0: Tensor | np.ndarray | None = None,
+                ctx: Tensor | np.ndarray | None = None,
+                starts=None) -> tuple[Tensor, Tensor, Tensor]:
+    """A Mamba block after its in_proj as one node, the shape of Mamba's
+    mamba_inner_fn (Gu & Dao 2023, arXiv 2312.00752).
+
+    xz [L, 2E] is the in_proj output: the signal in columns [0, E), the gate
+    z in [E, 2E).  conv_w [w, E], conv_b, dt_bias, D [E], x_proj [E, R+2N],
+    dt_proj [R, E], A_log [E, N], out_proj [E, M]; h0 [E, N], ctx [w-1, E]
+    and starts are as in `selective_scan` and `conv1d_depthwise`.  It runs
+
+        u = conv1d_depthwise(xz[:, :E], conv_w, conv_b, ctx)
+        [dt_low | B | C] = u x_proj
+        y = selective_scan(u, dt_low dt_proj, A_log, B, C, D, z, dt_bias, h0)
+
+    through those primitives' kernels in their operation order, so a
+    float32 result is bit-identical to the 11 nodes it replaces, and
+    returns (y out_proj [L, M], h_final [E, N], ctx_final [w-1, E]).  It
+    checks what those nodes check: u, u x_proj, dt + dt_bias, y, the output
+    and both carries.  The backward writes the u and z gradients into column
+    windows of one [L, 2E] array.
+    """
+    kind = "mamba-inner"
+    inputs = (xz, conv_w, conv_b, x_proj, dt_proj, dt_bias, A_log, D, out_proj)
+    dtype = _common_dtype(kind, inputs)
+    shapes = [t.data.shape for t in inputs]
+    if any(len(shapes[i]) != 2 for i in (0, 1, 3, 4, 6, 8)):
+        raise ShapeError(f"{kind}: expects 2-D xz, conv_w, x_proj, dt_proj, A_log and "
+                         f"out_proj; got {shapes}")
+    (L, _), (w, _), (R, _), (E, N), (_, M) = (shapes[i] for i in (0, 1, 4, 6, 8))
+    if L == 0 or w == 0 or shapes != [(L, 2 * E), (w, E), (E,), (E, R + 2 * N), (R, E),
+                                      (E,), (E, N), (E,), (E, M)]:
+        raise ShapeError(f"{kind}: expects xz [L, 2E], conv_w [w, E], conv_b [E], "
+                         f"x_proj [E, R+2N], dt_proj [R, E], dt_bias [E], A_log [E, N], "
+                         f"D [E], out_proj [E, M] with L, w >= 1; got {shapes}")
+    _check_finite_inputs(kind, inputs)
+    later = _check_starts(kind, starts, L)[1:]
+    ctx = (np.zeros((w - 1, E), dtype) if ctx is None
+           else _check_carry(kind, "ctx", ctx, (w - 1, E), dtype))
+    if h0 is not None:
+        h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
+    needs = [t.requires_grad for t in inputs]
+    A, inv_A = _derived_A(kind, A_log)
+
+    # an overflow is caught by the check after it, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, ctx_final, conv_saved = _conv_forward(xz.data[:, :E], conv_w.data, conv_b.data,
+                                                 ctx, later)
+        _check_finite_output(kind, u)
+        sel = _check_finite_output(kind, u @ x_proj.data)            # [L, R+2N]
+        dt_low, B, C = sel[:, :R].copy(), sel[:, R:R + N].copy(), sel[:, R + N:].copy()
+        y, h_final, scan_saved = _scan_forward(kind, u, dt_low @ dt_proj.data, A, inv_A, B,
+                                               C, D.data, xz.data[:, E:], dt_bias.data, h0,
+                                               set(later), any(needs))
+        _check_finite_output(kind, y)
+        out_data = y @ out_proj.data
+
+    def backward_fn(g: np.ndarray) -> None:
+        need_xz, need_conv_w, need_conv_b, need_x_proj, need_dt_proj = needs[:5]
+        need_u = need_xz or need_conv_w or need_conv_b
+        need_sel = need_u or need_x_proj
+        grads = [None] * 9
+        if needs[8]:
+            grads[8] = y.T @ g
+        du, ddt, grads[6], dB, dC, grads[7], dz, grads[5] = _scan_backward(
+            g @ out_proj.data.T, scan_saved, need_u, need_sel or need_dt_proj, needs[6],
+            need_sel, need_sel, needs[7], need_xz, needs[5])
+        if need_dt_proj:
+            grads[4] = dt_low.T @ ddt
+        if need_sel:
+            dsel = np.concatenate([ddt @ dt_proj.data.T, dB, dC], axis=1)
+            if need_x_proj:
+                grads[3] = u.T @ dsel
+            if need_u:
+                du += dsel @ x_proj.data.T
+                gu, grads[1], grads[2] = _conv_backward(du, conv_saved, need_xz,
+                                                        need_conv_w, need_conv_b)
+                if need_xz:
+                    grads[0] = np.empty_like(xz.data)
+                    grads[0][:, :E] = gu
+                    grads[0][:, E:] = dz
+        for t, grad in zip(inputs, grads):
+            if grad is not None:
+                _accumulate(t, grad)
+
+    return (_make_node(kind, out_data, inputs, backward_fn), _carry(h_final),
+            _carry(ctx_final))
 
 
 PRIMITIVES: dict[str, Callable] = {
@@ -859,8 +1015,8 @@ PRIMITIVES: dict[str, Callable] = {
     "slice": tslice,
     "gather-rows": gather_rows,
     "selective-scan": selective_scan,
+    "mamba-inner": mamba_inner,
 }
-
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +1071,20 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
         node._backward_fn = None
     root._consumed = True
     return grads
+
+
+def tape_nodes(root: Tensor) -> int:
+    """Nodes on the tape behind root: the backward closures a `backward`
+    from it would run, found by walking the parent links, so call it before
+    that backward consumes them."""
+    seen, stack, nodes = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes += t._backward_fn is not None
+            stack.extend(t._parents)
+    return nodes
 
 
 def grad_check(function: Callable[[Tensor], Tensor], point: Tensor,

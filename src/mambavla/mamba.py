@@ -4,20 +4,18 @@ A block is: pre-norm -> in_proj -> split into (signal, gate); the signal
 passes a causal depthwise conv with its bias and SiLU, then a selective scan
 whose (B_t, C_t, dt_t) are projected pointwise from the post-conv
 activations; the scan output plus a learned skip D.u is gated by silu(gate)
-and projected back, with a residual connection.  The delta bias and softplus,
-discretization, scan, readout, the D.u skip and the gate are one diffcore
-`selective-scan` node: exact ZOH rewritten as Bbar = (Abar - 1) . B / A,
-exact because A = -exp(A_log) never crosses zero, then the recurrence, whose
-backward is one reverse-time adjoint sweep.  This is the interface of
-Mamba's fused kernels (Gu & Dao 2023, arXiv 2312.00752):
-selective_scan_fn(u, delta, A, B, C, D, z, delta_bias, delta_softplus) and
-causal_conv1d_fn(x, weight, bias, activation="silu").
+and projected back, with a residual connection.  The scan is exact ZOH
+rewritten as Bbar = (Abar - 1) . B / A, exact because A = -exp(A_log) never
+crosses zero, then the recurrence, whose backward is one reverse-time
+adjoint sweep.
 
-A block is 13 tape nodes at any length: layer-norm (with its gain and bias),
-in_proj matmul, 2 slices (signal, gate), conv1d-depthwise (with its bias and
-SiLU), x_proj matmul, 3 slices (dt, B, C), dt_proj matmul, selective-scan,
-out_proj matmul and the residual add.  Embedding is one gather-rows node, and
-the final norm one layer-norm.
+A block is 4 tape nodes at any length: layer-norm (with its gain and bias),
+the in_proj matmul, one diffcore `mamba-inner` node for everything after
+in_proj (the conv, x_proj, dt_proj, the scan with its delta bias and
+softplus, D.u skip and gate, and out_proj), and the residual add.  That node
+has the interface of Mamba's mamba_inner_fn (Gu & Dao 2023, arXiv
+2312.00752).  Embedding is one gather-rows node, and the final norm one
+layer-norm.
 
 Generation carries a ScanState (per-block SSM state + conv context), so
 decoding one token costs O(1) in sequence length and reuses the exact same
@@ -44,8 +42,6 @@ __all__ = [
     "LanguageModel",
     "BlockState",
     "ScanState",
-    "selective_scan_tape",
-    "generate_greedy",
     "greedy_continue",
 ]
 
@@ -105,22 +101,6 @@ class WordTokenizer:
 
 
 # ---------------------------------------------------------------------------
-# differentiable selective scan
-
-
-def selective_scan_tape(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
-                        D: Tensor, z: Tensor, dt_bias: Tensor,
-                        h0: Tensor | np.ndarray | None = None,
-                        starts=None) -> tuple[Tensor, Tensor]:
-    """Selective scan of one block on the tape: one `selective-scan` node,
-    with delta = softplus(dt + dt_bias) and the gate silu(z), over the
-    sequences packed at starts (None is one).  Returns (y [L, E], final
-    state [E, N] as a no-grad Tensor for generation carry); see
-    `diffcore.selective_scan`."""
-    return dc.selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0, starts)
-
-
-# ---------------------------------------------------------------------------
 # block
 
 
@@ -174,36 +154,17 @@ class MambaBlock:
         yield "D_skip", self.D_skip
         yield "out_proj", self.out_proj
 
-    def select_params(self, u: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Pointwise input-dependent parameters (B_t, C_t, dt_t) from u [L, E];
-        the scan takes delta_t = softplus(dt_t + dt_bias)."""
-        R, N = self.cfg.dt_rank, self.cfg.d_state
-        sel = dc.matmul(u, self.x_proj)                     # [L, R+2N]
-        dt_low = dc.tslice(sel, 1, 0, R)
-        B = dc.tslice(sel, 1, R, R + N)                     # [L, N]
-        C = dc.tslice(sel, 1, R + N, R + 2 * N)             # [L, N]
-        return B, C, dc.matmul(dt_low, self.dt_proj)        # dt [L, E]
-
     def forward(self, x: Tensor, state: BlockState | None = None, starts=None
                 ) -> tuple[Tensor, BlockState]:
         """x [L, d_model] -> (x + block(x), carry) over the sequences that
         begin at starts (None is one); state is the first one's carry, each
         later one starts from zeros, and the carry returned continues the last."""
-        E = self.cfg.d_inner
-        xn = dc.layer_norm(x, self.ln_g, self.ln_b)
-        proj = dc.matmul(xn, self.in_proj)                  # [L, 2E]
-        u_pre = dc.tslice(proj, 1, 0, E)
-        gate = dc.tslice(proj, 1, E, 2 * E)
-
-        u, conv_ctx = dc.conv1d_depthwise(u_pre, self.conv_w, self.conv_b,
-                                          None if state is None else state.conv_ctx,
-                                          starts)
-        B, C, dt = self.select_params(u)
-        y, h_final = selective_scan_tape(u, dt, self.A_log, B, C, self.D_skip, gate,
-                                         self.dt_bias, None if state is None else state.h,
-                                         starts)
-        out = dc.matmul(y, self.out_proj)
-        return dc.add(x, out), BlockState(h=h_final, conv_ctx=conv_ctx)
+        xz = dc.matmul(dc.layer_norm(x, self.ln_g, self.ln_b), self.in_proj)   # [L, 2E]
+        out, h, conv_ctx = dc.mamba_inner(
+            xz, self.conv_w, self.conv_b, self.x_proj, self.dt_proj, self.dt_bias,
+            self.A_log, self.D_skip, self.out_proj, None if state is None else state.h,
+            None if state is None else state.conv_ctx, starts)
+        return dc.add(x, out), BlockState(h=h, conv_ctx=conv_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +220,6 @@ class LanguageModel:
             raise ValueError("lm_forward: empty token sequence")
         hidden, new_state = self.forward_embedded(self.embed_tokens(ids), state)
         return dc.matmul(hidden, self.lm_head), new_state
-
-
-def generate_greedy(lm: LanguageModel, prefix_ids: list[int], max_new: int,
-                    eos_id: int | None = None) -> list[int]:
-    """Greedy decode with O(1)-per-token recurrent state carry.
-
-    Argmax ties resolve to the lowest token id.  Returns only the newly
-    generated ids, stopping after emitting eos_id if given.
-    """
-    if len(prefix_ids) == 0:
-        raise ValueError("generate_greedy: empty prefix")
-    logits, state = lm.lm_forward(prefix_ids)
-    return greedy_continue(lm, logits, state, max_new, eos_id)
 
 
 def greedy_continue(lm: LanguageModel, logits: Tensor, state: ScanState,

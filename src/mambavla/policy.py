@@ -38,7 +38,6 @@ __all__ = [
     "direction_loss",
     "lift_to_3d",
     "rotation_about_axis",
-    "random_rotation",
 ]
 
 HEAD_VARIANTS = ("mlp2", "mlp1", "ssm-mlp")
@@ -52,7 +51,7 @@ _ROT_TOL = 1e-3          # orthonormality tolerance for loss inputs
 
 
 # ---------------------------------------------------------------------------
-# plain-numpy rotation helpers (used by tests and the simulator)
+# plain-numpy rotation helpers (`rotation_about_axis` is also the simulator's)
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -62,15 +61,6 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     kx, ky, kz = axis
     K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random rotation via QR of a Gaussian matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return q
 
 
 def _require_rotation(name: str, mat: np.ndarray) -> None:

@@ -296,9 +296,10 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
               out_dir: str | None = None, steps_limit: int | None = None):
     """Train one stage; returns (metrics rows, checkpoint path or None).
 
-    Per-step metrics go to `metrics_{stage}.csv` and the final weights to
-    `ckpt_{stage}.rmck` when out_dir is given.  Parameters outside the
-    stage's trainable set are bit-identical before and after.
+    Per-step metrics (loss, lr, the step's `tape_nodes` and wall time) go
+    to `metrics_{stage}.csv` and the final weights to `ckpt_{stage}.rmck`
+    when out_dir is given.  Parameters outside the stage's trainable set
+    are bit-identical before and after.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
@@ -335,6 +336,7 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
                 loss = _stage1_batch_loss(model, tokenizer,
                                           [dataset[idx] for idx in batch])
 
+            tape_nodes = dc.tape_nodes(loss)
             grads_by_tensor = dc.backward(loss)
             grads = {name: grads_by_tensor[p] for name, p in params.items()
                      if p in grads_by_tensor}
@@ -346,6 +348,7 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
             metrics.append({"step": step, "stage": stage,
                             "loss": float(loss.data.reshape(-1)[0]),
                             "lr": hyper.lr,
+                            "tape_nodes": tape_nodes,
                             "wall_ms": (time.perf_counter() - t0) * 1e3})
             if steps_limit is not None and step >= steps_limit:
                 done = True
@@ -357,7 +360,7 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
         csv_path = os.path.join(out_dir, f"metrics_{stage}.csv")
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(
-                fh, fieldnames=["step", "stage", "loss", "lr", "wall_ms"])
+                fh, fieldnames=["step", "stage", "loss", "lr", "tape_nodes", "wall_ms"])
             writer.writeheader()
             writer.writerows(metrics)
         ckpt_path = os.path.join(out_dir, f"ckpt_{stage}.rmck")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mamba_reference
 import ssm_reference as ref
 from mambavla import diffcore as dc
 
@@ -391,6 +392,127 @@ def test_selective_scan_without_gradient_allocates_no_trajectory():
 
 
 # ---------------------------------------------------------------------------
+# mamba-inner: a block after its in_proj as one node
+
+
+def _inner_inputs(rng, L=6, E=4, N=3, R=2, w=4, M=4):
+    """(xz, conv_w, conv_b, x_proj, dt_proj, dt_bias, A_log, D, out_proj)
+    for mamba-inner."""
+    return (rng.standard_normal((L, 2 * E)),
+            rng.standard_normal((w, E)) * 0.5,
+            rng.standard_normal(E) * 0.5,
+            rng.standard_normal((E, R + 2 * N)) * 0.5,
+            rng.standard_normal((R, E)) * 0.5,
+            rng.standard_normal(E) * 0.5 - 1.0,
+            rng.standard_normal((E, N)) * 0.5,
+            rng.standard_normal(E),
+            rng.standard_normal((E, M)))
+
+
+def _inner_carries(rng, E=4, N=3, w=4):
+    """(h0 [E, N], ctx [w-1, E]) for mamba-inner."""
+    return rng.standard_normal((E, N)), rng.standard_normal((w - 1, E))
+
+
+# without and with the carries, over one sequence and over three (2, 3, 1 rows)
+INNER_RUNS = [(False, None), (True, None), (False, [0, 2, 5]), (True, [0, 2, 5])]
+
+
+@pytest.mark.parametrize("with_carry, starts", INNER_RUNS)
+def test_mamba_inner_matches_its_11_node_composition(with_carry, starts):
+    """The fused node runs the composition's kernels in its operation order:
+    output, both carries and the gradient of every input are bit-identical."""
+    rng = np.random.default_rng(40)
+    arrays = _inner_inputs(rng)
+    carries = _inner_carries(rng) if with_carry else (None, None)
+    readout = t64(rng.standard_normal((6, 4)))
+    results = []
+    for inner in (dc.mamba_inner, mamba_reference.inner_composition):
+        leaves = [t64(a, requires_grad=True) for a in arrays]
+        out, h_final, ctx_final = inner(*leaves, *carries, starts)
+        dc.backward(dc.mean_pool(dc.mul(out, readout)))
+        results.append([out.data, h_final.data, ctx_final.data]
+                       + [leaf.grad for leaf in leaves])
+    for i, (got, want) in enumerate(zip(*results)):
+        assert np.array_equal(got, want), i
+
+
+@pytest.mark.parametrize("with_carry, starts", INNER_RUNS)
+def test_grad_check_mamba_inner(with_carry, starts):
+    rng = np.random.default_rng(41)
+    arrays = _inner_inputs(rng)
+    carries = _inner_carries(rng) if with_carry else (None, None)
+    readout = rng.standard_normal((6, 4))
+    for i in range(9):
+        def inner_loss(x, i=i):
+            args = [t64(a) for a in arrays]
+            args[i] = x
+            out, _, _ = dc.mamba_inner(*args, *carries, starts)
+            return dc.mean_pool(dc.mul(out, t64(readout)))
+        _check(inner_loss, arrays[i])
+
+
+def test_mamba_inner_rejects_bad_inputs():
+    def fresh_args():                      # t64 wraps an array without copying it
+        return [t64(a) for a in _inner_inputs(np.random.default_rng(42))]
+
+    args = fresh_args()
+    bad_shapes = {0: (6, 7),      # xz: not [L, 2E]
+                  1: (4, 3),      # conv_w: E differs
+                  2: (3,),        # conv_b
+                  3: (4, 7),      # x_proj: not R + 2N columns
+                  4: (2, 3),      # dt_proj: E differs
+                  5: (4, 1),      # dt_bias: not [E]
+                  6: (4, 2),      # A_log: N differs from x_proj's
+                  7: (5,),        # D
+                  8: (3, 4)}      # out_proj: E differs
+    for i, shape in bad_shapes.items():
+        broken = list(args)
+        broken[i] = t64(np.zeros(shape))
+        with pytest.raises(dc.ShapeError, match="mamba-inner"):
+            dc.mamba_inner(*broken)
+        broken[i] = dc.tensor(args[i].data, dtype=np.float32)
+        with pytest.raises(dc.ShapeError, match="mixed dtypes"):
+            dc.mamba_inner(*broken)
+    with pytest.raises(dc.ShapeError):     # empty sequence
+        dc.mamba_inner(t64(np.zeros((0, 8))), *args[1:])
+    for name, carries in (("h0", (np.zeros((3, 4)), None)),
+                          ("h0", (np.zeros((4, 3), np.float32), None)),
+                          ("ctx", (None, np.zeros((4, 4)))),
+                          ("ctx", (None, np.zeros((3, 4), np.float32)))):
+        with pytest.raises(dc.ShapeError, match=name):
+            dc.mamba_inner(*args, *carries)
+    for name, shape in (("h0", (4, 3)), ("ctx", (3, 4))):
+        carry = np.zeros(shape)
+        carry[1, 1] = np.nan
+        with pytest.raises(dc.NonFiniteError, match=f"mamba-inner: {name}"):
+            dc.mamba_inner(*args, **{name: carry})
+    with pytest.raises(dc.ShapeError, match="starts"):
+        dc.mamba_inner(*args, starts=[0, 6])
+    for i in range(9):
+        args = fresh_args()
+        args[i].data.flat[0] = np.nan
+        with pytest.raises(dc.NonFiniteError, match=f"mamba-inner: input {i}"):
+            dc.mamba_inner(*args)
+
+
+@pytest.mark.parametrize("window", [slice(0, 2), slice(2, 5), slice(5, 8)],
+                         ids=["dt", "B", "C"])
+def test_mamba_inner_overflow_through_x_proj_raises(window):
+    """A float32 x_proj column window whose products with u overflow fails
+    loudly, wherever the inf would go next: a positive conv kernel over a
+    positive signal makes every u >= silu(1) > 0.7, so each entry of the
+    window's u x_proj is at least 4 * 0.7 * 3e38."""
+    args = [a.astype(np.float32) for a in _inner_inputs(np.random.default_rng(43))]
+    args[0][:, :4] = 4.0                   # the signal half of xz
+    args[1][:] = 0.25                      # conv_w
+    args[2][:] = 0.0                       # conv_b
+    args[3][:, window] = 3e38              # x_proj
+    with pytest.raises(dc.NonFiniteError, match="mamba-inner"):
+        dc.mamba_inner(*(dc.tensor(a, np.float32) for a in args))
+
+
+# ---------------------------------------------------------------------------
 # packed sequences: starts reset the scan state and the conv context
 
 
@@ -548,6 +670,16 @@ def test_bad_starts_raise_shape_error():
             dc.conv1d_depthwise(*conv_args, starts=starts)
 
 
+def _inner_packed(*args, starts=None):
+    """mamba-inner in `_packed_and_alone`'s calling convention: the carry
+    (h0, ctx) or None after the inputs; returns the output and both final
+    carries joined into one Tensor."""
+    *arrays, carry = args
+    out, h_final, ctx_final = dc.mamba_inner(*arrays, *(carry or (None, None)),
+                                             starts=starts)
+    return out, t64(np.concatenate([h_final.data.ravel(), ctx_final.data.ravel()]))
+
+
 # the packed primitives' sequence-typed inputs, with (E, N) = (4, 3)
 _PACKED_PRIMS = {
     "scan": (dc.selective_scan, {0, 1, 3, 4, 6},
@@ -557,6 +689,7 @@ _PACKED_PRIMS = {
              lambda rng, L: (rng.standard_normal((L, 4)), rng.standard_normal((4, 4)),
                              rng.standard_normal(4)),
              lambda rng: rng.standard_normal((3, 4))),
+    "inner": (_inner_packed, {0}, lambda rng, L: _inner_inputs(rng, L=L), _inner_carries),
 }
 
 
@@ -575,8 +708,9 @@ def test_packed_carry_belongs_to_the_first_sequence(kind):
     _assert_packed_equals_alone(packed, alone, True)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=18, deadline=None, derandomize=True)
 @example(kind="conv", lengths=[4, 1], with_carry=False, grad=True, seed=0)
+@example(kind="inner", lengths=[3, 1, 6], with_carry=True, grad=True, seed=1)
 @given(kind=st.sampled_from(sorted(_PACKED_PRIMS)),
        lengths=st.lists(st.integers(1, 20), min_size=1, max_size=5),
        with_carry=st.booleans(), grad=st.booleans(), seed=st.integers(0, 2 ** 16))

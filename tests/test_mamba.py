@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mamba_reference
 import ssm_reference as ref
 from mambavla import diffcore as dc
 from mambavla import mamba
@@ -23,6 +24,12 @@ def tiny_cfg(**kw) -> ModelConfig:
 
 def tiny_lm(seed=0, dtype=np.float32, **kw) -> mamba.LanguageModel:
     return mamba.LanguageModel(tiny_cfg(**kw), np.random.default_rng(seed), dtype=dtype)
+
+
+def generate_greedy(lm, prefix_ids, max_new, eos_id=None):
+    """Greedy decode of a text prefix: its prefill, then `greedy_continue`."""
+    logits, state = lm.lm_forward(prefix_ids)
+    return mamba.greedy_continue(lm, logits, state, max_new, eos_id)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +119,22 @@ def test_block_residual_passthrough_with_zero_out_proj():
     np.testing.assert_array_equal(y.data, x.data)
 
 
+def _select(blk, u):
+    """A block's input-dependent (B, C, dt) from post-conv activations u
+    [L, E], in numpy: the column windows of u x_proj, then dt_proj."""
+    R, N = blk.cfg.dt_rank, blk.cfg.d_state
+    sel = u @ blk.x_proj.data
+    return sel[:, R:R + N], sel[:, R + N:], sel[:, :R] @ blk.dt_proj.data
+
+
 def test_select_params_pointwise():
     blk = mamba.MambaBlock(tiny_cfg(), np.random.default_rng(4), dtype=np.float64)
     rng = np.random.default_rng(5)
     u = rng.standard_normal((6, 32))
-    B0, C0, d0 = (t.data for t in blk.select_params(dc.tensor(u, dtype=np.float64)))
+    B0, C0, d0 = _select(blk, u)
     bumped = u.copy()
     bumped[3] += 1.0
-    B1, C1, d1 = (t.data for t in blk.select_params(dc.tensor(bumped, dtype=np.float64)))
+    B1, C1, d1 = _select(blk, bumped)
     for before, after in ((B0, B1), (C0, C1), (d0, d1)):
         assert np.array_equal(before[:3], after[:3])
         assert np.array_equal(before[4:], after[4:])
@@ -131,11 +146,10 @@ def test_delta_is_strictly_positive():
     dt_bias is > 0: with no input and h0 = 1, every state decays at every
     step, Abar = exp(delta A) < 1, so the summed readout falls strictly."""
     blk = mamba.MambaBlock(tiny_cfg(), np.random.default_rng(6), dtype=np.float64)
-    act = dc.tensor(np.random.default_rng(7).standard_normal((9, 32)) * 3.0, np.float64)
-    B, _, dt = blk.select_params(act)
+    B, _, dt = _select(blk, np.random.default_rng(7).standard_normal((9, 32)) * 3.0)
     L, E, N = 9, 32, 4
     const = lambda a: dc.tensor(a, np.float64)
-    y, _ = dc.selective_scan(const(np.zeros((L, E))), dt, blk.A_log, B,
+    y, _ = dc.selective_scan(const(np.zeros((L, E))), const(dt), blk.A_log, const(B),
                              const(np.ones((L, N))), const(np.zeros(E)),
                              const(np.full((L, E), 64.0)), blk.dt_bias,
                              h0=np.ones((E, N)))
@@ -197,12 +211,12 @@ def test_block_state_conv_context_owns_its_memory():
 
 def test_generate_greedy_deterministic_and_stops_at_eos():
     lm = tiny_lm(seed=11)
-    a = mamba.generate_greedy(lm, [1, 5], max_new=8)
-    b = mamba.generate_greedy(lm, [1, 5], max_new=8)
+    a = generate_greedy(lm, [1, 5], max_new=8)
+    b = generate_greedy(lm, [1, 5], max_new=8)
     assert a == b and len(a) == 8
     # treat the last first-occurrence token as eos: decode must stop right there
     k = max(i for i in range(len(a)) if a[i] not in a[:i])
-    forced = mamba.generate_greedy(lm, [1, 5], max_new=8, eos_id=a[k])
+    forced = generate_greedy(lm, [1, 5], max_new=8, eos_id=a[k])
     assert forced == a[:k + 1]
 
 
@@ -210,14 +224,14 @@ def test_greedy_argmax_ties_take_lowest_id():
     lm = tiny_lm(seed=12)
     # collapse the head so every token scores identically -> argmax must pick id 0
     lm.lm_head.data[:] = 0.0
-    out = mamba.generate_greedy(lm, [1], max_new=2)
+    out = generate_greedy(lm, [1], max_new=2)
     assert out == [0, 0]
 
 
 def test_generation_matches_repeated_full_forward():
     lm = tiny_lm(seed=13)
     prefix = [1, 6, 3]
-    fast = mamba.generate_greedy(lm, prefix, max_new=6)
+    fast = generate_greedy(lm, prefix, max_new=6)
     slow_ids = list(prefix)
     slow = []
     for _ in range(6):
@@ -244,21 +258,8 @@ def test_lm_overfit_memorizes_continuation():
         for p in params:
             if p.grad is not None:
                 p.data = p.data - 0.5 * p.grad
-    out = mamba.generate_greedy(lm, [1], max_new=3, eos_id=2)
+    out = generate_greedy(lm, [1], max_new=3, eos_id=2)
     assert out == [4, 9, 2]
-
-
-def _tape_nodes(out: dc.Tensor) -> int:
-    """Primitive nodes on the tape behind `out`, found by walking _parents."""
-    seen, stack, nodes = set(), [out], 0
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        nodes += t._backward_fn is not None
-        stack.extend(t._parents)
-    return nodes
 
 
 def _unfused_block(blk, x, state=None):
@@ -314,7 +315,7 @@ def test_block_forward_matches_unfused_composition():
 def test_block_tape_nodes_do_not_grow_with_length():
     blk = mamba.MambaBlock(tiny_cfg(), np.random.default_rng(16))
     rng = np.random.default_rng(17)
-    counts = [_tape_nodes(blk.forward(dc.tensor(rng.standard_normal((L, 16))))[0])
+    counts = [dc.tape_nodes(blk.forward(dc.tensor(rng.standard_normal((L, 16))))[0])
               for L in (4, 64)]
     assert counts[0] == counts[1] > 0, counts
 
@@ -326,7 +327,7 @@ def test_decode_step_tape_nodes_do_not_grow_with_prefix():
     for n in (2, 40):
         _, state = lm.lm_forward(rng.integers(0, 16, size=n).tolist())
         logits, _ = lm.lm_forward([5], state)
-        counts.append(_tape_nodes(logits))
+        counts.append(dc.tape_nodes(logits))
     assert counts[0] == counts[1] > 0, counts
 
 
@@ -343,11 +344,11 @@ def test_decode_step_scans_each_array_once(scanned_sizes):
     assert 0 < sum(scanned_sizes) < 75_000, sum(scanned_sizes)
 
 
-def test_decode_step_builds_81_nodes(monkeypatch):
-    """A default-config decode step makes 13 nodes per block (the norm with
-    its gain and bias, the conv with its bias and SiLU, and the scan with
-    its delta bias and softplus, D u skip and gate are one node each), plus
-    the embedding gather, the final norm and the vocabulary head."""
+def test_decode_step_builds_27_nodes(monkeypatch):
+    """A default-config decode step makes 4 nodes per block (the norm with
+    its gain and bias, the in_proj matmul, one mamba-inner for everything
+    after in_proj, and the residual add), plus the embedding gather, the
+    final norm and the vocabulary head."""
     lm = mamba.LanguageModel(ModelConfig(), np.random.default_rng(20))
     _, state = lm.lm_forward([1, 5, 9, 13])
     kinds = []
@@ -359,7 +360,29 @@ def test_decode_step_builds_81_nodes(monkeypatch):
 
     monkeypatch.setattr(dc, "_make_node", spy)
     lm.lm_forward([7], state)
-    assert len(kinds) == 13 * 6 + 3 == 81, kinds
+    assert len(kinds) == 4 * 6 + 3 == 27, kinds
+    assert kinds.count("mamba-inner") == 6
+
+
+def test_block_is_bit_identical_to_its_13_node_composition():
+    """A float32 block equals the 13 nodes it fuses bit for bit: output,
+    carries and every parameter's and the input's gradient, over a packed
+    prefill and a carried decode step."""
+    cfg = tiny_cfg()
+    runs = []
+    for forward in (mamba.MambaBlock.forward, mamba_reference.block_composition):
+        blk = mamba.MambaBlock(cfg, np.random.default_rng(24))
+        blk.conv_b.data = np.random.default_rng(25).standard_normal(32).astype(np.float32)
+        x = dc.tensor(np.random.default_rng(26).standard_normal((9, 16)), requires_grad=True)
+        out, state = forward(blk, x, None, [0, 4, 7])
+        x_next = dc.tensor(np.random.default_rng(23).standard_normal((1, 16)))
+        step, carry = forward(blk, x_next, state)
+        readout = dc.tensor(np.random.default_rng(27).standard_normal((10, 16)))
+        dc.backward(dc.mean_pool(dc.mul(dc.concat([out, step]), readout)))
+        runs.append([out.data, step.data, carry.h.data, carry.conv_ctx.data, x.grad]
+                    + [p.grad for _, p in blk.named_params()])
+    for i, (got, want) in enumerate(zip(*runs)):
+        assert got.dtype == np.float32 and np.array_equal(got, want), i
 
 
 def test_lm_forward_time_scales_linearly():

@@ -20,6 +20,15 @@ def tiny_cfg(**kw) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform-ish random rotation via QR of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 2] = -q[:, 2]
+    return q
+
+
 def make_head(seed=0, dtype=np.float32, **kw) -> policy.PoseHead:
     return policy.PoseHead(tiny_cfg(**kw), np.random.default_rng(seed), dtype=dtype)
 
@@ -198,7 +207,7 @@ def test_direction_loss_frozen_values():
 def test_direction_loss_symmetry_and_left_invariance():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        r1, r2, q = (policy.random_rotation(rng) for _ in range(3))
+        r1, r2, q = (random_rotation(rng) for _ in range(3))
         ab = policy.direction_loss(rows(r1), r2[None]).item()
         ba = policy.direction_loss(rows(r2), r1[None]).item()
         q_ab = policy.direction_loss(rows(q @ r1), (q @ r2)[None]).item()
@@ -209,8 +218,8 @@ def test_direction_loss_symmetry_and_left_invariance():
 
 def test_direction_loss_batch_is_mean_of_angles():
     rng = np.random.default_rng(3)
-    preds = [policy.random_rotation(rng) for _ in range(4)]
-    gts = np.stack([policy.random_rotation(rng) for _ in range(4)])
+    preds = [random_rotation(rng) for _ in range(4)]
+    gts = np.stack([random_rotation(rng) for _ in range(4)])
     batch = policy.direction_loss(rows(*preds), gts).item()
     singles = [policy.direction_loss(rows(p), g[None]).item()
                for p, g in zip(preds, gts)]
@@ -241,7 +250,7 @@ def test_direction_loss_gradient_through_6d():
     checked = []
     for _ in range(30):
         r6_val = rng.standard_normal((1, 6))
-        gt = policy.random_rotation(rng)
+        gt = random_rotation(rng)
         angle = policy.direction_loss(
             policy.gram_schmidt_6d(t64(r6_val)), gt[None]).item()
         if not (0.2 <= angle <= 2.9):
@@ -340,7 +349,7 @@ def test_head_end_to_end_gradient(variant):
     head = policy.PoseHead(cfg, np.random.default_rng(4), dtype=np.float64)
     hidden_val = np.random.default_rng(5).standard_normal((6, cfg.d_model))
     gt_px = np.array([[0.3, 0.7]])
-    gt_rot = policy.random_rotation(np.random.default_rng(6))
+    gt_rot = random_rotation(np.random.default_rng(6))
 
     def loss(hidden):
         out = head.forward(policy.pool_global_token(hidden))
@@ -362,7 +371,7 @@ def test_head_batch_equals_mean_of_rows(variant):
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((5, cfg.d_model))
     gt_px = rng.random((5, 2))
-    gt_rot = np.stack([policy.random_rotation(rng) for _ in range(5)])
+    gt_rot = np.stack([random_rotation(rng) for _ in range(5)])
     params = [p for _, p in head.named_params()]
 
     def loss_and_grads(i, j):

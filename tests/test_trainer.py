@@ -170,10 +170,10 @@ def test_packed_batch_matches_per_sample_composition(stage):
             np.testing.assert_allclose(grads[name], ref, rtol=1e-10, err_msg=name)
 
 
-def test_packed_align_step_builds_122_nodes(monkeypatch):
+def test_packed_align_step_builds_68_nodes(monkeypatch):
     """A default-config 4-row align step is one graph: per row the patch
     encoder (3 nodes), the projector (5) and the embedding gather, then one
-    concat, 6 blocks of 13, the final norm, one gather of the text rows,
+    concat, 6 blocks of 4, the final norm, one gather of the text rows,
     the vocabulary head and the 4-node loss."""
     cfg = ModelConfig()
     model = trainer.set_stage(trainer.VlaModel(cfg, seed=0), "align")
@@ -188,8 +188,26 @@ def test_packed_align_step_builds_122_nodes(monkeypatch):
 
     monkeypatch.setattr(dc, "_make_node", spy)
     trainer._stage1_batch_loss(model, tok, rows)
-    assert len(kinds) == 4 * 9 + 1 + 13 * 6 + 1 + 1 + 1 + 4 == 122, kinds
-    assert kinds.count("selective-scan") == cfg.n_blocks
+    assert len(kinds) == 4 * 9 + 1 + 4 * 6 + 1 + 1 + 1 + 4 == 68, kinds
+    assert kinds.count("mamba-inner") == cfg.n_blocks
+
+
+def test_align_row_records_the_tape_size(tmp_path):
+    """A run_stage row's tape_nodes counts the nodes of its loss graph.  Of
+    the 68 nodes of a default-config 4-row align step, the patch encoder's
+    3 per row and the embedding gather per row are not on the tape: the
+    encoder and the LM are frozen in align, so none of their inputs needs a
+    gradient."""
+    cfg = ModelConfig()
+    metrics, _ = trainer.run_stage(
+        trainer.VlaModel(cfg, seed=0), "align", ds.make_caption_samples(4, seed=3),
+        epochs=1, hyper=StageHyperparams(lr=1e-5, weight_decay=0.0, epochs=0),
+        train_cfg=TrainConfig(batch_size=4),
+        tokenizer=WordTokenizer.build(ds.corpus_texts(), max_vocab=cfg.vocab_size),
+        out_dir=str(tmp_path))
+    assert [row["tape_nodes"] for row in metrics] == [68 - 4 * 3 - 4]
+    lines = open(os.path.join(tmp_path, "metrics_align.csv")).read().splitlines()
+    assert [line.split(",")[4] for line in lines] == ["tape_nodes", "52"]
 
 
 def test_unstaged_forward_holds_a_tenth_of_the_taped_one():
@@ -497,7 +515,7 @@ def test_manip_freezes_backbone_bitwise(tmp_path):
     assert not groups_equal(model, snap, "head")
     # metrics CSV: header + one row per step
     lines = open(os.path.join(tmp_path, "metrics_manip.csv")).read().splitlines()
-    assert lines[0] == "step,stage,loss,lr,wall_ms"
+    assert lines[0] == "step,stage,loss,lr,tape_nodes,wall_ms"
     assert len(lines) == len(metrics) + 1
     assert os.path.exists(ckpt)
 
@@ -557,11 +575,13 @@ def _manip_step_nodes(monkeypatch, batch_size, head_variant="mlp2"):
 
     with monkeypatch.context() as patch:
         patch.setattr(dc, "backward", spy)
-        trainer.run_stage(
+        metrics, _ = trainer.run_stage(
             tiny_model(seed=4, head_variant=head_variant), "manip", manip_rows(8), epochs=2,
             hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
             train_cfg=TrainConfig(batch_size=batch_size), tokenizer=tokenizer(),
             seed=0, steps_limit=2)
+    # each metrics row records the same count
+    assert [row["tape_nodes"] for row in metrics] == counts
     return counts
 
 

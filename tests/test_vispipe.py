@@ -239,7 +239,7 @@ def test_packed_pairs_do_not_leak():
 
 def test_multimodal_forward_node_count(monkeypatch):
     """One pair is the single-sequence graph: encoder (3 nodes), projector
-    (5), embedding gather, concat, 13 per block, final norm, the text-row
+    (5), embedding gather, concat, 4 per block, final norm, the text-row
     gather and the vocabulary head."""
     _, enc, proj, lm = tiny_stack()
     kinds = []
@@ -251,7 +251,7 @@ def test_multimodal_forward_node_count(monkeypatch):
 
     monkeypatch.setattr(dc, "_make_node", spy)
     vispipe.multimodal_forward(enc, proj, lm, rand_image(), [1, 5, 9])
-    assert len(kinds) == 3 + 5 + 1 + 1 + 13 * 2 + 1 + 1 + 1
+    assert len(kinds) == 3 + 5 + 1 + 1 + 4 * 2 + 1 + 1 + 1
 
 
 def test_packed_forward_needs_one_prompt_per_image():
