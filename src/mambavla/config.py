@@ -99,3 +99,25 @@ class SimConfig:
     # success thresholds on the achieved joint displacement
     prismatic_threshold: float = 0.1  # metres
     revolute_threshold: float = 0.1   # radians
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"SimConfig: {name} must be an integer >= 1, got {value!r}")
+        for name in ("fx", "fy"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"SimConfig: {name} must be finite and > 0, got {value}")
+        for name in ("cx", "cy"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"SimConfig: {name} must be finite, got {value}")
+        for name in ("attach_tolerance", "pull_magnitude",
+                     "prismatic_threshold", "revolute_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"SimConfig: {name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.attach_cone_deg) and 0.0 < self.attach_cone_deg <= 180.0):
+            raise ValueError(f"SimConfig: attach_cone_deg must be finite and in (0, 180], "
+                             f"got {self.attach_cone_deg}")

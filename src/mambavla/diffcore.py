@@ -6,8 +6,7 @@ shapes/dtypes, rejects non-finite values, and registers a backward closure
 on the implicit tape (the parent links of the output tensor) when an input
 has `requires_grad`, the only gradient flag.  `backward` clears the `.grad`
 of every tensor it reaches before its sweep, so a leaf's `.grad` is the
-last sweep's gradient, never a sum over sweeps.  `grad_check` verifies any
-composition against central finite differences.
+last sweep's gradient, never a sum over sweeps.
 
 Each array is checked for finiteness once, by one rule for every primitive:
 a primitive checks and marks its output, `param` checks and marks a
@@ -70,7 +69,6 @@ __all__ = [
     "mamba_inner",
     "backward",
     "tape_nodes",
-    "grad_check",
 ]
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
@@ -1086,31 +1084,3 @@ def tape_nodes(root: Tensor) -> int:
             stack.extend(t._parents)
     return nodes
 
-
-def grad_check(function: Callable[[Tensor], Tensor], point: Tensor,
-               eps: float = 1e-5) -> float:
-    """Max relative error between backward and central finite differences.
-
-    Per coordinate: |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
-    Run in float64 for meaningful tolerances.
-    """
-    base = np.asarray(point.data, dtype=np.float64)
-    x = Tensor(base.copy(), requires_grad=True)
-    out = function(x)
-    if out.data.size != 1:
-        raise ShapeError("grad_check: function must return a scalar")
-    backward(out)
-    analytic = (x.grad if x.grad is not None else np.zeros_like(base)).reshape(-1)
-
-    flat = base.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        for sign in (+1.0, -1.0):
-            probe = flat.copy()
-            probe[i] += sign * eps
-            val = function(Tensor(probe.reshape(base.shape))).item()
-            numeric[i] += sign * val
-        numeric[i] /= 2.0 * eps
-
-    rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-12)
-    return float(rel.max()) if rel.size else 0.0

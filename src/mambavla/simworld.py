@@ -133,8 +133,18 @@ class ArticulatedObject:
 
 @dataclass
 class Scene:
+    """An object in front of the camera.
+
+    `render_buffers` keeps the scene's last render and hands it back while
+    the object (by identity), its joint value `obj.q` and the camera's field
+    values are unchanged.  Everything else about the object's geometry is
+    fixed once it is spawned: move the joint through `obj.q`, or put a new
+    object in `obj`.
+    """
     obj: ArticulatedObject
     cam: SimConfig
+    # (obj, obj.q, camera field values, RenderResult) of the last render
+    _render: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def triangles(self):
         """(verts, normal, color, part_id) for every triangle in the scene."""
@@ -162,16 +172,25 @@ def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 
 def render_buffers(scene: Scene) -> RenderResult:
-    """Z-buffer rasterization of every scene triangle into four buffers.
+    """Z-buffer rasterization of the scene's front faces into four buffers.
 
-    Each triangle is tested against the whole grid of pixel centres: the
-    barycentric test is the clip.  A pixel goes to a triangle only if its 1/z
-    beats the buffer by more than 1e-12, so the earliest triangle in
+    A triangle whose outward normal points away from the camera (at the
+    origin) is skipped: every object is a union of closed boxes seen from
+    outside, so the nearest surface along any ray is a front face.  Each
+    remaining triangle is tested against the whole grid of pixel centres:
+    the barycentric test is the clip.  A pixel goes to a triangle only if
+    its 1/z beats the buffer by more than 1e-12, so the earliest triangle in
     `Scene.triangles` order wins a tie within 1e-12.
+
+    The result is kept on the scene and returned again while the object,
+    `obj.q` and the camera are unchanged (see `Scene`), so its arrays are
+    read-only: copy one before writing into it.
     """
-    cam = scene.cam
-    if cam.fx <= 0 or cam.fy <= 0:
-        raise ValueError("render: focal lengths must be positive")
+    obj, cam = scene.obj, scene.cam
+    cam_key = tuple(vars(cam).values())
+    memo = scene._render
+    if memo is not None and memo[0] is obj and memo[1] == obj.q and memo[2] == cam_key:
+        return memo[3]
     W, H = cam.width, cam.height
     rgb = np.tile(_BG_COLOR, (H, W, 1)).astype(np.float64)
     depth = np.zeros((H, W))
@@ -181,6 +200,8 @@ def render_buffers(scene: Scene) -> RenderResult:
     gu, gv = np.meshgrid(np.arange(W) + 0.5, np.arange(H) + 0.5)  # pixel centres
 
     for verts, n, color, part_id in scene.triangles():
+        if n @ verts[0] >= 0.0:
+            continue                      # back face (or edge-on): never nearest
         z = verts[:, 2]
         if np.min(z) < 1e-3:
             continue                      # behind / at the camera: drop
@@ -200,11 +221,16 @@ def render_buffers(scene: Scene) -> RenderResult:
         part[win] = part_id
         rgb[win] = _shade(color, n)
         normal[win] = n
-    return RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
+    for buf in (rgb, depth, part, normal):
+        buf.setflags(write=False)
+    result = RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
+    scene._render = (obj, obj.q, cam_key, result)
+    return result
 
 
 def render(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Scene -> (RGB [H, W, 3] in [0,1], depth [H, W] metres, 0 = empty)."""
+    """Scene -> (RGB [H, W, 3] in [0,1], depth [H, W] metres, 0 = empty),
+    the read-only buffers of `render_buffers`."""
     res = render_buffers(scene)
     return res.rgb, res.depth
 

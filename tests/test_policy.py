@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from mambavla import diffcore as dc, policy
 from mambavla.config import ModelConfig, SimConfig
 
@@ -255,7 +256,7 @@ def test_direction_loss_gradient_through_6d():
             policy.gram_schmidt_6d(t64(r6_val)), gt[None]).item()
         if not (0.2 <= angle <= 2.9):
             continue
-        err = dc.grad_check(
+        err = grad_check(
             lambda r6: policy.direction_loss(policy.gram_schmidt_6d(r6), gt[None]),
             t64(r6_val))
         assert err <= 1e-3, f"direction grad rel err {err:.3e} at {angle:.2f} rad"
@@ -266,7 +267,7 @@ def test_direction_loss_gradient_through_6d():
 
     # three of those points as one 3-row batch through one graph
     r6_rows, gts = (np.stack(x) for x in zip(*checked[:3]))
-    err = dc.grad_check(
+    err = grad_check(
         lambda r6: policy.direction_loss(policy.gram_schmidt_6d(r6), gts),
         t64(r6_rows))
     assert err <= 1e-3, f"batched direction grad rel err {err:.3e}"
@@ -357,7 +358,7 @@ def test_head_end_to_end_gradient(variant):
         rot = policy.direction_loss(out.rot, gt_rot[None])
         return dc.add(pos, rot)
 
-    err = dc.grad_check(loss, t64(hidden_val))
+    err = grad_check(loss, t64(hidden_val))
     assert err <= 1e-4, f"{variant}: end-to-end grad err {err:.3e}"
 
 

@@ -1,9 +1,17 @@
-"""Simulator tests: rasterizer against an independent ray-triangle oracle,
-interaction physics against hand-built poses, and episode reproducibility."""
+"""Simulator tests: rasterizer against an independent ray-triangle oracle and
+against the rasterizer without back-face culling, the render memo,
+interaction physics against hand-built poses, episode reproducibility, and
+digests that pin evaluation and collection outputs."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import simworld_reference
 from mambavla.config import SimConfig
 from mambavla.diffcore import NonFiniteError
 from mambavla.policy import EndEffectorPose, lift_to_3d
@@ -517,3 +525,212 @@ def test_evaluate_zero_depth_contact_is_failure():
 def test_evaluate_rejects_zero_episodes():
     with pytest.raises(ValueError, match="episodes"):
         sw.evaluate(sw.oracle_policy, episodes=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# back-face culling against the all-faces rasterizer
+
+BUFFERS = ("rgb", "depth", "part_id", "normal")
+
+
+def buffers_equal(a, b):
+    return all(getattr(a, k).dtype == getattr(b, k).dtype and
+               getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in BUFFERS)
+
+
+def test_culled_render_is_byte_identical_over_spawned_scenes():
+    """1,002 spawned scenes, closed, fully open and at a random joint value."""
+    rng = np.random.default_rng(0)
+    cam = SimConfig()
+    for seed in range(1002):
+        scene = sw.spawn_object(seed, sw.ARCHETYPES[seed % 3], cam)
+        obj = scene.obj
+        for q in (obj.q_min, obj.q_max, float(rng.uniform(obj.q_min, obj.q_max))):
+            obj.q = q
+            assert buffers_equal(sw.render_buffers(scene),
+                                 simworld_reference.render_buffers_all_faces(scene)), \
+                f"seed {seed}, q = {q}"
+
+
+_BOX = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.6, 4.0),
+                 st.floats(0.01, 0.8), st.floats(0.01, 0.8), st.floats(0.01, 0.5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_BOX, min_size=1, max_size=3))
+@example([(0.25, 1.0, 1.0, 0.5, 0.25, 0.5)])
+def test_culled_render_matches_all_faces_on_random_boxes(boxes):
+    """Up to three boxes, each wholly in front of the camera (z half-extent
+    kept below the centre's z), many of them over the frame edge.
+
+    The buffers agree byte for byte except at a pixel whose centre lies
+    exactly on an edge that a back face shares with a front face, as in the
+    explicit example: the two faces tie in 1/z there and the all-faces
+    rasterizer hands the pixel to whichever comes first, which can be the
+    back face.  The culled one shows the front face at the same depth.
+    Spawned scenes draw their sizes from continuous ranges and never hit
+    such a tie (the test above)."""
+    built = [sw.Box(center=np.array([x, y, z]),
+                    half=np.array([hx, hy, min(hz, z - 0.01)]))
+             for x, y, z, hx, hy, hz in boxes]
+    scene = plain_scene(built[0])
+    scene.obj.base_boxes = built[1:]
+    cam = scene.cam
+    got = sw.render_buffers(scene)
+    want = simworld_reference.render_buffers_all_faces(scene)
+    differ = ((got.part_id != want.part_id) | (got.depth != want.depth)
+              | np.any(got.rgb != want.rgb, axis=-1)
+              | np.any(got.normal != want.normal, axis=-1))
+    for r, c in zip(*np.nonzero(differ)):
+        ray = np.array([((c + 0.5) - cam.cx) / cam.fx, ((r + 0.5) - cam.cy) / cam.fy, 1.0])
+        assert want.normal[r, c] @ ray >= 0.0, (r, c)    # a back face won a tie
+        assert got.normal[r, c] @ ray < 0.0, (r, c)      # a front face shows
+        assert got.depth[r, c] == pytest.approx(want.depth[r, c], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# render memo
+
+
+@pytest.fixture
+def triangle_calls(monkeypatch):
+    """Counts calls to Scene.triangles: one per rasterization."""
+    calls = []
+    triangles = sw.Scene.triangles
+
+    def counted(scene):
+        calls.append(scene)
+        return triangles(scene)
+
+    monkeypatch.setattr(sw.Scene, "triangles", counted)
+    return calls
+
+
+def test_unchanged_scene_is_rasterized_once(triangle_calls):
+    scene = sw.spawn_object(3, "door")
+    draws = len(triangle_calls)
+    first = sw.render_buffers(scene)          # spawn's accepted render
+    second = sw.render_buffers(scene)
+    assert len(triangle_calls) == draws and second is first
+    scene.obj.q = scene.obj.q_max
+    sw.render_buffers(scene)
+    sw.render(scene)
+    assert len(triangle_calls) == draws + 1
+
+
+def assert_fresh_render(scene):
+    """The memo's answer equals a render of the same state in a new Scene."""
+    fresh = sw.Scene(obj=scene.obj, cam=scene.cam)
+    assert buffers_equal(sw.render_buffers(scene), sw.render_buffers(fresh))
+    assert buffers_equal(sw.render_buffers(scene),
+                         simworld_reference.render_buffers_all_faces(scene))
+
+
+@pytest.mark.parametrize("kind", sw.ARCHETYPES)
+def test_memo_follows_joint_object_and_camera(kind):
+    scene = sw.spawn_object(20, kind)
+    before = sw.render_buffers(scene)
+    scene.obj.q = 0.5 * scene.obj.q_max
+    assert_fresh_render(scene)
+    assert not np.array_equal(sw.render_buffers(scene).part_id, before.part_id)
+    scene.obj = sw.spawn_object(21, kind).obj
+    assert_fresh_render(scene)
+    scene.cam.fx = 24.0
+    assert_fresh_render(scene)
+    scene.cam = SimConfig(width=24, height=24, cx=12.0, cy=12.0)
+    assert_fresh_render(scene)
+    assert sw.render_buffers(scene).depth.shape == (24, 24)
+
+
+@pytest.mark.parametrize("name", BUFFERS)
+def test_render_buffers_are_read_only(name):
+    buf = sw.render_buffers(sw.spawn_object(5, "lid"))
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(buf, name)[0, 0] = 0
+
+
+# fresh per test, so the random policy's rng starts from its seed every time
+POLICIES = {"center": lambda: sw.center_pixel_policy,
+            "oracle": lambda: sw.oracle_policy,
+            "random_normal": lambda: sw.random_normal_policy(np.random.default_rng(0))}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_evaluate_rasterizes_once_per_spawn_draw(policy, triangle_calls, monkeypatch):
+    draws = []
+    builders = dict(sw._BUILDERS)
+    monkeypatch.setattr(sw, "_BUILDERS", {
+        kind: (lambda rng, build=build: draws.append(1) or build(rng))
+        for kind, build in builders.items()})
+    sw.evaluate(POLICIES[policy](), episodes=12, seed=0)
+    assert len(draws) >= 12 and len(triangle_calls) == len(draws)
+    draws.clear()
+    triangle_calls.clear()
+    sw.collect_episode(7)
+    assert len(draws) >= 1 and len(triangle_calls) == len(draws)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: SHA-256 of what the all-faces rasterizer produced
+
+
+def log_digest(log):
+    return hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("policy, rate, digest", [
+    ("oracle", 1.0, "7617ef090d1b52a4d876a6b64ac0b5ad8ba15a6cae806036802b11e1a4616ad9"),
+    ("center", 28 / 60, "502334969dafc754151cb8cd7cea0e3af95d8d7691c313fff0cfd7cef3670abe"),
+    ("random_normal", 55 / 60,
+     "38c827ccf4c8ba907c9e0deef9e350a024b2e8b3e071ae04de45de97a8a174b0"),
+])
+def test_evaluate_log_is_pinned(policy, rate, digest):
+    got_rate, log = sw.evaluate(POLICIES[policy](), episodes=60, seed=10_000)
+    assert got_rate == rate
+    assert log_digest(log) == digest
+
+
+def test_collect_episode_outputs_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(6):
+        ep = sw.collect_episode(seed, sw.ARCHETYPES[seed % 3])
+        for a in (ep.rgb, ep.depth, ep.gt_pose.a_dir, ep.gt_pose.a_pos):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(repr((ep.gt_pose.contact_pixel, ep.success, ep.dq, ep.archetype)).encode())
+    assert h.hexdigest() == "ef3ba0e16689e22ce2b2c0014a354e9f0c8a7005e294b8cad022b81327f1bf20"
+
+
+# ---------------------------------------------------------------------------
+# config
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(width=0), "width"),
+    (dict(height=-1), "height"),
+    (dict(width=32.0), "width"),
+    (dict(fx=float("nan")), "fx"),
+    (dict(fy=0.0), "fy"),
+    (dict(fx=float("inf")), "fx"),
+    (dict(cx=float("nan")), "cx"),
+    (dict(cy=float("inf")), "cy"),
+    (dict(attach_tolerance=-1e-3), "attach_tolerance"),
+    (dict(pull_magnitude=float("nan")), "pull_magnitude"),
+    (dict(prismatic_threshold=float("inf")), "prismatic_threshold"),
+    (dict(revolute_threshold=-0.1), "revolute_threshold"),
+    (dict(attach_cone_deg=float("nan")), "attach_cone_deg"),
+    (dict(attach_cone_deg=0.0), "attach_cone_deg"),
+    (dict(attach_cone_deg=180.5), "attach_cone_deg"),
+], ids=lambda v: str(v))
+def test_sim_config_rejects_bad_values(kw, field):
+    # width=0 failed in spawn_object as an IndexError, fx=nan as "could not
+    # place a visible drawer", and attach_cone_deg=nan silently never
+    # rejected an approach angle
+    with pytest.raises(ValueError, match=f"SimConfig: {field}"):
+        SimConfig(**kw)
+
+
+def test_sim_config_accepts_its_boundaries():
+    cam = SimConfig(width=1, height=1, cx=-3.0, cy=0.0, attach_tolerance=0.0,
+                    pull_magnitude=0.0, prismatic_threshold=0.0,
+                    revolute_threshold=0.0, attach_cone_deg=180.0)
+    assert cam.attach_cone_deg == 180.0

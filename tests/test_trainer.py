@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
 from mambavla import datasets as ds
 from mambavla import diffcore as dc
 from mambavla import fileio, policy, trainer, vispipe
@@ -289,7 +290,7 @@ def test_cross_entropy_starts_average_the_samples_masked_means():
                                         targets[a:b], ignore[a:b]).item()
              for a, b in ((0, 2), (2, 5), (5, 7))]
     assert packed.item() == pytest.approx(np.mean(alone), rel=1e-14)
-    err = dc.grad_check(lambda t: trainer.cross_entropy_loss(
+    err = grad_check(lambda t: trainer.cross_entropy_loss(
         t, targets, ignore, starts=[0, 2, 5]), logits)
     assert err <= 1e-6
 
@@ -308,7 +309,7 @@ def test_cross_entropy_gradient_check():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((5, 6))
     point = dc.tensor(raw, dtype=np.float64, requires_grad=True)
-    err = dc.grad_check(
+    err = grad_check(
         lambda t: trainer.cross_entropy_loss(t, [0, 2, 4, 1, 3]), point)
     assert err <= 1e-6
 

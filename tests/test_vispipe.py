@@ -4,6 +4,7 @@ order."""
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from mambavla import diffcore as dc
 from mambavla import vispipe
 from mambavla.config import ModelConfig
@@ -151,7 +152,7 @@ def test_projector_gradient_matches_finite_differences():
         out = proj.project(dc.tensor(feats, dtype=np.float64))
         return dc.mean_pool(dc.mul(out, dc.tensor(mix, dtype=np.float64)))
 
-    err = dc.grad_check(loss, dc.tensor(proj.w1.data.copy(), dtype=np.float64))
+    err = grad_check(loss, dc.tensor(proj.w1.data.copy(), dtype=np.float64))
     assert err <= 1e-4, f"projector grad rel err {err:.3e}"
 
 
