@@ -73,6 +73,9 @@ class WordTokenizer:
     @classmethod
     def build(cls, corpus: list[str], max_vocab: int = 2048) -> "WordTokenizer":
         """Frequency-ranked vocabulary (ties alphabetical), capped at max_vocab."""
+        if max_vocab < len(cls.RESERVED):
+            raise ValueError(f"tokenizer: max_vocab must be >= {len(cls.RESERVED)} "
+                             f"(the reserved ids), got {max_vocab}")
         counts: dict[str, int] = {}
         for text in corpus:
             for tok in _TOKEN_RE.findall(text):

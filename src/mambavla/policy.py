@@ -12,7 +12,7 @@ features [B, d_model] in, pixels [B, 2] and rotations [B, 9] out (each row a
 Head variants (parameter counts strictly ordered mlp1 < mlp2 < ssm-mlp):
   mlp2     two separate 2-layer perceptrons (default)
   mlp1     one shared trunk, position/direction read from output slices
-  ssm-mlp  down-projection, one narrow Mamba block, per-branch perceptrons
+  ssm-mlp  mlp2's branches behind a down-projection and one narrow Mamba block
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ __all__ = [
     "rotation_about_axis",
 ]
 
-HEAD_VARIANTS = ("mlp2", "mlp1", "ssm-mlp")
+# each head variant's own parameters, in `PoseHead.named_params` order
+_BRANCHES = ("w_pos1", "b_pos1", "w_pos2", "b_pos2",
+             "w_dir1", "b_dir1", "w_dir2", "b_dir2")
+_PARAM_NAMES = {"mlp2": _BRANCHES, "mlp1": ("w1", "b1", "w2", "b2"),
+                "ssm-mlp": ("w_down", "b_down") + _BRANCHES}
+HEAD_VARIANTS = tuple(_PARAM_NAMES)
 
 # first-layer init gains for the two head branches; the decodes that follow
 # (centre-offset pixel, Gram-Schmidt rotation) keep training stable at these
@@ -48,6 +53,9 @@ HEAD_VARIANTS = ("mlp2", "mlp1", "ssm-mlp")
 _GAIN_DIR = 8.0
 
 _ROT_TOL = 1e-3          # orthonormality tolerance for loss inputs
+
+# exact cyclic column shifts: (v P)[:, j] = v[:, j+1] and (v Q)[:, j] = v[:, j+2]
+_SHIFT_P, _SHIFT_Q = (np.roll(np.eye(3), k, axis=0) for k in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +71,16 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def _require_rotation(name: str, mat: np.ndarray) -> None:
-    mat = np.asarray(mat)
-    if mat.shape != (3, 3):
-        raise ShapeError(f"{name}: expected a 3x3 matrix, got {mat.shape}")
-    # every comparison with NaN is False, so the tolerance test cannot catch it
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name}: matrix has non-finite entries")
-    if np.max(np.abs(mat.T @ mat - np.eye(3))) > _ROT_TOL:
-        raise ValueError(f"{name}: input is not orthonormal within {_ROT_TOL}")
+def _require_rotations(name: str, mats: np.ndarray) -> None:
+    """Raise naming the first bad matrix i of a [B, 3, 3] batch as name[i]."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(3)).max(axis=(1, 2))
+    # a non-finite matrix has a NaN or infinite error, and NaN fails every test
+    bad = np.flatnonzero(~(err <= _ROT_TOL))
+    if bad.size:
+        what = ("matrix has non-finite entries" if not np.isfinite(mats[bad[0]]).all()
+                else f"input is not orthonormal within {_ROT_TOL}")
+        raise ValueError(f"{name}[{bad[0]}]: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +164,10 @@ def gram_schmidt_6d(r6: Tensor) -> Tensor:
         raise ValueError("gram_schmidt_6d: vectors are degenerate (near parallel)")
     b2 = dc.mul(c, dc.exp(dc.mul(dc.log(n2), neg_half)))
 
-    x1, y1, z1 = (dc.tslice(b1, 1, i, i + 1) for i in range(3))
-    x2, y2, z2 = (dc.tslice(b2, 1, i, i + 1) for i in range(3))
-    return dc.concat([
-        b1, b2,
-        dc.add(dc.mul(y1, z2), dc.mul(dc.mul(z1, y2), neg1)),
-        dc.add(dc.mul(z1, x2), dc.mul(dc.mul(x1, z2), neg1)),
-        dc.add(dc.mul(x1, y2), dc.mul(dc.mul(y1, x2), neg1)),
-    ], axis=1)
+    P, Q = dc.tensor(_SHIFT_P, dtype=dt), dc.tensor(_SHIFT_Q, dtype=dt)
+    b3 = dc.add(dc.mul(dc.matmul(b1, P), dc.matmul(b2, Q)),      # b1 x b2
+                dc.mul(dc.mul(dc.matmul(b1, Q), dc.matmul(b2, P)), neg1))
+    return dc.concat([b1, b2, b3], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +193,9 @@ class PoseHead:
         # bias, leaves that are not parameters
         self.norm_gain = dc.tensor(np.ones(M), dtype)
         self.norm_bias = dc.tensor(np.zeros(M), dtype)
+        # fixed identity offset: zero branch output decodes to the identity
+        # rotation instead of a degenerate 6D representation
+        self.r6_offset = dc.tensor(np.array([[1.0, 0, 0, 0, 1.0, 0]]), dtype)
         lin = lambda fi, fo, gain=1.0: (
             dc.param(rng.normal(0.0, gain * fi ** -0.5, size=(fi, fo)), dtype),
             dc.param(np.zeros(fo), dtype))
@@ -198,41 +206,29 @@ class PoseHead:
         zlin = lambda fi, fo: (dc.param(np.zeros((fi, fo)), dtype),
                                dc.param(np.zeros(fo), dtype))
 
-        # the rotation decode is scale-invariant (Gram-Schmidt), so how far a
-        # fixed-size optimizer step moves the rotation scales with the hidden
-        # activation magnitude: give the direction trunk a large input gain
-        if cfg.head_variant == "mlp2":
-            self.w_pos2, self.b_pos2 = zlin(H, 2)
-            self.w_dir1, self.b_dir1 = lin(M, H, gain=_GAIN_DIR)
-            self.w_dir2, self.b_dir2 = lin(H, 6)
-            # drawn last, so the other initial values do not depend on it
-            self.w_pos1, self.b_pos1 = lin(M, H)
-        elif cfg.head_variant == "mlp1":
+        if cfg.head_variant == "mlp1":
             self.w1, self.b1 = lin(M, H)
             self.w2, self.b2 = lin(H, 2 + 6)
-        else:  # ssm-mlp
+            return
+        if cfg.head_variant == "ssm-mlp":
             self.w_down, self.b_down = lin(M, H)
             blk_cfg = dataclasses.replace(cfg, d_model=H,
                                           dt_rank=max(1, H // 16))
             self.block = MambaBlock(blk_cfg, rng, dtype)
-            self.w_pos2, self.b_pos2 = zlin(H, 2)
-            self.w_dir1, self.b_dir1 = lin(H, H, gain=_GAIN_DIR)
-            self.w_dir2, self.b_dir2 = lin(H, 6)
-            self.w_pos1, self.b_pos1 = lin(H, H)
+            M = H                      # the branches read the block's rows
+        # the rotation decode is scale-invariant (Gram-Schmidt), so how far a
+        # fixed-size optimizer step moves the rotation scales with the hidden
+        # activation magnitude: give the direction trunk a large input gain
+        self.w_pos2, self.b_pos2 = zlin(H, 2)
+        self.w_dir1, self.b_dir1 = lin(M, H, gain=_GAIN_DIR)
+        self.w_dir2, self.b_dir2 = lin(H, 6)
+        # drawn last, so the other initial values do not depend on it
+        self.w_pos1, self.b_pos1 = lin(M, H)
 
     def named_params(self):
-        variant = self.cfg.head_variant
-        if variant == "mlp2":
-            names = ("w_pos1", "b_pos1", "w_pos2", "b_pos2",
-                     "w_dir1", "b_dir1", "w_dir2", "b_dir2")
-        elif variant == "mlp1":
-            names = ("w1", "b1", "w2", "b2")
-        else:
-            names = ("w_down", "b_down", "w_pos1", "b_pos1", "w_pos2", "b_pos2",
-                     "w_dir1", "b_dir1", "w_dir2", "b_dir2")
-        for n in names:
+        for n in _PARAM_NAMES[self.cfg.head_variant]:
             yield n, getattr(self, n)
-        if variant == "ssm-mlp":
+        if self.cfg.head_variant == "ssm-mlp":
             for n, p in self.block.named_params():
                 yield f"block.{n}", p
 
@@ -247,25 +243,20 @@ class PoseHead:
         (on tape)."""
         # standardize each pooled feature (parameter-free) so the branch
         # activations start at unit scale regardless of backbone statistics
-        pooled = dc.layer_norm(feats, self.norm_gain, self.norm_bias)
-        variant = self.cfg.head_variant
-        if variant == "mlp2":
-            pos_out = self._branch(pooled, self.w_pos1, self.b_pos1,
-                                   self.w_pos2, self.b_pos2)
-            r6 = self._branch(pooled, self.w_dir1, self.b_dir1,
-                              self.w_dir2, self.b_dir2)
-        elif variant == "mlp1":
-            out = self._branch(pooled, self.w1, self.b1, self.w2, self.b2)
+        x = dc.layer_norm(feats, self.norm_gain, self.norm_bias)
+        if self.cfg.head_variant == "ssm-mlp":
+            x = dc.add(dc.matmul(x, self.w_down), self.b_down)
+            # each row is its own length-1 sequence: the block's conv and
+            # scan must not carry one sample into the next
+            x, _ = self.block.forward(x, starts=np.arange(x.shape[0]))
+        if self.cfg.head_variant == "mlp1":
+            out = self._branch(x, self.w1, self.b1, self.w2, self.b2)
             pos_out = dc.tslice(out, 1, 0, 2)
             r6 = dc.tslice(out, 1, 2, 8)
         else:
-            x0 = dc.add(dc.matmul(pooled, self.w_down), self.b_down)
-            # each row is its own length-1 sequence: the block's conv and
-            # scan must not carry one sample into the next
-            mixed, _ = self.block.forward(x0, starts=np.arange(x0.shape[0]))
-            pos_out = self._branch(mixed, self.w_pos1, self.b_pos1,
+            pos_out = self._branch(x, self.w_pos1, self.b_pos1,
                                    self.w_pos2, self.b_pos2)
-            r6 = self._branch(mixed, self.w_dir1, self.b_dir1,
+            r6 = self._branch(x, self.w_dir1, self.b_dir1,
                               self.w_dir2, self.b_dir2)
 
         # pixel = sigmoid(branch logits): the squash keeps the prediction
@@ -273,10 +264,7 @@ class PoseHead:
         # excursions, so the L1 fit settles instead of cycling; a zero readout
         # decodes to the image centre (0.5, 0.5)
         pixel = dc.sigmoid(pos_out)
-        # fixed identity offset: zero branch output decodes to the identity
-        # rotation instead of a degenerate 6D representation
-        r6 = dc.add(r6, dc.tensor(
-            np.array([[1.0, 0, 0, 0, 1.0, 0]]), dtype=r6.data.dtype))
+        r6 = dc.add(r6, self.r6_offset)
         return PoseOutputs(pixel=pixel, rot=gram_schmidt_6d(r6))
 
 
@@ -305,9 +293,11 @@ def position_loss(pred_pixels: Tensor, gt_pixels: np.ndarray) -> Tensor:
     if gt.shape != pred_pixels.data.shape:
         raise ShapeError(f"position_loss: batch shapes differ: "
                          f"{pred_pixels.shape} vs {gt.shape}")
+    bad = np.flatnonzero(~np.isfinite(gt).all(axis=1))
+    if bad.size:
+        raise ValueError(f"position_loss: gt[{bad[0]}] has non-finite entries")
     dt = pred_pixels.data.dtype
-    diff = dc.add(pred_pixels, dc.mul(dc.tensor(gt, dtype=dt),
-                                      dc.tensor(-1.0, dtype=dt)))
+    diff = dc.add(pred_pixels, dc.tensor(-gt, dtype=dt))
     # mean over all 2N entries times 2 = mean over N of the per-sample sum
     return dc.mul(dc.mean_pool(dc.absolute(diff)), dc.tensor(2.0, dtype=dt))
 
@@ -330,10 +320,8 @@ def direction_loss(pred_rots: Tensor, gt_rots: np.ndarray) -> Tensor:
                          f"{pred_rots.shape[0]} vs {gt.shape[0]}")
     if gt.shape[0] == 0:
         raise ShapeError("direction_loss: empty batch")
-    for i in range(gt.shape[0]):
-        _require_rotation(f"direction_loss: pred[{i}]",
-                          pred_rots.data[i].reshape(3, 3))
-        _require_rotation(f"direction_loss: gt[{i}]", gt[i])
+    _require_rotations("direction_loss: pred", pred_rots.data.reshape(-1, 3, 3))
+    _require_rotations("direction_loss: gt", gt)
     dt = pred_rots.data.dtype
     # tr(G^T R) is the sum of the elementwise product
     tr = _row_dot(pred_rots, dc.tensor(gt.reshape(-1, 9), dtype=dt))   # [N,1]

@@ -304,6 +304,11 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     _check_schema(stage, dataset)
+    if not (isinstance(epochs, int) and epochs >= 1):
+        raise ValueError(f"run_stage: epochs must be an integer >= 1, got {epochs!r}")
+    if not (steps_limit is None or (isinstance(steps_limit, int) and steps_limit >= 1)):
+        raise ValueError(f"run_stage: steps_limit must be None or an integer >= 1, "
+                         f"got {steps_limit!r}")
     set_stage(model, stage)
     state = init_optim(model)
     rng = np.random.default_rng(seed)

@@ -55,6 +55,16 @@ def test_tokenizer_vocab_cap():
     assert tok.vocab_size <= 2048
 
 
+@pytest.mark.parametrize("max_vocab", [2, 0, -1])
+def test_tokenizer_rejects_a_cap_below_the_reserved_ids(max_vocab):
+    # unchecked, max_vocab=2 slices with a negative bound and keeps 7 tokens
+    corpus = ["open the drawer and pull the handle now"]
+    with pytest.raises(ValueError, match="max_vocab"):
+        mamba.WordTokenizer.build(corpus, max_vocab=max_vocab)
+    assert mamba.WordTokenizer.build(corpus, max_vocab=3).vocab_size == 3
+    assert mamba.WordTokenizer.build(corpus, max_vocab=4).vocab_size == 4
+
+
 def test_tokenizer_punctuation_binds_left():
     tok = mamba.WordTokenizer.build(["pull the handle now ."])
     text = "pull the handle now."

@@ -96,6 +96,20 @@ def test_gram_schmidt_rejects_degenerate_inputs():
         policy.gram_schmidt_6d(t64(np.array([[1.0, 0, 0, 2.0, 0, 0]])))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gram_schmidt_third_row_is_np_cross_bitwise(dtype):
+    """The third row is computed through exact column shifts with the same
+    products and difference as np.cross, so it matches np.cross bit for bit."""
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        B = int(rng.integers(1, 9))
+        r6 = rng.standard_normal((B, 6)) * rng.choice([1e-3, 1.0, 1e3])
+        R = policy.gram_schmidt_6d(dc.tensor(r6, dtype=dtype)).data
+        assert R.dtype == dtype
+        cross = np.cross(R[:, 0:3], R[:, 3:6])
+        assert R[:, 6:9].tobytes() == cross.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # predict_pose
 
@@ -177,6 +191,15 @@ def test_position_loss_metric_properties():
     assert policy.position_loss(t64(np.zeros((2, 2))), np.zeros((2, 2))).item() == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_position_loss_rejects_non_finite_targets(bad):
+    # unchecked, a NaN target fails deep inside diffcore as "NonFiniteError: mul"
+    gt = RNG.random((4, 2))
+    gt[2, 0] = bad
+    with pytest.raises(ValueError, match=r"position_loss: gt\[2\] has non-finite"):
+        policy.position_loss(t64(RNG.random((4, 2))), gt)
+
+
 def test_position_loss_shape_mismatch_errors():
     with pytest.raises(dc.ShapeError):
         policy.position_loss(t64(np.zeros((3, 2))), np.zeros((4, 2)))
@@ -243,6 +266,67 @@ def test_direction_loss_rejects_non_finite_rotations():
         policy.direction_loss(rows(nan), eye[None])
     with pytest.raises(ValueError, match=r"gt\[0\].*non-finite"):
         policy.direction_loss(rows(eye), nan[None])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "scaled"])
+def test_direction_loss_names_the_first_bad_row(bad):
+    """One check covers the whole batch; the error names the first bad
+    pred[k], and only when every pred row passes the first bad gt[k]."""
+    rng = np.random.default_rng(4)
+    rots = np.stack([random_rotation(rng) for _ in range(5)])
+    broken = {"nan": np.full((3, 3), np.nan), "inf": np.diag([1.0, 1.0, np.inf]),
+              "scaled": 1.01 * np.eye(3)}[bad]
+    message = "non-finite" if bad != "scaled" else "not orthonormal"
+    pred = rots.copy()
+    pred[3] = broken
+    pred[4] = np.full((3, 3), np.nan)
+    gt = rots.copy()
+    gt[1] = broken
+    with pytest.raises(ValueError, match=rf"direction_loss: pred\[3\]: .*{message}"):
+        policy.direction_loss(rows(*pred), gt)
+    with pytest.raises(ValueError, match=rf"direction_loss: gt\[1\]: .*{message}"):
+        policy.direction_loss(rows(*rots), gt)
+    # a later non-orthonormal row does not hide an earlier non-finite one
+    pred = rots.copy()
+    pred[2], pred[4] = broken, 2.0 * np.eye(3)
+    with pytest.raises(ValueError, match=rf"pred\[2\]: .*{message}"):
+        policy.direction_loss(rows(*pred), rots)
+
+
+def _first_bad_row_by_loop(pred, gt):
+    """The per-row rule the batch check implements: the first pred row that
+    is non-finite or not orthonormal within 1e-3, then the first gt row."""
+    for name, mats in (("pred", pred), ("gt", gt)):
+        for i, m in enumerate(mats):
+            if not np.all(np.isfinite(m)):
+                return f"direction_loss: {name}[{i}]: matrix has non-finite entries"
+            if np.max(np.abs(m.T @ m - np.eye(3))) > 1e-3:
+                return f"direction_loss: {name}[{i}]: input is not orthonormal within 0.001"
+    return None
+
+
+def test_direction_loss_batch_check_matches_a_per_row_loop():
+    rng = np.random.default_rng(9)
+    kinds = [None, np.full((3, 3), np.nan), np.diag([1.0, -np.inf, 1.0]),
+             1.01 * np.eye(3), 0.9995 * np.eye(3), np.zeros((3, 3))]
+    named_later_row = 0
+    for _ in range(300):
+        B = int(rng.integers(1, 7))
+        pred, gt = (np.stack([random_rotation(rng) for _ in range(B)]) for _ in "pg")
+        for mats in (pred, gt):
+            for i in range(B):
+                kind = kinds[rng.integers(len(kinds))] if rng.random() < 0.2 else None
+                if kind is not None:
+                    mats[i] = kind
+        expected = _first_bad_row_by_loop(pred, gt)
+        if expected is None:
+            policy.direction_loss(rows(*pred), gt)
+            continue
+        with pytest.raises(ValueError) as info:
+            policy.direction_loss(rows(*pred), gt)
+        assert str(info.value) == expected
+        named_later_row += "[0]" not in expected
+    assert named_later_row >= 20
 
 
 def test_direction_loss_gradient_through_6d():

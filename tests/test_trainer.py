@@ -596,6 +596,23 @@ def test_manip_step_is_one_graph_at_any_batch_size(monkeypatch, head_variant):
     assert small[0] == small[1] == large[0] == large[1] > 0, (small, large)
 
 
+@pytest.mark.parametrize("head_variant, nodes",
+                         [("mlp2", 51), ("mlp1", 48), ("ssm-mlp", 57)])
+def test_default_config_manip_row_records_the_head_step_tape(head_variant, nodes):
+    """A default-config mlp2 step: two branches (10), sigmoid and the r6 offset
+    (2), Gram-Schmidt (28), the pixel loss (4), the rotation loss (6) and their
+    sum (1).  mlp1 reads both outputs from one branch through two slices (-3);
+    ssm-mlp adds the down-projection (2) and the block's 4 nodes (+6)."""
+    model = trainer.VlaModel(ModelConfig(head_variant=head_variant), seed=0)
+    for batch_size in (2, 8):
+        metrics, _ = trainer.run_stage(
+            model, "manip", manip_rows(8), epochs=1,
+            hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
+            train_cfg=TrainConfig(batch_size=batch_size), tokenizer=tokenizer(),
+            seed=0, steps_limit=1)
+        assert [row["tape_nodes"] for row in metrics] == [nodes], batch_size
+
+
 def test_optimizer_moments_only_for_trainable_parameters():
     model = tiny_model()
     trainer.set_stage(model, "manip")
@@ -646,6 +663,39 @@ def test_run_stage_schema_mismatch():
         trainer.run_stage(model, "align", [], epochs=1,
                           hyper=StageHyperparams(1e-3, 0.0, 0),
                           train_cfg=TrainConfig(), tokenizer=tokenizer())
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(epochs=0), "epochs"),
+    (dict(epochs=-2), "epochs"),
+    (dict(epochs=1.5), "epochs"),
+    (dict(epochs=1, steps_limit=0), "steps_limit"),
+    (dict(epochs=1, steps_limit=-1), "steps_limit"),
+    (dict(epochs=1, steps_limit=2.0), "steps_limit"),
+], ids=lambda v: str(v))
+def test_run_stage_rejects_bad_loop_bounds(tmp_path, kw, field):
+    """Unchecked, epochs=0 trains nothing yet writes a checkpoint,
+    steps_limit=0 trains one step, and epochs=1.5 fails inside range().  The
+    check runs before the stage is set, so the model and the run directory
+    stay as they were."""
+    model = tiny_model()
+    with pytest.raises(ValueError, match=f"run_stage: {field}"):
+        trainer.run_stage(model, "manip", manip_rows(2),
+                          hyper=StageHyperparams(1e-3, 0.0, 0),
+                          train_cfg=TrainConfig(), tokenizer=tokenizer(),
+                          out_dir=str(tmp_path), **kw)
+    assert model.stage is None
+    assert os.listdir(tmp_path) == []
+
+
+def test_manip_row_with_a_non_finite_pixel_is_named():
+    # unchecked, it fails deep inside diffcore as "NonFiniteError: mul: input 0"
+    rows = manip_rows(2)
+    rows[1]["pos_uv"] = (float("nan"), 0.5)
+    with pytest.raises(ValueError, match=r"position_loss: gt\[[01]\] has non-finite"):
+        trainer.run_stage(tiny_model(), "manip", rows, epochs=1,
+                          hyper=StageHyperparams(1e-3, 0.0, 0),
+                          train_cfg=TrainConfig(batch_size=2), tokenizer=tokenizer())
 
 
 def test_stage_runs_are_deterministic(tmp_path):
