@@ -1,12 +1,19 @@
-"""Dataclass configs for the model, the trainer, and the simulator.
+"""Dataclass configs for the model, the trainer, and the simulator's camera.
 
-Every run is fully described by (ModelConfig, TrainConfig, SimConfig, seed).
+Every run is fully described by (ModelConfig, TrainConfig, seed): the camera
+is one frozen `SimConfig`, `simworld.CAMERA`, and the simulator's suction
+thresholds and AdamW's betas and epsilon are module constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+# every ModelConfig field that sizes a layer
+_MODEL_SIZES = ("image_size", "patch_size", "d_vis", "proj_hidden", "vocab_size",
+                "d_model", "n_blocks", "d_state", "d_conv", "expand", "dt_rank",
+                "head_hidden")
 
 
 @dataclass
@@ -28,6 +35,17 @@ class ModelConfig:
     # policy head
     head_variant: str = "mlp2"    # mlp2 | mlp1 | ssm-mlp
     head_hidden: int = 32
+
+    def __post_init__(self):
+        # head_variant is checked by PoseHead, which owns the variants
+        for name in _MODEL_SIZES:
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"ModelConfig: {name} must be an integer >= 1, "
+                                 f"got {value!r}")
+        if self.image_size % self.patch_size:
+            raise ValueError(f"ModelConfig: image_size {self.image_size} must be "
+                             f"divisible by patch_size {self.patch_size}")
 
     @property
     def d_inner(self) -> int:
@@ -65,40 +83,24 @@ class TrainConfig:
     manip: StageHyperparams = field(
         default_factory=lambda: StageHyperparams(lr=1e-5, weight_decay=0.1, epochs=5)
     )
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 8
 
     def __post_init__(self):
         if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
             raise ValueError(f"TrainConfig: batch_size must be an integer >= 1, "
                              f"got {self.batch_size!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"TrainConfig: {name} must lie in [0, 1), got {value}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
-            raise ValueError(f"TrainConfig: adam_eps must be finite and > 0, "
-                             f"got {self.adam_eps}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    # camera: x right, y down, z forward; intrinsics in pixels
+    # pinhole camera: x right, y down, z forward; intrinsics in pixels.  Frozen:
+    # `simworld.CAMERA` is the one instance, and kept renders assume it fixed
     width: int = 32
     height: int = 32
     fx: float = 28.0
     fy: float = 28.0
     cx: float = 16.0
     cy: float = 16.0
-    # suction interaction
-    attach_tolerance: float = 1e-2    # max contact-point distance to the movable part, metres
-    attach_cone_deg: float = 60.0     # max angle between approach z-axis and inward normal
-    pull_magnitude: float = 0.25      # metres, applied along the retract direction
-    # success thresholds on the achieved joint displacement
-    prismatic_threshold: float = 0.1  # metres
-    revolute_threshold: float = 0.1   # radians
 
     def __post_init__(self):
         for name in ("width", "height"):
@@ -113,11 +115,3 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"SimConfig: {name} must be finite, got {value}")
-        for name in ("attach_tolerance", "pull_magnitude",
-                     "prismatic_threshold", "revolute_threshold"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"SimConfig: {name} must be finite and >= 0, got {value}")
-        if not (math.isfinite(self.attach_cone_deg) and 0.0 < self.attach_cone_deg <= 180.0):
-            raise ValueError(f"SimConfig: attach_cone_deg must be finite and in (0, 180], "
-                             f"got {self.attach_cone_deg}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from mambavla import simworld
-from mambavla.config import SimConfig
 
 __all__ = [
     "color_name",
@@ -101,16 +100,19 @@ def corpus_texts() -> list[str]:
 # generators
 
 
-def make_caption_samples(n: int, seed: int,
-                         cam: SimConfig | None = None) -> list[dict]:
+def _check_count(dataset: str, n) -> None:
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"{dataset} dataset needs an integer n >= 1, got {n!r}")
+
+
+def make_caption_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.1 rows: {image: [H,W,3] array, prompt, answer}."""
-    if n < 1:
-        raise ValueError("caption dataset needs n >= 1")
+    _check_count("caption", n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     rows = []
     for i in range(n):
         kind = simworld.ARCHETYPES[i % len(simworld.ARCHETYPES)]
-        scene = simworld.spawn_object(seed + i, kind, cam)
+        scene = simworld.spawn_object(seed + i, kind)
         rgb, _ = simworld.render(scene)
         rows.append({
             "image": rgb.astype(np.float32),
@@ -120,16 +122,14 @@ def make_caption_samples(n: int, seed: int,
     return rows
 
 
-def make_instruct_samples(n: int, seed: int,
-                          cam: SimConfig | None = None) -> list[dict]:
+def make_instruct_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.2 rows: captions mixed with planning and affordance QA."""
-    if n < 1:
-        raise ValueError("instruct dataset needs n >= 1")
+    _check_count("instruct", n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     rows = []
     for i in range(n):
         kind = simworld.ARCHETYPES[i % len(simworld.ARCHETYPES)]
-        scene = simworld.spawn_object(seed + 1000 + i, kind, cam)
+        scene = simworld.spawn_object(seed + 1000 + i, kind)
         rgb, _ = simworld.render(scene)
         mode = i % 4
         if mode == 0:
@@ -150,20 +150,18 @@ def make_instruct_samples(n: int, seed: int,
     return rows
 
 
-def make_manip_samples(n: int, seed: int, cam: SimConfig | None = None,
-                       kind: str | None = None,
+def make_manip_samples(n: int, seed: int, kind: str | None = None,
                        successful_only: bool = False) -> list[simworld.ManipEpisode]:
     """Stage-2 episodes; per-episode seeds are seed+index.
 
     With successful_only, failed episodes are dropped (the Appendix-B recipe
     trains on successful samples), drawing extra seeds until n remain.
     """
-    if n < 1:
-        raise ValueError("manip dataset needs n >= 1")
+    _check_count("manip", n)
     episodes = []
     offset = 0
     while len(episodes) < n:
-        ep = simworld.collect_episode(seed + offset, kind, cam)
+        ep = simworld.collect_episode(seed + offset, kind)
         offset += 1
         if successful_only and not ep.success:
             continue

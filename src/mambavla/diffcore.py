@@ -81,6 +81,9 @@ SCAN_BLOCK = 16
 # keeping the loss finite; the gradient is zero in the clamped region.
 ARCCOS_CLAMP = 1e-7
 
+# added to the variance in layer_norm, so a constant row normalizes to zero
+LAYER_NORM_EPS = 1e-5
+
 
 class ShapeError(ValueError):
     """Inputs do not conform to a primitive's signature."""
@@ -442,10 +445,10 @@ def mean_pool(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     return _make_node("mean-pool", out_data, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     gain and shift by bias ([D] each, D the last axis of x):
-    ((x - mu) / sigma) * gain + bias."""
+    ((x - mu) / sigma) * gain + bias, with sigma = sqrt(var + LAYER_NORM_EPS)."""
     kind = "layer-norm"
     _common_dtype(kind, (x, gain, bias))
     _check_finite_inputs(kind, (x, gain, bias))
@@ -462,7 +465,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y = x.data - mu
     var = np.add.reduce(y * y, axis=-1, keepdims=True)
     np.true_divide(var, n, out=var, casting="unsafe")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y *= inv
     out_data = y * gain.data
     out_data += bias.data

@@ -177,9 +177,7 @@ class MambaBlock:
 class LanguageModel:
     """Token embedding, K Mamba blocks, final norm, vocabulary head."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         self.embed = dc.param(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)), dtype)
         self.blocks = [MambaBlock(cfg, rng, dtype) for _ in range(cfg.n_blocks)]

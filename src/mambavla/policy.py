@@ -232,9 +232,6 @@ class PoseHead:
             for n, p in self.block.named_params():
                 yield f"block.{n}", p
 
-    def param_count(self) -> int:
-        return sum(p.data.size for _, p in self.named_params())
-
     def _branch(self, x: Tensor, w1, b1, w2, b2) -> Tensor:
         return dc.add(dc.matmul(dc.silu(dc.add(dc.matmul(x, w1), b1)), w2), b2)
 

@@ -20,6 +20,7 @@ from mambavla.config import SimConfig
 from mambavla.policy import EndEffectorPose, lift_to_3d, rotation_about_axis
 
 __all__ = [
+    "CAMERA",
     "Box",
     "ArticulatedObject",
     "Scene",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 ARCHETYPES = ("drawer", "door", "lid")
+CAMERA = SimConfig()         # the one camera every scene is rendered through
 _LIGHT = np.array([-0.4, -0.6, -0.7]) / np.linalg.norm([-0.4, -0.6, -0.7])
 _AMBIENT, _DIFFUSE = 0.35, 0.6
 _BG_COLOR = np.array([0.06, 0.06, 0.08])
@@ -46,6 +48,13 @@ _MIN_PART_PIXELS = 0.05      # movable part must cover >= 5% of the frame
 _MIN_BASE_PIXELS = 0.02      # base must cover >= 2% of the frame
 
 PART_BACKGROUND, PART_BASE, PART_MOVABLE = 0, 1, 2
+
+# suction interaction, and its success thresholds on the achieved joint displacement
+_ATTACH_TOLERANCE = 1e-2                # max contact distance to the movable part, metres
+_ATTACH_COS = np.cos(np.deg2rad(60.0))  # max 60 deg from approach z-axis to inward normal
+_PULL_MAGNITUDE = 0.25                  # metres, applied along the retract direction
+_PRISMATIC_THRESHOLD = 0.1              # metres
+_REVOLUTE_THRESHOLD = 0.1               # radians
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -133,17 +142,15 @@ class ArticulatedObject:
 
 @dataclass
 class Scene:
-    """An object in front of the camera.
+    """An object in front of `CAMERA`.
 
     `render_buffers` keeps the scene's last render and hands it back while
-    the object (by identity), its joint value `obj.q` and the camera's field
-    values are unchanged.  Everything else about the object's geometry is
-    fixed once it is spawned: move the joint through `obj.q`, or put a new
-    object in `obj`.
+    the object (by identity) and its joint value `obj.q` are unchanged.
+    Everything else about the object's geometry is fixed once it is spawned:
+    move the joint through `obj.q`, or put a new object in `obj`.
     """
     obj: ArticulatedObject
-    cam: SimConfig
-    # (obj, obj.q, camera field values, RenderResult) of the last render
+    # (obj, obj.q, RenderResult) of the last render
     _render: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def triangles(self):
@@ -182,15 +189,14 @@ def render_buffers(scene: Scene) -> RenderResult:
     its 1/z beats the buffer by more than 1e-12, so the earliest triangle in
     `Scene.triangles` order wins a tie within 1e-12.
 
-    The result is kept on the scene and returned again while the object,
-    `obj.q` and the camera are unchanged (see `Scene`), so its arrays are
-    read-only: copy one before writing into it.
+    The result is kept on the scene and returned again while the object and
+    `obj.q` are unchanged (see `Scene`), so its arrays are read-only: copy
+    one before writing into it.
     """
-    obj, cam = scene.obj, scene.cam
-    cam_key = tuple(vars(cam).values())
+    obj, cam = scene.obj, CAMERA
     memo = scene._render
-    if memo is not None and memo[0] is obj and memo[1] == obj.q and memo[2] == cam_key:
-        return memo[3]
+    if memo is not None and memo[0] is obj and memo[1] == obj.q:
+        return memo[2]
     W, H = cam.width, cam.height
     rgb = np.tile(_BG_COLOR, (H, W, 1)).astype(np.float64)
     depth = np.zeros((H, W))
@@ -224,7 +230,7 @@ def render_buffers(scene: Scene) -> RenderResult:
     for buf in (rgb, depth, part, normal):
         buf.setflags(write=False)
     result = RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
-    scene._render = (obj, obj.q, cam_key, result)
+    scene._render = (obj, obj.q, result)
     return result
 
 
@@ -329,23 +335,21 @@ def _build_lid(rng: np.random.Generator) -> ArticulatedObject:
 _BUILDERS = {"drawer": _build_drawer, "door": _build_door, "lid": _build_lid}
 
 
-def spawn_object(seed: int, kind: str | None = None,
-                 cam: SimConfig | None = None) -> Scene:
+def spawn_object(seed: int, kind: str | None = None) -> Scene:
     """Deterministic scene from an integer seed.
 
     Redraws geometry (same rng stream, still deterministic) until the scene
     is visible: the movable part covers at least `_MIN_PART_PIXELS` (5%) and
     the base at least `_MIN_BASE_PIXELS` (2%) of the rendered pixels.
     """
-    cam = cam or SimConfig()
     rng = np.random.default_rng(seed)
     if kind is None:
         kind = ARCHETYPES[int(rng.integers(len(ARCHETYPES)))]
     if kind not in _BUILDERS:
         raise ValueError(f"unknown archetype {kind!r}; expected one of {ARCHETYPES}")
-    n_pixels = cam.width * cam.height
+    n_pixels = CAMERA.width * CAMERA.height
     for _ in range(50):
-        scene = Scene(obj=_BUILDERS[kind](rng), cam=cam)
+        scene = Scene(obj=_BUILDERS[kind](rng))
         buf = render_buffers(scene)
         if np.sum(buf.part_id == PART_MOVABLE) >= _MIN_PART_PIXELS * n_pixels \
                 and np.sum(buf.part_id == PART_BASE) >= _MIN_BASE_PIXELS * n_pixels:
@@ -364,14 +368,14 @@ def interact(scene: Scene, pose: EndEffectorPose) -> tuple[bool, float]:
     Attaches iff the 3D contact point lies on the movable part within the
     attach tolerance AND the approach z-axis is within the suction cone of the
     inward surface normal.  The pull retracts along the approach axis
-    (displacement = -pull_magnitude * z-axis) and is projected onto the
+    (displacement = -_PULL_MAGNITUDE * z-axis) and is projected onto the
     joint's motion direction at the contact point, then clamped to limits.
     A non-finite contact point or rotation raises ValueError.
     """
     if pose.a_pos is None:
         raise ValueError("interact: pose has no 3D contact point "
                          "(lift the contact pixel first)")
-    obj, cam = scene.obj, scene.cam
+    obj = scene.obj
     p = np.asarray(pose.a_pos, dtype=np.float64)
     R_pose = np.asarray(pose.a_dir, dtype=np.float64)
     # a NaN fails every comparison below, so it would read as a contact
@@ -380,16 +384,15 @@ def interact(scene: Scene, pose: EndEffectorPose) -> tuple[bool, float]:
     z_axis = R_pose[:, 2]
 
     p_canon = obj.to_canonical(p)
-    if obj.movable_box.surface_distance(p_canon) > cam.attach_tolerance:
+    if obj.movable_box.surface_distance(p_canon) > _ATTACH_TOLERANCE:
         return False, 0.0
     n_canon = obj.movable_box.outward_normal_at(p_canon)
     R, _ = obj.joint_transform(obj.q)
     n_out = R @ n_canon
-    cos_limit = np.cos(np.deg2rad(cam.attach_cone_deg))
-    if float(z_axis @ -n_out) < cos_limit:
+    if float(z_axis @ -n_out) < _ATTACH_COS:
         return False, 0.0
 
-    pull = -cam.pull_magnitude * z_axis        # retract toward the gripper
+    pull = -_PULL_MAGNITUDE * z_axis        # retract toward the gripper
     if obj.joint_kind == "prismatic":
         dq_raw = float(pull @ obj.axis)
     else:
@@ -403,8 +406,8 @@ def interact(scene: Scene, pose: EndEffectorPose) -> tuple[bool, float]:
             dq_raw = float(pull @ tangent) / dist
     q_new = float(np.clip(obj.q + dq_raw, obj.q_min, obj.q_max))
     dq = q_new - obj.q
-    threshold = (cam.prismatic_threshold if obj.joint_kind == "prismatic"
-                 else cam.revolute_threshold)
+    threshold = (_PRISMATIC_THRESHOLD if obj.joint_kind == "prismatic"
+                 else _REVOLUTE_THRESHOLD)
     return abs(dq) > threshold, dq
 
 
@@ -417,7 +420,7 @@ class Observation:
     rgb: np.ndarray
     depth: np.ndarray
     prompt: str
-    cam: SimConfig
+    cam: SimConfig        # always CAMERA
     scene: Scene          # ground truth; learned policies must not read it
 
 
@@ -440,8 +443,7 @@ _PROMPTS = {
 }
 
 
-def _contact_pose(buf: RenderResult, cam: SimConfig,
-                  rng: np.random.Generator | None) -> EndEffectorPose:
+def _contact_pose(buf: RenderResult, rng: np.random.Generator | None) -> EndEffectorPose:
     """Appendix-B contact: a movable pixel approached along z = -normal.
 
     With an rng: a random movable pixel and a random y axis orthogonal to z.
@@ -471,18 +473,16 @@ def _contact_pose(buf: RenderResult, cam: SimConfig,
     h, w = buf.depth.shape
     pixel = ((col + 0.5) / w, (row + 0.5) / h)
     pose = EndEffectorPose(a_dir=R, contact_pixel=pixel)
-    pose.a_pos = lift_to_3d(pixel, buf.depth, cam)
+    pose.a_pos = lift_to_3d(pixel, buf.depth, CAMERA)
     return pose
 
 
-def collect_episode(seed: int, kind: str | None = None,
-                    cam: SimConfig | None = None) -> ManipEpisode:
+def collect_episode(seed: int, kind: str | None = None) -> ManipEpisode:
     """One Appendix-B data-collection episode, reproducible from its seed."""
-    cam = cam or SimConfig()
-    scene = spawn_object(seed, kind, cam)
+    scene = spawn_object(seed, kind)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     buf = render_buffers(scene)
-    pose = _contact_pose(buf, cam, rng)
+    pose = _contact_pose(buf, rng)
     success, dq = interact(scene, pose)
     return ManipEpisode(rgb=buf.rgb, depth=buf.depth,
                         prompt=_PROMPTS[scene.obj.archetype],
@@ -491,7 +491,7 @@ def collect_episode(seed: int, kind: str | None = None,
                         archetype=scene.obj.archetype)
 
 
-def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
+def evaluate(policy, episodes: int, seed: int,
              kind: str | None = None) -> tuple[float, list[dict]]:
     """Run a policy over fresh scenes; returns (success rate, per-episode log).
 
@@ -504,18 +504,17 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
     returns something other than an EndEffectorPose is a programming error,
     raised as TypeError naming the returned type.
     """
-    if episodes < 1:
-        raise ValueError("evaluate: episodes must be >= 1")
-    cam = cam or SimConfig()
+    if not (isinstance(episodes, int) and episodes >= 1):
+        raise ValueError(f"evaluate: episodes must be an integer >= 1, got {episodes!r}")
     log = []
     successes = 0
     for i in range(episodes):
         ep_seed = seed + i
         archetype = kind if kind is not None else ARCHETYPES[i % len(ARCHETYPES)]
-        scene = spawn_object(ep_seed, archetype, cam)
+        scene = spawn_object(ep_seed, archetype)
         buf = render_buffers(scene)
         obs = Observation(rgb=buf.rgb, depth=buf.depth,
-                          prompt=_PROMPTS[archetype], cam=cam, scene=scene)
+                          prompt=_PROMPTS[archetype], cam=CAMERA, scene=scene)
         entry = {"episode": i, "seed": ep_seed, "archetype": archetype,
                  "success": False, "dq": 0.0}
         try:
@@ -525,7 +524,7 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
                                 f"not an EndEffectorPose")
             pose.validate()
             if pose.a_pos is None:
-                pose.a_pos = lift_to_3d(pose.contact_pixel, buf.depth, cam)
+                pose.a_pos = lift_to_3d(pose.contact_pixel, buf.depth, CAMERA)
             success, dq = interact(scene, pose)
             entry["success"], entry["dq"] = bool(success), float(dq)
         except (ValueError, ArithmeticError) as err:
@@ -542,13 +541,13 @@ def evaluate(policy, episodes: int, seed: int, cam: SimConfig | None = None,
 def oracle_policy(obs: Observation) -> EndEffectorPose:
     """Reads ground truth: contact at the movable pixel nearest the part
     centroid, approach opposite the rendered normal."""
-    return _contact_pose(render_buffers(obs.scene), obs.cam, None)
+    return _contact_pose(render_buffers(obs.scene), None)
 
 
 def random_normal_policy(rng: np.random.Generator):
     """Appendix-B sampler as a policy: random movable pixel, z = -normal."""
     def policy(obs: Observation) -> EndEffectorPose:
-        return _contact_pose(render_buffers(obs.scene), obs.cam, rng)
+        return _contact_pose(render_buffers(obs.scene), rng)
     return policy
 
 

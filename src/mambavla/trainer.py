@@ -53,10 +53,14 @@ STAGES = ("align", "cotrain", "manip")
 GROUPS = ("encoder", "projector", "lm", "head")
 
 _STAGE_GROUPS = {
+    None: (),
     "align": ("projector",),
     "cotrain": ("projector", "lm"),
     "manip": ("head",),
 }
+
+# AdamW's b1, b2 and eps (see `adamw_step`)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class VlaModel:
@@ -73,7 +77,6 @@ class VlaModel:
         self.lm = LanguageModel(cfg, rng, dtype)
         self.head = PoseHead(cfg, rng, dtype)
         self.stage: str | None = None
-        self.trainable_groups: tuple[str, ...] = ()
         for _, p in self.named_params():
             p.requires_grad = False
 
@@ -89,7 +92,7 @@ class VlaModel:
                 yield f"{group}.{name}", p
 
     def is_trainable(self, name: str) -> bool:
-        return name.split(".", 1)[0] in self.trainable_groups
+        return name.split(".", 1)[0] in _STAGE_GROUPS[self.stage]
 
 
 def set_stage(model: VlaModel, stage: str) -> VlaModel:
@@ -98,7 +101,6 @@ def set_stage(model: VlaModel, stage: str) -> VlaModel:
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     model.stage = stage
-    model.trainable_groups = _STAGE_GROUPS[stage]
     for name, p in model.named_params():
         p.requires_grad = model.is_trainable(name)
     return model
@@ -120,7 +122,10 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
     many positions it has; every sample needs an unmasked position.
     """
     L, V = logits.data.shape
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"cross_entropy: targets must be integer ids, got {targets.dtype}")
+    targets = targets.astype(np.int64, copy=False)
     if targets.shape != (L,):
         raise ValueError(f"targets shape {targets.shape} != ({L},)")
     if np.any((targets < 0) | (targets >= V)):
@@ -177,7 +182,6 @@ def init_optim(model: VlaModel) -> OptimState:
 
 
 def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                weight_decay: float = 0.0) -> None:
     """Decoupled-weight-decay Adam over the parameters that have moments in
     `state`: the trainable ones when `init_optim` ran.
@@ -194,10 +198,9 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
     order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p - lr (m_hat / (sqrt(v_hat) + eps) + wd p).
     """
-    b1, b2 = betas
     state.step += 1
     t = state.step
-    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+    c1, c2 = 1 - _BETA1 ** t, 1 - _BETA2 ** t
     for name, p in model.named_params():
         if name not in state.m:
             continue
@@ -210,18 +213,18 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
                 f"{name.split('.', 1)[0]!r} ({name})")
         m, v = state.m[name], state.v[name]
         s, s2 = (buf[:p.data.size].reshape(p.data.shape) for buf in state.scratch)
-        m *= b1
-        np.multiply(g, 1 - b1, out=s)
+        m *= _BETA1
+        np.multiply(g, 1 - _BETA1, out=s)
         m += s
-        v *= b2
-        np.multiply(g, 1 - b2, out=s)
+        v *= _BETA2
+        np.multiply(g, 1 - _BETA2, out=s)
         s *= g
         v += s
         with np.errstate(over="ignore", invalid="ignore"):
             np.divide(m, c1, out=s)
             np.divide(v, c2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += eps
+            s2 += _ADAM_EPS
             s /= s2
             np.multiply(p.data, weight_decay, out=s2)
             s += s2
@@ -346,8 +349,6 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
             grads = {name: grads_by_tensor[p] for name, p in params.items()
                      if p in grads_by_tensor}
             adamw_step(model, grads, state, lr=hyper.lr,
-                       betas=(train_cfg.beta1, train_cfg.beta2),
-                       eps=train_cfg.adam_eps,
                        weight_decay=hyper.weight_decay)
             step += 1
             metrics.append({"step": step, "stage": stage,
@@ -422,7 +423,10 @@ def load_checkpoint(path: str) -> VlaModel:
         raise fileio.FormatError(
             f"checkpoint config field 'stage' must be '' or one of {STAGES}, "
             f"got {stage!r}")
-    cfg = ModelConfig(**cfg_dict)
+    try:
+        cfg = ModelConfig(**cfg_dict)
+    except ValueError as err:
+        raise fileio.FormatError(f"checkpoint config: {err}") from err
     # every value is overwritten below, so the parameters start as zeros
     # rather than as random draws
     model = VlaModel.__new__(VlaModel)
@@ -453,7 +457,7 @@ def param_report(model: VlaModel) -> dict:
         groups[group] = int(sum(p.data.size
                                 for _, p in model.group_params(group)))
     total = sum(groups.values())
-    trainable = sum(groups[g] for g in model.trainable_groups)
+    trainable = sum(groups[g] for g in _STAGE_GROUPS[model.stage])
     return {"groups": groups, "total": total,
             "stage": model.stage, "trainable": trainable,
             "ratio": trainable / total if total else 0.0}

