@@ -108,6 +108,7 @@ def _check_count(dataset: str, n) -> None:
 def make_caption_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.1 rows: {image: [H,W,3] array, prompt, answer}."""
     _check_count("caption", n)
+    seed = simworld._check_seed("caption dataset", seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     rows = []
     for i in range(n):
@@ -125,6 +126,7 @@ def make_caption_samples(n: int, seed: int) -> list[dict]:
 def make_instruct_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.2 rows: captions mixed with planning and affordance QA."""
     _check_count("instruct", n)
+    seed = simworld._check_seed("instruct dataset", seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     rows = []
     for i in range(n):
@@ -158,6 +160,7 @@ def make_manip_samples(n: int, seed: int, kind: str | None = None,
     trains on successful samples), drawing extra seeds until n remain.
     """
     _check_count("manip", n)
+    seed = simworld._check_seed("manip dataset", seed)
     episodes = []
     offset = 0
     while len(episodes) < n:

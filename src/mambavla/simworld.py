@@ -21,6 +21,7 @@ from mambavla.policy import EndEffectorPose, lift_to_3d, rotation_about_axis
 
 __all__ = [
     "CAMERA",
+    "Triangles",
     "Box",
     "ArticulatedObject",
     "Scene",
@@ -41,9 +42,17 @@ __all__ = [
 
 ARCHETYPES = ("drawer", "door", "lid")
 CAMERA = SimConfig()         # the one camera every scene is rendered through
-_LIGHT = np.array([-0.4, -0.6, -0.7]) / np.linalg.norm([-0.4, -0.6, -0.7])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# every rasterization reads these module arrays, so none of them can be written
+_LIGHT = _read_only(np.array([-0.4, -0.6, -0.7]) / np.linalg.norm([-0.4, -0.6, -0.7]))
 _AMBIENT, _DIFFUSE = 0.35, 0.6
-_BG_COLOR = np.array([0.06, 0.06, 0.08])
+_BG_COLOR = _read_only(np.array([0.06, 0.06, 0.08]))
 _MIN_PART_PIXELS = 0.05      # movable part must cover >= 5% of the frame
 _MIN_BASE_PIXELS = 0.02      # base must cover >= 2% of the frame
 
@@ -65,28 +74,58 @@ def _unit(v: np.ndarray) -> np.ndarray:
 # geometry
 
 
+def _box_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Corner signs [12, 3, 3] and outward normals [12, 3] of a box's
+    triangles, two per face, faces in the order -x, +x, -y, +y, -z, +z.
+
+    Face (axis, sign) spans a = axis + 1 and b = axis + 2 (mod 3); its quad
+    runs (-a, -b), (+a, -b), (+a, +b), (-a, +b) and splits into the
+    triangles (0, 1, 2) and (0, 2, 3).
+    """
+    signs, normals = [], []
+    for axis in range(3):
+        a, b = (axis + 1) % 3, (axis + 2) % 3
+        for sign in (-1.0, 1.0):
+            quad = np.full((4, 3), sign)
+            quad[:, a] = (-1.0, 1.0, 1.0, -1.0)
+            quad[:, b] = (-1.0, -1.0, 1.0, 1.0)
+            n = np.zeros(3)
+            n[axis] = sign
+            signs += [quad[[0, 1, 2]], quad[[0, 2, 3]]]
+            normals += [n, n]
+    return _read_only(np.stack(signs)), _read_only(np.stack(normals))
+
+
+_BOX_SIGNS, _BOX_NORMALS = _box_tables()
+
+
+@dataclass
+class Triangles:
+    """K triangles in camera frame as parallel arrays.
+
+    Iterating yields one tuple per triangle: (verts, normal), or (verts,
+    normal, color, part_id) for a scene's triangles, which carry a part.
+    """
+    verts: np.ndarray                  # [K, 3, 3], one vertex per row
+    normal: np.ndarray                 # [K, 3] outward face normals
+    color: np.ndarray | None = None    # [K, 3] unshaded part colour
+    part_id: np.ndarray | None = None  # [K] u8: PART_BASE or PART_MOVABLE
+
+    def __iter__(self):
+        if self.color is None:
+            return zip(self.verts, self.normal)
+        return zip(self.verts, self.normal, self.color, self.part_id)
+
+
 @dataclass
 class Box:
     center: np.ndarray
     half: np.ndarray
 
-    def triangles(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(3 vertices, outward normal) pairs in camera frame: two per face,
-        faces in the order -x, +x, -y, +y, -z, +z."""
-        c, h = self.center, self.half
-        tris = []
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                n = np.zeros(3)
-                n[axis] = sign
-                a, b = (axis + 1) % 3, (axis + 2) % 3
-                base = c + h[axis] * n          # n already carries the sign
-                ea = np.zeros(3); ea[a] = h[a]
-                eb = np.zeros(3); eb[b] = h[b]
-                verts = np.stack([base - ea - eb, base + ea - eb,
-                                  base + ea + eb, base - ea + eb])
-                tris += [(verts[[0, 1, 2]], n), (verts[[0, 2, 3]], n)]
-        return tris
+    def triangles(self) -> Triangles:
+        """The 12 triangles of the box: two per face, faces in the order -x,
+        +x, -y, +y, -z, +z, corners `center + signs * half`."""
+        return Triangles(self.center + _BOX_SIGNS * self.half, _BOX_NORMALS)
 
     def surface_distance(self, p: np.ndarray) -> float:
         """Distance from a point to the box surface (0 inside counts as 0)."""
@@ -134,35 +173,49 @@ class ArticulatedObject:
         R, t = self.joint_transform(self.q)
         return R.T @ (p - t)
 
-    def movable_triangles(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def movable_triangles(self) -> Triangles:
+        """The movable part's triangles at `q`: one `R @ verts.T` moves all
+        36 corners."""
         R, t = self.joint_transform(self.q)
-        return [((R @ verts.T).T + t, R @ n)
-                for verts, n in self.movable_box.triangles()]
+        tris = self.movable_box.triangles()
+        corners = (R @ tris.verts.reshape(-1, 3).T).T + t
+        return Triangles(corners.reshape(tris.verts.shape), (R @ tris.normal.T).T)
 
 
 @dataclass
 class Scene:
     """An object in front of `CAMERA`.
 
-    `render_buffers` keeps the scene's last render and hands it back while
-    the object (by identity) and its joint value `obj.q` are unchanged.
-    Everything else about the object's geometry is fixed once it is spawned:
-    move the joint through `obj.q`, or put a new object in `obj`.
+    `triangles` is the scene's one source of geometry, read once per
+    rasterization, and its order is the rasterizer's tie order: where two
+    triangles come within 1e-12 in 1/z at a pixel, the earlier one shows
+    there.  `render_buffers` keeps the scene's last render and hands
+    it back while the object (by identity) and its joint value `obj.q` are
+    unchanged.  Everything else about the object's geometry is fixed once it
+    is spawned: move the joint through `obj.q`, or put a new object in `obj`.
     """
     obj: ArticulatedObject
     # (obj, obj.q, RenderResult) of the last render
     _render: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def triangles(self):
-        """(verts, normal, color, part_id) for every triangle in the scene."""
-        for verts, n in [t for b in self.obj.base_boxes for t in b.triangles()]:
-            yield verts, n, self.obj.base_color, PART_BASE
-        for verts, n in self.obj.movable_triangles():
-            yield verts, n, self.obj.movable_color, PART_MOVABLE
+    def triangles(self) -> Triangles:
+        """Every triangle in the scene with its colour and part: the base
+        boxes' in order, then the movable part's at `obj.q`."""
+        obj = self.obj
+        parts = [box.triangles() for box in obj.base_boxes] + [obj.movable_triangles()]
+        counts = [12 * len(obj.base_boxes), 12]
+        return Triangles(
+            verts=np.concatenate([p.verts for p in parts]),
+            normal=np.concatenate([p.normal for p in parts]),
+            color=np.repeat([obj.base_color, obj.movable_color], counts, axis=0),
+            part_id=np.repeat(np.array([PART_BASE, PART_MOVABLE], np.uint8), counts))
 
 
 # ---------------------------------------------------------------------------
 # rasterizer
+
+_PIXEL_U, _PIXEL_V = (_read_only(g) for g in np.meshgrid(    # [H, W] pixel centres
+    np.arange(CAMERA.width) + 0.5, np.arange(CAMERA.height) + 0.5))
 
 
 @dataclass
@@ -174,20 +227,29 @@ class RenderResult:
 
 
 def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    lam = max(0.0, float(normal @ -_LIGHT))
+    """Lambert shading of a colour [3] under a normal [3], or of K colours
+    [K, 3] under K normals [K, 3], row by row."""
+    # [..., 1, 3] @ [3] takes each row's n @ -_LIGHT through numpy's dot kernel,
+    # the same arithmetic for one row as for many
+    lam = np.maximum(0.0, normal[..., None, :] @ -_LIGHT)
     return np.clip(color * (_AMBIENT + _DIFFUSE * lam), 0.0, 1.0)
 
 
 def render_buffers(scene: Scene) -> RenderResult:
-    """Z-buffer rasterization of the scene's front faces into four buffers.
+    """Z-buffer rasterization of the scene's front faces into four buffers,
+    in one array pass over `Scene.triangles`.
 
     A triangle whose outward normal points away from the camera (at the
-    origin) is skipped: every object is a union of closed boxes seen from
-    outside, so the nearest surface along any ray is a front face.  Each
-    remaining triangle is tested against the whole grid of pixel centres:
-    the barycentric test is the clip.  A pixel goes to a triangle only if
-    its 1/z beats the buffer by more than 1e-12, so the earliest triangle in
-    `Scene.triangles` order wins a tie within 1e-12.
+    origin) is dropped: every object is a union of closed boxes seen from
+    outside, so the nearest surface along any ray is a front face.  So is
+    one with a vertex behind the near plane (z < 1e-3) and one that
+    projects edge-on.  The K triangles left are tested against the whole
+    grid of pixel centres at once, barycentrics and 1/z as [K, H, W]
+    arrays: the barycentric test is the clip.  A K-step z-buffer then
+    records each pixel's winning triangle, in `Scene.triangles` order: a
+    pixel goes to a triangle only if its 1/z beats the buffer by more than
+    1e-12, so the earliest triangle wins a tie within 1e-12.  Depth, part,
+    colour and normal are gathered from the winners.
 
     The result is kept on the scene and returned again while the object and
     `obj.q` are unchanged (see `Scene`), so its arrays are read-only: copy
@@ -197,36 +259,41 @@ def render_buffers(scene: Scene) -> RenderResult:
     memo = scene._render
     if memo is not None and memo[0] is obj and memo[1] == obj.q:
         return memo[2]
-    W, H = cam.width, cam.height
-    rgb = np.tile(_BG_COLOR, (H, W, 1)).astype(np.float64)
-    depth = np.zeros((H, W))
-    zinv = np.zeros((H, W))               # z-buffer keyed on 1/z (0 = empty)
-    part = np.zeros((H, W), dtype=np.uint8)
-    normal = np.zeros((H, W, 3))
-    gu, gv = np.meshgrid(np.arange(W) + 0.5, np.arange(H) + 0.5)  # pixel centres
+    tris = scene.triangles()
+    verts, normal = tris.verts, tris.normal
+    # n @ verts[0] per triangle through the dot kernel, as `_shade` does;
+    # >= 0 is a back face or an edge-on one: never nearest
+    facing = (normal[:, None, :] @ verts[:, 0, :, None]).reshape(-1) < 0.0
+    keep = np.flatnonzero(facing & (verts[:, :, 2].min(axis=1) >= 1e-3))
+    z = verts[keep, :, 2]
+    px = cam.fx * verts[keep, :, 0] / z + cam.cx
+    py = cam.fy * verts[keep, :, 1] / z + cam.cy
+    area2 = ((px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0])
+             - (px[:, 2] - px[:, 0]) * (py[:, 1] - py[:, 0]))
+    drawn = np.abs(area2) >= 1e-12                  # not edge-on on screen
+    keep, z, px, py, area2 = keep[drawn], z[drawn], px[drawn], py[drawn], area2[drawn]
 
-    for verts, n, color, part_id in scene.triangles():
-        if n @ verts[0] >= 0.0:
-            continue                      # back face (or edge-on): never nearest
-        z = verts[:, 2]
-        if np.min(z) < 1e-3:
-            continue                      # behind / at the camera: drop
-        px = cam.fx * verts[:, 0] / z + cam.cx
-        py = cam.fy * verts[:, 1] / z + cam.cy
-        area2 = (px[1] - px[0]) * (py[2] - py[0]) - (px[2] - px[0]) * (py[1] - py[0])
-        if abs(area2) < 1e-12:
-            continue                      # edge-on
-        w0 = ((px[1] - gu) * (py[2] - gv) - (px[2] - gu) * (py[1] - gv)) / area2
-        w1 = ((px[2] - gu) * (py[0] - gv) - (px[0] - gu) * (py[2] - gv)) / area2
-        w2 = 1.0 - w0 - w1
-        # 1/z is affine in screen space, so this is perspective-correct
-        zi = w0 / z[0] + w1 / z[1] + w2 / z[2]
-        win = (w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9) & (zi > zinv + 1e-12)
-        zinv[win] = zi[win]
-        depth[win] = 1.0 / zi[win]
-        part[win] = part_id
-        rgb[win] = _shade(color, n)
-        normal[win] = n
+    # per triangle, each vertex column broadcast over the [H, W] grid
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = (c.T[:, :, None, None] for c in (px, py, z))
+    u, v, a = _PIXEL_U, _PIXEL_V, area2[:, None, None]
+    w0 = ((x1 - u) * (y2 - v) - (x2 - u) * (y1 - v)) / a
+    w1 = ((x2 - u) * (y0 - v) - (x0 - u) * (y2 - v)) / a
+    w2 = 1.0 - w0 - w1
+    # 1/z is affine in screen space, so this is perspective-correct
+    zi = w0 / z0 + w1 / z1 + w2 / z2
+    zi[~((w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9))] = -np.inf   # outside
+
+    zinv = np.zeros(_PIXEL_U.shape)       # z-buffer keyed on 1/z (0 = empty)
+    winner = np.zeros(_PIXEL_U.shape, dtype=np.intp)   # 0 = background, k + 1 = k
+    for k in range(len(keep)):
+        win = zi[k] > zinv + 1e-12
+        np.copyto(zinv, zi[k], where=win)
+        np.copyto(winner, k + 1, where=win)
+
+    depth = np.divide(1.0, zinv, out=np.zeros_like(zinv), where=winner > 0)
+    part = np.concatenate([[PART_BACKGROUND], tris.part_id[keep]]).astype(np.uint8)[winner]
+    rgb = np.concatenate([[_BG_COLOR], _shade(tris.color[keep], normal[keep])])[winner]
+    normal = np.concatenate([np.zeros((1, 3)), normal[keep]])[winner]
     for buf in (rgb, depth, part, normal):
         buf.setflags(write=False)
     result = RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
@@ -335,6 +402,13 @@ def _build_lid(rng: np.random.Generator) -> ArticulatedObject:
 _BUILDERS = {"drawer": _build_drawer, "door": _build_door, "lid": _build_lid}
 
 
+def _check_seed(caller: str, seed) -> int:
+    """A seed as a Python int: any integer >= 0, numpy's included, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{caller}: seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def spawn_object(seed: int, kind: str | None = None) -> Scene:
     """Deterministic scene from an integer seed.
 
@@ -342,6 +416,7 @@ def spawn_object(seed: int, kind: str | None = None) -> Scene:
     is visible: the movable part covers at least `_MIN_PART_PIXELS` (5%) and
     the base at least `_MIN_BASE_PIXELS` (2%) of the rendered pixels.
     """
+    seed = _check_seed("spawn_object", seed)
     rng = np.random.default_rng(seed)
     if kind is None:
         kind = ARCHETYPES[int(rng.integers(len(ARCHETYPES)))]
@@ -479,6 +554,7 @@ def _contact_pose(buf: RenderResult, rng: np.random.Generator | None) -> EndEffe
 
 def collect_episode(seed: int, kind: str | None = None) -> ManipEpisode:
     """One Appendix-B data-collection episode, reproducible from its seed."""
+    seed = _check_seed("collect_episode", seed)
     scene = spawn_object(seed, kind)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     buf = render_buffers(scene)
@@ -506,6 +582,7 @@ def evaluate(policy, episodes: int, seed: int,
     """
     if not (isinstance(episodes, int) and episodes >= 1):
         raise ValueError(f"evaluate: episodes must be an integer >= 1, got {episodes!r}")
+    seed = _check_seed("evaluate", seed)
     log = []
     successes = 0
     for i in range(episodes):

@@ -36,3 +36,27 @@ def grad_check(function: Callable[[Tensor], Tensor], point: Tensor,
 
     rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-12)
     return float(rel.max()) if rel.size else 0.0
+
+
+def step_grad_check(loss: Callable[[], Tensor], coords: list[tuple[Tensor, tuple]],
+                    eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """`backward`'s gradient and central differences at chosen coordinates
+    of parameters that `loss` reads: (analytic, numeric), one entry per
+    (parameter, index) pair in `coords`.
+
+    Each probe puts a perturbed copy in `.data`, so a value derived from
+    the old array is derived anew, and puts the original back after.
+    """
+    backward(loss())
+    analytic = np.array([p.grad[idx] for p, idx in coords])
+    numeric = np.zeros(len(coords))
+    for i, (p, idx) in enumerate(coords):
+        original = p.data
+        for sign in (+1.0, -1.0):
+            probe = original.copy()
+            probe[idx] += sign * eps
+            p.data = probe
+            numeric[i] += sign * loss().item()
+        p.data = original
+        numeric[i] /= 2.0 * eps
+    return analytic, numeric

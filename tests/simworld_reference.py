@@ -7,6 +7,11 @@ is a union of closed boxes seen from outside, so a back face never wins a
 pixel that a front face of the same box does not, and the tests hold the
 culled rasterizer to this one byte for byte on all four buffers.  It reads
 no memo: each call rasterizes the scene as it is now.
+
+It reads its triangles from `Scene.triangles`, so it cannot vouch for the
+geometry.  `scene_triangles` is the geometry as it was built before the
+array version, one face and one triangle at a time, and the tests hold
+`Scene.triangles` to it byte for byte.
 """
 
 from __future__ import annotations
@@ -46,3 +51,33 @@ def render_buffers_all_faces(scene: sw.Scene) -> sw.RenderResult:
         rgb[win] = sw._shade(color, n)
         normal[win] = n
     return sw.RenderResult(rgb=rgb, depth=depth, part_id=part, normal=normal)
+
+
+def box_triangles(box: sw.Box) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(3 vertices, outward normal) pairs: two per face, faces in the order
+    -x, +x, -y, +y, -z, +z."""
+    c, h = box.center, box.half
+    tris = []
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            n = np.zeros(3)
+            n[axis] = sign
+            a, b = (axis + 1) % 3, (axis + 2) % 3
+            base = c + h[axis] * n          # n already carries the sign
+            ea = np.zeros(3); ea[a] = h[a]
+            eb = np.zeros(3); eb[b] = h[b]
+            verts = np.stack([base - ea - eb, base + ea - eb,
+                              base + ea + eb, base - ea + eb])
+            tris += [(verts[[0, 1, 2]], n), (verts[[0, 2, 3]], n)]
+    return tris
+
+
+def scene_triangles(scene: sw.Scene) -> list[tuple]:
+    """(verts, normal, color, part_id) for every triangle in the scene: the
+    base boxes', then the movable part's moved one triangle at a time."""
+    obj = scene.obj
+    tris = [(verts, n, obj.base_color, sw.PART_BASE)
+            for box in obj.base_boxes for verts, n in box_triangles(box)]
+    R, t = obj.joint_transform(obj.q)
+    return tris + [((R @ verts.T).T + t, R @ n, obj.movable_color, sw.PART_MOVABLE)
+                   for verts, n in box_triangles(obj.movable_box)]

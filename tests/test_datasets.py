@@ -105,3 +105,36 @@ def test_generators_reject_non_integer_counts(make, n):
     # 1.5 used to fail inside range() as a TypeError
     with pytest.raises(ValueError, match="integer n >= 1"):
         make(n, 0)
+
+
+SEEDED_CALLS = {
+    "spawn_object": lambda seed: simworld.spawn_object(seed, "drawer"),
+    "collect_episode": lambda seed: simworld.collect_episode(seed, "drawer"),
+    "evaluate": lambda seed: simworld.evaluate(simworld.center_pixel_policy, 1, seed),
+    "caption": lambda seed: ds.make_caption_samples(1, seed),
+    "instruct": lambda seed: ds.make_instruct_samples(1, seed),
+    "manip": lambda seed: ds.make_manip_samples(1, seed),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS)
+@pytest.mark.parametrize("seed", [2.5, 1.5, -3, -2, True, "1", None], ids=repr)
+def test_seeded_entry_points_reject_bad_seeds(call, seed):
+    # 2.5 used to fail in numpy's SeedSequence, -3 as "expected non-negative
+    # integer", and True ran seed 1
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        SEEDED_CALLS[call](seed)
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS)
+@pytest.mark.parametrize("seed", [np.int64(4), np.uint8(4)], ids=repr)
+def test_seeded_entry_points_accept_numpy_integers(call, seed):
+    SEEDED_CALLS[call](seed)
+
+
+def test_numpy_integer_seed_runs_as_the_int_seed():
+    got = simworld.evaluate(simworld.center_pixel_policy, 3, np.int64(4))
+    assert got == simworld.evaluate(simworld.center_pixel_policy, 3, 4)
+    assert all(type(entry["seed"]) is int for entry in got[1])
+    ep = simworld.collect_episode(np.uint16(4))
+    assert type(ep.seed) is int and ep.rgb.tobytes() == simworld.collect_episode(4).rgb.tobytes()

@@ -570,6 +570,30 @@ def test_culled_render_is_byte_identical_over_spawned_scenes():
                 f"seed {seed}, q = {q}"
 
 
+def triangles_equal(got, want):
+    """Same triangles in the same order, every array byte for byte."""
+    got = list(got)
+    return len(got) == len(want) and all(
+        np.asarray(g).dtype == np.asarray(w).dtype == np.float64
+        and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for got_tri, want_tri in zip(got, want) for g, w in zip(got_tri[:3], want_tri[:3])
+    ) and [int(t[3]) for t in got] == [t[3] for t in want]
+
+
+def test_scene_triangles_are_byte_identical_to_the_face_loop():
+    """The array geometry against the per-face, per-triangle construction,
+    on the sweep of the test above."""
+    rng = np.random.default_rng(0)
+    for seed in range(1002):
+        scene = sw.spawn_object(seed, sw.ARCHETYPES[seed % 3])
+        obj = scene.obj
+        for q in (obj.q_min, obj.q_max, float(rng.uniform(obj.q_min, obj.q_max))):
+            obj.q = q
+            assert triangles_equal(scene.triangles(),
+                                   simworld_reference.scene_triangles(scene)), \
+                f"seed {seed}, q = {q}"
+
+
 _BOX = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.6, 4.0),
                  st.floats(0.01, 0.8), st.floats(0.01, 0.8), st.floats(0.01, 0.5))
 
@@ -664,6 +688,15 @@ def test_render_buffers_are_read_only(name):
     buf = sw.render_buffers(sw.spawn_object(5, "lid"))
     with pytest.raises(ValueError, match="read-only"):
         getattr(buf, name)[0, 0] = 0
+
+
+@pytest.mark.parametrize("name", ["_LIGHT", "_BG_COLOR", "_PIXEL_U", "_PIXEL_V",
+                                  "_BOX_SIGNS", "_BOX_NORMALS"])
+def test_rasterizer_constants_are_read_only(name):
+    """Every rasterization reads these, so a write would corrupt every
+    later render."""
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(sw, name)[0] = 0
 
 
 # fresh per test, so the random policy's rng starts from its seed every time

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcheck import grad_check
+from gradcheck import grad_check, step_grad_check
 from mambavla import datasets as ds
 from mambavla import diffcore as dc
 from mambavla import fileio, policy, trainer, vispipe
@@ -175,6 +175,57 @@ def test_packed_batch_matches_per_sample_composition(stage):
             assert grads[name] is None and ref is None, name
         else:
             np.testing.assert_allclose(grads[name], ref, rtol=1e-10, err_msg=name)
+
+
+# Central differences on these float64 losses carry rounding noise that
+# grows as 1/eps (up to ~3e-10 absolute at eps 3e-6) and truncation error
+# that grows as eps^2; 3e-6 keeps both under a quarter of the tolerance.  A
+# coordinate whose gradient is as small as the noise (A_log has some near
+# 4e-8) cannot be judged relative to itself, so the check has an absolute floor.
+STEP_GRAD_EPS = 3e-6
+STEP_GRAD_RTOL = 1e-5
+STEP_GRAD_FLOOR = 1e-9
+
+
+def _step_loss(stage, model, tok):
+    """The loss one `run_stage` step of `stage` differentiates, on 3 rows."""
+    if stage != "manip":
+        rows = (ds.make_caption_samples(3, seed=5) if stage == "align"
+                else ds.make_instruct_samples(3, seed=5))
+        return lambda: trainer._stage1_batch_loss(model, tok, rows)
+    rows = manip_rows(3)
+    cache = np.concatenate([trainer._backbone_feature(model, tok, row["image"], row["prompt"])
+                            for row in rows])
+    gt_uv = np.stack([row["pos_uv"] for row in rows])
+    gt_rot = np.stack([row["rot"] for row in rows])
+
+    def loss():
+        out = model.head.forward(dc.tensor(cache, dtype=cache.dtype))
+        return dc.add(policy.position_loss(out.pixel, gt_uv),
+                      policy.direction_loss(out.rot, gt_rot))
+    return loss
+
+
+@pytest.mark.parametrize("stage", trainer.STAGES)
+def test_whole_step_gradient_matches_central_differences(stage):
+    """float64, tiny config: 3 random coordinates of every trainable tensor
+    and, in cotrain, every coordinate of block 0's A_log, the scan's most
+    non-linear input.  Catches a node that is right alone but wired wrong
+    into the step (a `starts` list, a gather, a frozen group)."""
+    model = trainer.set_stage(trainer.VlaModel(tiny_cfg(), seed=6, dtype=np.float64), stage)
+    trainable = {name: p for name, p in model.named_params() if model.is_trainable(name)}
+    assert {name.split(".")[0] for name in trainable} == \
+        {"align": {"projector"}, "cotrain": {"projector", "lm"}, "manip": {"head"}}[stage]
+    rng = np.random.default_rng(0)
+    coords = [(p, np.unravel_index(i, p.data.shape)) for p in trainable.values()
+              for i in rng.choice(p.data.size, min(3, p.data.size), replace=False)]
+    if stage == "cotrain":
+        A_log = trainable["lm.blocks.0.A_log"]
+        coords += [(A_log, idx) for idx in np.ndindex(A_log.data.shape)]
+    analytic, numeric = step_grad_check(_step_loss(stage, model, tokenizer()), coords,
+                                        eps=STEP_GRAD_EPS)
+    assert np.abs(analytic).max() > 1e-3            # the step has a gradient to check
+    np.testing.assert_allclose(analytic, numeric, rtol=STEP_GRAD_RTOL, atol=STEP_GRAD_FLOOR)
 
 
 def test_packed_align_step_builds_68_nodes(monkeypatch):
