@@ -10,10 +10,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # every ModelConfig field that sizes a layer
 _MODEL_SIZES = ("image_size", "patch_size", "d_vis", "proj_hidden", "vocab_size",
                 "d_model", "n_blocks", "d_state", "d_conv", "expand", "dt_rank",
                 "head_hidden")
+
+
+def is_integer(value) -> bool:
+    """The integer rule for a count or seed passed to a function: any
+    integer, numpy's included, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_field_int(value) -> bool:
+    # a config field is written to a checkpoint's JSON, so it must be a
+    # Python int; isinstance counts a bool as one
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -40,7 +54,7 @@ class ModelConfig:
         # head_variant is checked by PoseHead, which owns the variants
         for name in _MODEL_SIZES:
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if not (_is_field_int(value) and value >= 1):
                 raise ValueError(f"ModelConfig: {name} must be an integer >= 1, "
                                  f"got {value!r}")
         if self.image_size % self.patch_size:
@@ -86,7 +100,7 @@ class TrainConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+        if not (_is_field_int(self.batch_size) and self.batch_size >= 1):
             raise ValueError(f"TrainConfig: batch_size must be an integer >= 1, "
                              f"got {self.batch_size!r}")
 
@@ -105,7 +119,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("width", "height"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if not (_is_field_int(value) and value >= 1):
                 raise ValueError(f"SimConfig: {name} must be an integer >= 1, got {value!r}")
         for name in ("fx", "fy"):
             value = getattr(self, name)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from mambavla import simworld
+from mambavla.config import is_integer
 
 __all__ = [
     "color_name",
@@ -100,14 +101,16 @@ def corpus_texts() -> list[str]:
 # generators
 
 
-def _check_count(dataset: str, n) -> None:
-    if not (isinstance(n, int) and n >= 1):
+def _check_count(dataset: str, n) -> int:
+    """n as a Python int, under the rule of `config.is_integer`."""
+    if not (is_integer(n) and n >= 1):
         raise ValueError(f"{dataset} dataset needs an integer n >= 1, got {n!r}")
+    return int(n)
 
 
 def make_caption_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.1 rows: {image: [H,W,3] array, prompt, answer}."""
-    _check_count("caption", n)
+    n = _check_count("caption", n)
     seed = simworld._check_seed("caption dataset", seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     rows = []
@@ -125,7 +128,7 @@ def make_caption_samples(n: int, seed: int) -> list[dict]:
 
 def make_instruct_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.2 rows: captions mixed with planning and affordance QA."""
-    _check_count("instruct", n)
+    n = _check_count("instruct", n)
     seed = simworld._check_seed("instruct dataset", seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     rows = []
@@ -159,7 +162,7 @@ def make_manip_samples(n: int, seed: int, kind: str | None = None,
     With successful_only, failed episodes are dropped (the Appendix-B recipe
     trains on successful samples), drawing extra seeds until n remain.
     """
-    _check_count("manip", n)
+    n = _check_count("manip", n)
     seed = simworld._check_seed("manip dataset", seed)
     episodes = []
     offset = 0

@@ -731,13 +731,12 @@ def _scan_forward(kind: str, u: np.ndarray, dt: np.ndarray, A: np.ndarray,
         Abar = np.empty((T, N, E), dtype)
         coef = np.empty_like(Abar)                                  # (Abar - 1) / A
         states = np.empty_like(Abar)                                # h_t^T
-        rows = np.empty((T, E, N), dtype)                           # h_t for the readout
         decay = np.empty((N, E), dtype)
         y = np.empty((L, E), dtype)
         h = np.zeros((N, E), dtype) if h0 is None else h0.T
         for s in range(0, L, T):
             n = min(T, L - s)
-            Ab, cf, st, rw = Abar[:n], coef[:n], states[:n], rows[:n]
+            Ab, cf, st = Abar[:n], coef[:n], states[:n]
             # the operation order is that of Abar = exp(delta A),
             # Bbar = (Abar - 1) (1/A) B, and states[t] starts as the input
             # term Bbar_t u_t, into which the loop adds the decayed carry
@@ -751,12 +750,11 @@ def _scan_forward(kind: str, u: np.ndarray, dt: np.ndarray, A: np.ndarray,
                 if s + t not in resets:
                     st[t] += np.multiply(Ab[t], h, out=decay)
                 h = st[t]
-            np.copyto(rw, st.transpose(0, 2, 1))
-            # the next block overwrites states, so it reads its carry from
-            # the last copied-back row, through a transposed view
-            h = rw[-1].T
-            # y_t = C_t . h_t for every t at once: the same products as one per step
-            np.matmul(rw, C[s:s + n, :, None], out=y[s:s + n, :, None])
+            # y_t = C_t h_t^T for every t at once, one stacked [1, N] @ [N, E]
+            # product on the state layout: the same bits as one product per step
+            np.matmul(C[s:s + n, None, :], st, out=y[s:s + n, None, :])
+            if s + n < L:
+                h = h.copy()                            # the next block overwrites states
         y += u * D
     h_final = _check_finite_output(kind, h.T.copy())
     sig = _sigmoid(z)
@@ -796,6 +794,7 @@ def _scan_backward(g: np.ndarray, saved: tuple, need_u: bool, need_dt: bool,
     for t in range(L - 2, -1, -1):
         if t + 1 not in resets:
             dh[t] += np.multiply(Abar[t + 1], dh[t + 1], out=carry)
+    dh_coef = None
     if need_u or need_B:
         # Bbar = coef B is not kept: dh coef serves both gradients
         dh_coef = dh * coef
@@ -805,7 +804,9 @@ def _scan_backward(g: np.ndarray, saved: tuple, need_u: bool, need_dt: bool,
         if need_B:
             grads[3] = np.einsum("lne,le->ln", dh_coef, u)
     if need_delta or need_A_log:
-        dz = dh * u[:, None, :]                                     # d/dBbar, then
+        # into the spent dh coef, not a fresh [L, N, E] array whose pages
+        # would each be faulted in
+        dz = np.multiply(dh, u[:, None, :], out=dh_coef)            # d/dBbar, then
         dz *= B[:, :, None]                                         # d/dcoef
         if need_A_log:
             # d(1/A)/dA_log = -1/A, and (Abar - 1) / A is coef
@@ -861,9 +862,10 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
 
     Layout: the kernel works on the transposed state h^T [N, E], so every
     [., N, E] broadcast runs numpy's inner loop over the E contiguous
-    channels rather than the N = 8 states.  Each step's states are copied
-    back to [E, N] for the readout, which keeps y_t = h_t @ C_t
-    bit-identical to a per-step loop.
+    channels rather than the N = 8 states.  The readout y_t = C_t h_t^T is
+    one stacked [1, N] @ [N, E] product per block on that layout, which
+    gives the same bits as a per-step product of those shapes; no [L, E, N]
+    array exists.
 
     Blocking: with no input needing a gradient the scan steps through time
     in blocks of SCAN_BLOCK steps that reuse one set of buffers, so no

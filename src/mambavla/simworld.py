@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mambavla.config import SimConfig
+from mambavla.config import SimConfig, is_integer
 from mambavla.policy import EndEffectorPose, lift_to_3d, rotation_about_axis
 
 __all__ = [
@@ -404,7 +404,7 @@ _BUILDERS = {"drawer": _build_drawer, "door": _build_door, "lid": _build_lid}
 
 def _check_seed(caller: str, seed) -> int:
     """A seed as a Python int: any integer >= 0, numpy's included, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"{caller}: seed must be an integer >= 0, got {seed!r}")
     return int(seed)
 
@@ -580,8 +580,9 @@ def evaluate(policy, episodes: int, seed: int,
     returns something other than an EndEffectorPose is a programming error,
     raised as TypeError naming the returned type.
     """
-    if not (isinstance(episodes, int) and episodes >= 1):
+    if not (is_integer(episodes) and episodes >= 1):
         raise ValueError(f"evaluate: episodes must be an integer >= 1, got {episodes!r}")
+    episodes = int(episodes)
     seed = _check_seed("evaluate", seed)
     log = []
     successes = 0

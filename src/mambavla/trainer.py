@@ -29,7 +29,7 @@ import numpy as np
 
 from mambavla import diffcore as dc
 from mambavla import fileio
-from mambavla.config import ModelConfig, StageHyperparams, TrainConfig
+from mambavla.config import ModelConfig, StageHyperparams, TrainConfig, is_integer
 from mambavla.mamba import LanguageModel, WordTokenizer
 from mambavla.policy import PoseHead, direction_loss, pool_global_token, position_loss
 from mambavla.vispipe import (MlpProjector, PatchEncoder, multimodal_forward,
@@ -307,9 +307,9 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     _check_schema(stage, dataset)
-    if not (isinstance(epochs, int) and epochs >= 1):
+    if not (is_integer(epochs) and epochs >= 1):
         raise ValueError(f"run_stage: epochs must be an integer >= 1, got {epochs!r}")
-    if not (steps_limit is None or (isinstance(steps_limit, int) and steps_limit >= 1)):
+    if not (steps_limit is None or (is_integer(steps_limit) and steps_limit >= 1)):
         raise ValueError(f"run_stage: steps_limit must be None or an integer >= 1, "
                          f"got {steps_limit!r}")
     set_stage(model, stage)

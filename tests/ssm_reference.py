@@ -96,11 +96,13 @@ def silu(z: np.ndarray) -> np.ndarray:
 
 def _scan_per_step(Abar, Bbar, C, x, h0):
     """The recurrence one step at a time, a fresh array per step; Abar,
-    Bbar [L, D, N], C [L, N].  Returns (y [L, D], h_final [D, N])."""
+    Bbar [L, D, N], C [L, N].  Returns (y [L, D], h_final [D, N]).  Each
+    step reads out as the [1, N] @ [N, D] product of C_t and the state's
+    transpose, the shapes of the scan's readout on its [N, D] layout."""
     h, ys = h0, []
     for t in range(x.shape[0]):
         h = Abar[t] * h + Bbar[t] * x[t][:, None]
-        ys.append(h @ C[t])
+        ys.append((C[t][None, :] @ np.ascontiguousarray(h.T))[0])
     return np.stack(ys), h
 
 

@@ -107,6 +107,32 @@ def test_generators_reject_non_integer_counts(make, n):
         make(n, 0)
 
 
+@pytest.mark.parametrize("make", [ds.make_caption_samples, ds.make_instruct_samples,
+                                  ds.make_manip_samples],
+                         ids=["caption", "instruct", "manip"])
+@pytest.mark.parametrize("n", [True, False], ids=repr)
+def test_generators_reject_bool_counts(make, n):
+    # True used to return one row
+    with pytest.raises(ValueError, match="integer n >= 1"):
+        make(n, 0)
+
+
+@pytest.mark.parametrize("make", [
+    ds.make_caption_samples,
+    ds.make_instruct_samples,
+    lambda n, seed: ds.episode_rows(ds.make_manip_samples(n, seed=seed)),
+], ids=["caption", "instruct", "manip"])
+@pytest.mark.parametrize("n", [np.int64(2), np.uint8(2)], ids=repr)
+def test_generators_accept_numpy_integer_counts(make, n):
+    # np.int64(2) used to raise "needs an integer n >= 1", unlike a seed
+    got, want = make(n, seed=3), make(2, seed=3)
+    assert len(got) == len(want) == 2
+    for row, ref in zip(got, want):
+        assert row.keys() == ref.keys()
+        for key in row:
+            assert np.asarray(row[key]).tobytes() == np.asarray(ref[key]).tobytes(), key
+
+
 SEEDED_CALLS = {
     "spawn_object": lambda seed: simworld.spawn_object(seed, "drawer"),
     "collect_episode": lambda seed: simworld.collect_episode(seed, "drawer"),

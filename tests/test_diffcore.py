@@ -380,6 +380,52 @@ def test_selective_scan_without_gradient_equals_gradient_path(dtype):
     assert np.array_equal(h_final.data, h_grad.data)
 
 
+@pytest.mark.parametrize("grad", [False, True])
+def test_split_float32_scan_equals_one_long_scan(grad):
+    """Scanning rows [0, 1), [1, B), [B, B+1) and [B+1, L) with h0 carried
+    gives the bits of one call over L = 2B + 5 rows, B = SCAN_BLOCK: without
+    a gradient the long call carries its state across two block edges."""
+    B = dc.SCAN_BLOCK
+    L = 2 * B + 5
+    rng = np.random.default_rng(15)
+    arrays = [a.astype(np.float32) for a in _scan_inputs(rng, L=L, E=24, N=4)]
+    h0 = rng.standard_normal((24, 4)).astype(np.float32)
+    per_row = (True, True, False, True, True, False, True, False)     # [L, .] inputs
+
+    def scan(lo, hi, carry):
+        args = [a[lo:hi] if rows else a for a, rows in zip(arrays, per_row)]
+        return dc.selective_scan(*(dc.tensor(a, requires_grad=grad) for a in args),
+                                 h0=carry)
+
+    y, h_final = scan(0, L, h0)
+    carry, pieces = h0, []
+    for lo, hi in zip((0, 1, B, B + 1), (1, B, B + 1, L)):
+        y_part, carry = scan(lo, hi, carry)
+        pieces.append(y_part.data)
+    assert y.requires_grad == grad
+    assert np.array_equal(y.data, np.concatenate(pieces))
+    assert np.array_equal(h_final.data, carry.data)
+
+
+@pytest.mark.parametrize("grad, bound", [(True, 4.25), (False, 1.0)])
+def test_selective_scan_forward_peak_memory(grad, bound):
+    """The gradient path keeps three trajectory arrays (Abar, coef and the
+    states); the readout runs on the states as they lie, so there is no
+    fourth [L, E, N] copy.  Without a gradient no trajectory is allocated.
+    The peak above the inputs is in units of one float32 [L, N, E] array."""
+    L, E, N = 256, 512, 8
+    arrays = _scan_inputs(np.random.default_rng(16), L=L, E=E, N=N)
+    leaves = [dc.tensor(a, requires_grad=grad) for a in arrays]
+    tracemalloc.start()
+    try:
+        y, _ = dc.selective_scan(*leaves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad == grad
+    assert peak < bound * L * N * E * 4, f"peak {peak / (L * N * E * 4):.2f} arrays"
+
+
 def test_selective_scan_without_gradient_allocates_no_trajectory():
     L, E, N = 512, 64, 8
     args = [t64(a) for a in _scan_inputs(np.random.default_rng(14), L=L, E=E, N=N)]

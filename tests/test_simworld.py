@@ -535,6 +535,20 @@ def test_evaluate_rejects_non_integer_episodes(episodes):
         sw.evaluate(sw.oracle_policy, episodes, 0)
 
 
+@pytest.mark.parametrize("episodes", [True, False], ids=repr)
+def test_evaluate_rejects_bool_episodes(episodes):
+    with pytest.raises(ValueError, match="episodes must be an integer"):
+        sw.evaluate(sw.oracle_policy, episodes, 0)
+
+
+@pytest.mark.parametrize("episodes", [np.int64(3), np.uint8(3)], ids=repr)
+def test_evaluate_runs_numpy_integer_episodes_as_the_int(episodes):
+    # np.int64(3) used to raise "episodes must be an integer", unlike a seed
+    rate, log = sw.evaluate(sw.center_pixel_policy, episodes, 5)
+    assert (rate, log) == sw.evaluate(sw.center_pixel_policy, 3, 5)
+    assert type(rate) is float
+
+
 def test_evaluate_observations_carry_the_shared_camera():
     cams = []
 
@@ -769,6 +783,15 @@ def test_sim_config_rejects_bad_values(kw, field):
     # place a visible drawer"
     with pytest.raises(ValueError, match=f"SimConfig: {field}"):
         SimConfig(**kw)
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", [True, np.int64(32)], ids=repr)
+def test_sim_config_sizes_are_python_ints(field, value):
+    # width=True used to build a one-pixel camera; a numpy integer stays
+    # refused, as in every config field
+    with pytest.raises(ValueError, match=f"SimConfig: {field} must be an integer >= 1"):
+        SimConfig(**{field: value})
 
 
 def test_sim_config_accepts_its_boundaries():

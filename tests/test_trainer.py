@@ -711,6 +711,18 @@ def test_model_config_rejects_bad_sizes(field, value):
         ModelConfig(**{field: value})
 
 
+@pytest.mark.parametrize("make, field", [(ModelConfig, f) for f in MODEL_SIZES]
+                         + [(TrainConfig, "batch_size")],
+                         ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [True, np.int64(4)], ids=repr)
+def test_config_sizes_are_python_ints(make, field, value):
+    """A config is written to a checkpoint's JSON, so its sizes are Python
+    ints.  n_blocks=True used to build a model whose checkpoint
+    load_checkpoint then refused as "must be int, got bool"."""
+    with pytest.raises(ValueError, match=f"{make.__name__}: {field} must be an integer >= 1"):
+        make(**{field: value})
+
+
 def test_model_config_rejects_image_size_not_divisible_by_patch_size():
     # image_size=30 used to build a model that rejected every image in encode
     with pytest.raises(ValueError, match="image_size 30 must be divisible by patch_size 8"):
@@ -771,6 +783,30 @@ def test_run_stage_rejects_bad_loop_bounds(tmp_path, kw, field):
                           out_dir=str(tmp_path), **kw)
     assert model.stage is None
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(epochs=True), "epochs"),
+    (dict(epochs=1, steps_limit=True), "steps_limit"),
+], ids=lambda v: str(v))
+def test_run_stage_rejects_bool_loop_bounds(kw, field):
+    with pytest.raises(ValueError, match=f"run_stage: {field}"):
+        trainer.run_stage(tiny_model(), "manip", manip_rows(2),
+                          hyper=StageHyperparams(1e-3, 0.0, 0),
+                          train_cfg=TrainConfig(), tokenizer=tokenizer(), **kw)
+
+
+def test_run_stage_runs_numpy_integer_loop_bounds_as_the_ints():
+    """Loop bounds follow the seeds' integer rule: np.int64(2) used to be
+    refused as "epochs must be an integer"."""
+    losses = []
+    for epochs, steps_limit in ((np.int64(2), np.uint8(3)), (2, 3)):
+        metrics, _ = trainer.run_stage(
+            tiny_model(), "manip", manip_rows(4), epochs=epochs,
+            hyper=StageHyperparams(1e-3, 0.0, 0), train_cfg=TrainConfig(batch_size=2),
+            tokenizer=tokenizer(), steps_limit=steps_limit)
+        losses.append([row["loss"] for row in metrics])
+    assert len(losses[0]) == 3 and losses[0] == losses[1]
 
 
 def test_manip_row_with_a_non_finite_pixel_is_named():
