@@ -1,12 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The primitive set is closed: every model operation in this package composes
-from the 18 kinds registered in `PRIMITIVES`.  Each primitive validates input
-shapes/dtypes, rejects non-finite values, and registers a backward closure
-on the implicit tape (the parent links of the output tensor) when an input
-has `requires_grad`, the only gradient flag.  `backward` clears the `.grad`
-of every tensor it reaches before its sweep, so a leaf's `.grad` is the
-last sweep's gradient, never a sum over sweeps.
+from the 16 kinds registered in `PRIMITIVES`.  The selective scan and the
+causal conv are kernels inside `mamba-inner`, not primitives of their own.
+Each primitive validates input shapes/dtypes, rejects non-finite values,
+and registers a backward closure on the implicit tape (the parent links of
+the output tensor) when an input has `requires_grad`, the only gradient
+flag.  `backward` clears the `.grad` of every tensor it reaches before its
+sweep, so a leaf's `.grad` is the last sweep's gradient, never a sum over
+sweeps.
 
 Each array is checked for finiteness once, by one rule for every primitive:
 a primitive checks and marks its output, `param` checks and marks a
@@ -20,10 +22,9 @@ writes into a parameter in place, like the optimizer, checks what it
 writes.
 
 Carried state follows the same rule.  The state a primitive returns for the
-next call (the scan's final state, the conv's trailing context, and both
-from `mamba_inner`) is a no-grad Tensor built from checked arrays and
-marked, so the next decode step does not rescan it; a plain array passed as
-a carry is checked at every use.
+next call (`mamba_inner`'s final scan state and conv context) is a no-grad
+Tensor built from checked arrays and marked, so the next decode step does
+not rescan it; a plain array passed as a carry is checked at every use.
 
 Values derived from a parameter are cached on it the same way: the scan's
 A = -exp(A_log) and 1/A are kept on the A_log tensor while its `.data` is
@@ -60,12 +61,10 @@ __all__ = [
     "arccos",
     "mean_pool",
     "layer_norm",
-    "conv1d_depthwise",
     "log_softmax_rows",
     "concat",
     "tslice",
     "gather_rows",
-    "selective_scan",
     "mamba_inner",
     "backward",
     "tape_nodes",
@@ -299,14 +298,13 @@ def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor) -> Tensor:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """GEMM on 2-D operands: a @ b, or a @ b.T with transpose_b."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """GEMM on 2-D operands: a @ b."""
     _common_dtype("matmul", (a, b))
     _check_finite_inputs("matmul", (a, b))
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    am = a.data
-    bm = b.data.T if transpose_b else b.data
+    am, bm = a.data, b.data
     if am.shape[1] != bm.shape[0]:
         raise ShapeError(f"matmul: inner dims differ: {am.shape} @ {bm.shape}")
     out_data = am @ bm
@@ -315,8 +313,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ bm.T)
         if b.requires_grad:
-            gbm = am.T @ g                       # gradient w.r.t. op_b(b)
-            _accumulate(b, gbm.T if transpose_b else gbm)
+            _accumulate(b, am.T @ g)
 
     return _make_node("matmul", out_data, (a, b), backward_fn)
 
@@ -497,9 +494,17 @@ def _own_taps(taps: np.ndarray, i: int, w: int, later: Sequence[int]) -> np.ndar
 
 def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, ctx: np.ndarray,
                   later: Sequence[int]) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The conv's numpy forward on checked arrays (see `conv1d_depthwise`):
-    returns (y [L, D], ctx_final [w-1, D], saved), saved being what
-    `_conv_backward` reads."""
+    """The causal depthwise conv of `mamba_inner`, plus a bias, through SiLU,
+    on checked arrays: x [L, D], kernel [w, D], bias [D], ctx [w-1, D] the
+    rows before x, later the starts after row 0.  With xp = [ctx || x],
+
+        y[t, d] = silu(sum_i kernel[i, d] xp[t + i, d] + bias[d])
+
+    where a tap that reaches back across a later start reads zero: ctx is
+    the first sequence's context, each later one starts from w-1 zero rows.
+    Returns (y [L, D], ctx_final [w-1, D], saved): ctx_final, the last w-1
+    rows of xp zeroed before the last start, continues the last sequence;
+    saved is what `_conv_backward` reads."""
     L, D = x.shape
     w = kernel.shape[0]
     xp = np.concatenate([ctx, x], axis=0)               # [L+w-1, D]
@@ -533,57 +538,6 @@ def _conv_backward(g: np.ndarray, saved: tuple, need_x: bool, need_kernel: bool,
         gk = np.stack([_own_taps(xp[i:i + L] * g, i, w, later).sum(axis=0)
                        for i in range(w)])
     return gx, gk, gb
-
-
-def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
-                     ctx: Tensor | np.ndarray | None = None,
-                     starts=None) -> tuple[Tensor, Tensor]:
-    """Causal depthwise 1-D convolution plus a bias, through SiLU, over the
-    sequences packed into x.
-
-    x: [L, D], kernel: [w, D], bias: [D], ctx: [w-1, D] inputs that precede
-    x (zeros when None); starts: the first row of each sequence, strictly
-    increasing from 0 (see `selective_scan`; None is one sequence).  With
-    xp = [ctx || x],
-
-        y[t, d] = silu(sum_i kernel[i, d] xp[t + i, d] + bias[d])
-
-    where a tap that reaches back across a later start reads zero: ctx is the
-    first sequence's context, each later sequence starts from w-1 zero rows,
-    and y[t] never sees a later row nor another sequence.  Returns (y [L, D],
-    ctx_final [w-1, D]): the last w-1 rows of xp, zero before the last start,
-    the context that continues the last sequence.  Like selective_scan's h0,
-    ctx gets no gradient, and ctx_final is a marked no-grad carry.
-
-    The arithmetic lives in `_conv_forward` and `_conv_backward`, which
-    `mamba_inner` calls as well; this node is their standalone form, and
-    the conv node of the composition `mamba_inner` is checked against.
-    """
-    kind = "conv1d-depthwise"
-    inputs = (x, kernel, bias)
-    dtype = _common_dtype(kind, inputs)
-    _check_finite_inputs(kind, inputs)
-    if x.data.ndim != 2 or kernel.data.ndim != 2:
-        raise ShapeError(f"{kind}: expects x [L,D], kernel [w,D]; "
-                         f"got {x.shape}, {kernel.shape}")
-    L, D = x.data.shape
-    w, Dk = kernel.data.shape
-    if D != Dk:
-        raise ShapeError(f"{kind}: channel mismatch {D} vs {Dk}")
-    if bias.shape != (D,):
-        raise ShapeError(f"{kind}: bias must have shape {(D,)}, got {bias.shape}")
-    later = _check_starts(kind, starts, L)[1:]
-    ctx = (np.zeros((w - 1, D), dtype) if ctx is None
-           else _check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
-    out_data, ctx_final, saved = _conv_forward(x.data, kernel.data, bias.data, ctx, later)
-
-    def backward_fn(g: np.ndarray) -> None:
-        for t, grad in zip(inputs, _conv_backward(g, saved, *(t.requires_grad
-                                                              for t in inputs))):
-            if grad is not None:
-                _accumulate(t, grad)
-
-    return _make_node(kind, out_data, inputs, backward_fn), _carry(ctx_final)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -708,11 +662,30 @@ def _scan_forward(kind: str, u: np.ndarray, dt: np.ndarray, A: np.ndarray,
                   inv_A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
                   z: np.ndarray, dt_bias: np.ndarray, h0: np.ndarray | None,
                   resets: set[int], grad: bool) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """The scan's numpy forward on checked arrays (see `selective_scan`; A
-    and inv_A [N, E] from `_derived_A`, resets the rows whose h_{t-1} is
-    zero).  Returns (y [L, E], h_final [E, N] checked finite, saved), saved
-    being what `_scan_backward` reads, or None without grad, which runs in
-    blocks of SCAN_BLOCK steps and keeps no trajectory."""
+    """The selective SSM of `mamba_inner` on checked arrays: the step size's
+    bias and softplus, ZOH discretization, scan, readout, the skip term D u
+    and the gate silu(z).  u, dt, z [L, E]; A = -exp(A_log^T) and inv_A =
+    1/A [N, E] from `_derived_A`; B, C [L, N]; D, dt_bias [E]; h0 [E, N] or
+    None (zeros).  With delta = softplus(dt + dt_bias), computed as
+    max(x, 0) + log1p(exp(-|x|)), which cannot overflow:
+
+        Abar_t = exp(delta_t A),  Bbar_t = (Abar_t - 1) (1/A) B_t   (exact ZOH)
+        h_t = Abar_t h_{t-1} + Bbar_t u_t
+        y_t = (C_t . h_t + D u_t) silu(z_t)
+
+    Packing: resets, the starts after row 0 (Mamba-2's seq_idx, Dao & Gu
+    2024, arXiv 2405.21060), are the rows whose h_{t-1} is zero: the forward
+    skips the decay term there and `_scan_backward` the adjoint carry, so no
+    sequence sees another (Krell et al. 2021, arXiv 2107.02027).  h0 belongs
+    to the first sequence and h_final continues the last.
+
+    Layout: the state is kept transposed, h^T [N, E], so every [., N, E]
+    broadcast runs over the E contiguous channels, and the readout is one
+    stacked [1, N] @ [N, E] product per block, the bits of one per step.
+    Without grad the scan runs in blocks of SCAN_BLOCK steps on one set of
+    buffers and keeps no trajectory.  Returns (y [L, E], h_final [E, N]
+    checked finite, saved), saved being what `_scan_backward` reads, or None
+    without grad."""
     L, E = u.shape
     N = A.shape[0]
     dtype = u.dtype
@@ -831,84 +804,6 @@ def _scan_backward(g: np.ndarray, saved: tuple, need_u: bool, need_dt: bool,
     return grads
 
 
-def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B: Tensor, C: Tensor,
-                   D: Tensor, z: Tensor, dt_bias: Tensor,
-                   h0: Tensor | np.ndarray | None = None,
-                   starts=None) -> tuple[Tensor, Tensor]:
-    """Selective SSM over the sequences packed into L rows: the step size's
-    bias and softplus, ZOH discretization, scan, readout, the skip term D u
-    and the gate silu(z).
-
-    u, dt, z: [L, E]; A_log: [E, N]; B, C: [L, N]; D, dt_bias: [E]; h0:
-    [E, N], the state before row 0 (zeros when None).  With A = -exp(A_log),
-    1/A = -exp(-A_log) and delta = softplus(dt + dt_bias), computed as
-    max(x, 0) + log1p(exp(-|x|)), which cannot overflow:
-
-        Abar_t = exp(delta_t A),  Bbar_t = (Abar_t - 1) (1/A) B_t   (exact ZOH)
-        h_t = Abar_t h_{t-1} + Bbar_t u_t
-        y_t = (C_t . h_t + D u_t) silu(z_t)
-
-    Returns (y [L, E], h_final [E, N]); the final state is a marked no-grad
-    Tensor for the generation carry.  A and 1/A come from `_derived_A`.
-
-    Packing: starts, the first row of each sequence (strictly increasing
-    from 0, below L; None is one sequence), is the seq_idx of Mamba-2's
-    kernels (Dao & Gu 2024, arXiv 2405.21060).  h0 belongs to the first
-    sequence.  At each later start the carried state is zero: the forward
-    skips the decay term Abar_t h_{t-1}, and the backward stops the adjoint
-    carry and the dh_t h_{t-1} term there, so no sequence sees another
-    (Krell et al. 2021, arXiv 2107.02027).  h_final continues the last
-    sequence.
-
-    Layout: the kernel works on the transposed state h^T [N, E], so every
-    [., N, E] broadcast runs numpy's inner loop over the E contiguous
-    channels rather than the N = 8 states.  The readout y_t = C_t h_t^T is
-    one stacked [1, N] @ [N, E] product per block on that layout, which
-    gives the same bits as a per-step product of those shapes; no [L, E, N]
-    array exists.
-
-    Blocking: with no input needing a gradient the scan steps through time
-    in blocks of SCAN_BLOCK steps that reuse one set of buffers, so no
-    [L, N, E] array is allocated and no backward is registered.  With a
-    gradient the block is the whole sequence, and the trajectory is kept for
-    the backward, which runs the reverse-time adjoint dh_t = dy_t C_t +
-    Abar_{t+1} dh_{t+1} once and everything else vectorised over [L, N, E].
-
-    The arithmetic lives in `_scan_forward` and `_scan_backward`, which
-    `mamba_inner` calls as well; this node is their standalone form, and
-    the scan node of the composition `mamba_inner` is checked against.
-    """
-    kind = "selective-scan"
-    inputs = (u, dt, A_log, B, C, D, z, dt_bias)
-    dtype = _common_dtype(kind, inputs)
-    if u.data.ndim != 2 or A_log.data.ndim != 2:
-        raise ShapeError(f"{kind}: expects 2-D u and A_log, got {u.shape} and {A_log.shape}")
-    L, E = u.shape
-    N = A_log.shape[1]
-    expected = ((L, E), (L, E), (E, N), (L, N), (L, N), (E,), (L, E), (E,))
-    if L == 0 or any(t.shape != s for t, s in zip(inputs, expected)):
-        raise ShapeError(f"{kind}: expects u, dt, z [L, E], A_log [E, N], B, C [L, N], "
-                         f"D, dt_bias [E] with L >= 1; got {[t.shape for t in inputs]}")
-    _check_finite_inputs(kind, inputs)
-    # the rows h_{t-1} does not reach (row 0's h_{t-1} is h0 or zeros)
-    resets = set(_check_starts(kind, starts, L)[1:])
-    if h0 is not None:
-        h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
-    needs = [t.requires_grad for t in inputs]
-    A, inv_A = _derived_A(kind, A_log)
-    y, h_final, saved = _scan_forward(kind, u.data, dt.data, A, inv_A, B.data, C.data,
-                                      D.data, z.data, dt_bias.data, h0, resets, any(needs))
-    if saved is None:
-        return _make_node(kind, y, inputs, None), _carry(h_final)
-
-    def backward_fn(g: np.ndarray) -> None:
-        for t, grad in zip(inputs, _scan_backward(g, saved, *needs)):
-            if grad is not None:
-                _accumulate(t, grad)
-
-    return _make_node(kind, y, inputs, backward_fn), _carry(h_final)
-
-
 def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
                 dt_proj: Tensor, dt_bias: Tensor, A_log: Tensor, D: Tensor,
                 out_proj: Tensor, h0: Tensor | np.ndarray | None = None,
@@ -919,19 +814,21 @@ def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
 
     xz [L, 2E] is the in_proj output: the signal in columns [0, E), the gate
     z in [E, 2E).  conv_w [w, E], conv_b, dt_bias, D [E], x_proj [E, R+2N],
-    dt_proj [R, E], A_log [E, N], out_proj [E, M]; h0 [E, N], ctx [w-1, E]
-    and starts are as in `selective_scan` and `conv1d_depthwise`.  It runs
+    dt_proj [R, E], A_log [E, N], out_proj [E, M].  starts, the first row of
+    each sequence packed into L rows, rises strictly from 0 below L (None is
+    one sequence); h0 [E, N] and ctx [w-1, E], the scan state and the conv
+    context before row 0 (zeros when None), belong to the first.  It runs
 
-        u = conv1d_depthwise(xz[:, :E], conv_w, conv_b, ctx)
+        u = conv(xz[:, :E], conv_w, conv_b, ctx)                  `_conv_forward`
         [dt_low | B | C] = u x_proj
-        y = selective_scan(u, dt_low dt_proj, A_log, B, C, D, z, dt_bias, h0)
+        y = scan(u, dt_low dt_proj, A_log, B, C, D, z, dt_bias, h0)   `_scan_forward`
 
-    through those primitives' kernels in their operation order, so a
-    float32 result is bit-identical to the 11 nodes it replaces, and
-    returns (y out_proj [L, M], h_final [E, N], ctx_final [w-1, E]).  It
-    checks what those nodes check: u, u x_proj, dt + dt_bias, y, the output
-    and both carries.  The backward writes the u and z gradients into column
-    windows of one [L, 2E] array.
+    in the operation order of the 11 nodes it replaces, so a float32 result
+    is bit-identical to them, and returns (y out_proj [L, M], h_final [E, N],
+    ctx_final [w-1, E]).  It checks what those nodes check: u, u x_proj,
+    dt + dt_bias, exp(+-A_log), y, the output and both carries.  The
+    backward writes the u and z gradients into column windows of one
+    [L, 2E] array.
     """
     kind = "mamba-inner"
     inputs = (xz, conv_w, conv_b, x_proj, dt_proj, dt_bias, A_log, D, out_proj)
@@ -1012,12 +909,10 @@ PRIMITIVES: dict[str, Callable] = {
     "arccos": arccos,
     "mean-pool": mean_pool,
     "layer-norm": layer_norm,
-    "conv1d-depthwise": conv1d_depthwise,
     "log-softmax-rows": log_softmax_rows,
     "concat": concat,
     "slice": tslice,
     "gather-rows": gather_rows,
-    "selective-scan": selective_scan,
     "mamba-inner": mamba_inner,
 }
 

@@ -117,7 +117,7 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
     ignore_mask: optional boolean [L]; True positions are excluded (visual
     and prompt positions carry no supervision).  starts, the first row of
     each sample packed into logits (None is one sample), checked as
-    `diffcore.selective_scan` checks its own, makes the loss the mean over
+    `diffcore.mamba_inner` checks its own, makes the loss the mean over
     samples of each sample's masked mean, so a sample weighs the same however
     many positions it has; every sample needs an unmasked position.
     """

@@ -1,18 +1,71 @@
-"""A Mamba block as the 13 diffcore primitives `mamba-inner` replaces.
+"""A Mamba block as the nodes `mamba-inner` replaces, and the scan and the
+conv as nodes of their own.
 
+`selective_scan` and `conv1d_depthwise` wrap the kernels `mamba_inner`
+runs (`diffcore._scan_forward`, `diffcore._conv_forward` and their
+backwards) as standalone nodes, with diffcore's own input, starts and carry
+checks and no shape checks of their own.  The kernel tests call them; they
+live here, off the model path, as Mamba keeps its `selective_scan_ref`.
 `inner_composition` is everything after in_proj as 11 nodes: two slices
-(signal, gate), conv1d-depthwise, the x_proj matmul, three slices (dt, B,
-C), the dt_proj matmul, selective-scan and the out_proj matmul.
-`block_composition` adds the layer-norm, the in_proj matmul and the
-residual add.  The fused node runs the same kernels in the same operation
-order, so the tests hold it to these bit for bit in float32 and to 1e-10 in
-float64, forward and backward.
+(signal, gate), the conv, the x_proj matmul, three slices (dt, B, C), the
+dt_proj matmul, the scan and the out_proj matmul.  `block_composition` adds
+the layer-norm, the in_proj matmul and the residual add.  The fused node
+runs the same kernels in the same operation order, so the tests hold it to
+these bit for bit in float32 and to 1e-10 in float64, forward and backward.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from mambavla import diffcore as dc
 from mambavla.mamba import BlockState
+
+
+def _accumulate_all(inputs, grads):
+    for t, grad in zip(inputs, grads):
+        if grad is not None:
+            dc._accumulate(t, grad)
+
+
+def selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0=None, starts=None):
+    """The scan of `mamba_inner` as a node: u, dt, z [L, E], A_log [E, N],
+    B, C [L, N], D, dt_bias [E], h0 [E, N] (zeros when None) and starts as
+    in `diffcore._scan_forward`; returns (y [L, E], h_final [E, N]), the
+    state a marked no-grad carry."""
+    kind = "selective-scan"
+    inputs = (u, dt, A_log, B, C, D, z, dt_bias)
+    dtype = dc._common_dtype(kind, inputs)
+    dc._check_finite_inputs(kind, inputs)
+    resets = set(dc._check_starts(kind, starts, u.shape[0])[1:])
+    if h0 is not None:
+        h0 = dc._check_carry(kind, "h0", h0, A_log.shape, dtype)
+    needs = [t.requires_grad for t in inputs]
+    A, inv_A = dc._derived_A(kind, A_log)
+    y, h_final, saved = dc._scan_forward(kind, u.data, dt.data, A, inv_A, B.data, C.data,
+                                         D.data, z.data, dt_bias.data, h0, resets, any(needs))
+    backward_fn = None if saved is None else (
+        lambda g: _accumulate_all(inputs, dc._scan_backward(g, saved, *needs)))
+    return dc._make_node(kind, y, inputs, backward_fn), dc._carry(h_final)
+
+
+def conv1d_depthwise(x, kernel, bias, ctx=None, starts=None):
+    """The conv of `mamba_inner` as a node: x [L, D], kernel [w, D], bias
+    [D], ctx [w-1, D] (zeros when None) and starts as in
+    `diffcore._conv_forward`; returns (y [L, D], ctx_final [w-1, D]), the
+    context a marked no-grad carry."""
+    kind = "conv1d-depthwise"
+    inputs = (x, kernel, bias)
+    dtype = dc._common_dtype(kind, inputs)
+    dc._check_finite_inputs(kind, inputs)
+    later = dc._check_starts(kind, starts, x.shape[0])[1:]
+    w, D = kernel.shape
+    ctx = (np.zeros((w - 1, D), dtype) if ctx is None
+           else dc._check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
+    y, ctx_final, saved = dc._conv_forward(x.data, kernel.data, bias.data, ctx, later)
+    needs = [t.requires_grad for t in inputs]
+    backward_fn = lambda g: _accumulate_all(inputs, dc._conv_backward(g, saved, *needs))
+    return dc._make_node(kind, y, inputs, backward_fn), dc._carry(ctx_final)
 
 
 def inner_composition(xz, conv_w, conv_b, x_proj, dt_proj, dt_bias, A_log, D, out_proj,
@@ -20,13 +73,13 @@ def inner_composition(xz, conv_w, conv_b, x_proj, dt_proj, dt_bias, A_log, D, ou
     """`diffcore.mamba_inner` as 11 nodes; returns (out, h_final, ctx_final)."""
     E, N = A_log.shape
     R = dt_proj.shape[0]
-    u, ctx_final = dc.conv1d_depthwise(dc.tslice(xz, 1, 0, E), conv_w, conv_b, ctx, starts)
+    u, ctx_final = conv1d_depthwise(dc.tslice(xz, 1, 0, E), conv_w, conv_b, ctx, starts)
     sel = dc.matmul(u, x_proj)                              # [L, R+2N]
     dt = dc.matmul(dc.tslice(sel, 1, 0, R), dt_proj)        # [L, E]
     B = dc.tslice(sel, 1, R, R + N)
     C = dc.tslice(sel, 1, R + N, R + 2 * N)
-    y, h_final = dc.selective_scan(u, dt, A_log, B, C, D, dc.tslice(xz, 1, E, 2 * E),
-                                   dt_bias, h0, starts)
+    y, h_final = selective_scan(u, dt, A_log, B, C, D, dc.tslice(xz, 1, E, 2 * E),
+                                dt_bias, h0, starts)
     return dc.matmul(y, out_proj), h_final, ctx_final
 
 

@@ -4,8 +4,8 @@
 `continuous_ode_oracle` integrates the continuous-time system with RK4, and
 `_scan_per_step` runs the discrete recurrence one step at a time; `softplus`
 and `silu` are the scan's step-size and gate kernels.  None of them is on
-the model path: `diffcore.selective_scan` discretizes and scans
-in place, and the tests hold it to these.
+the model path: `diffcore._scan_forward`, the scan `mamba_inner` runs,
+discretizes and scans in place, and the tests hold it to these.
 
 Shapes follow the per-channel diagonal convention:
   A     [D, N]        diagonal continuous-time state matrix per channel
@@ -85,7 +85,7 @@ def discretize_zoh(A: np.ndarray, B: np.ndarray,
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """The scan's step size delta = softplus(dt + dt_bias) as a function of
-    x = dt + dt_bias, in the operation order of `diffcore.selective_scan`."""
+    x = dt + dt_bias, in the operation order of `diffcore._scan_forward`."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 

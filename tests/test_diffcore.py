@@ -1,7 +1,9 @@
 """Autodiff core: primitive forward values, gradients vs finite differences,
 tape semantics, and error paths."""
 
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mamba_reference
+import mamba_reference as mr
 import ssm_reference as ref
 from gradcheck import grad_check
 from mambavla import diffcore as dc
@@ -32,7 +34,7 @@ def _delta_scan(dt, dt_bias):
     silu(z) = 64 exactly, so y = 64 exp(-delta)."""
     E, dtype = dt.shape[1], dt.dtype
     const = lambda a: dc.tensor(a, dtype)
-    return dc.selective_scan(const(np.zeros((1, E))), dt, const(np.zeros((E, 1))),
+    return mr.selective_scan(const(np.zeros((1, E))), dt, const(np.zeros((E, 1))),
                              const([[1.0]]), const([[1.0]]), const(np.zeros(E)),
                              const(np.full((1, E), 64.0)), dt_bias,
                              h0=np.ones((E, 1), dtype))
@@ -57,13 +59,6 @@ def test_matmul_known_product():
     np.testing.assert_allclose(dc.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
 
 
-def test_matmul_transpose_flags():
-    a = RNG.standard_normal((3, 5))
-    b = RNG.standard_normal((4, 5))
-    out = dc.matmul(t64(a), t64(b), transpose_b=True)
-    np.testing.assert_allclose(out.data, a @ b.T, rtol=1e-12)
-
-
 def test_softmax_rows_sum_to_one():
     x = t64(RNG.standard_normal((6, 9)) * 4.0)
     rows = np.exp(dc.log_softmax_rows(x).data).sum(axis=-1)
@@ -82,10 +77,10 @@ def test_conv1d_depthwise_is_causal():
     x = RNG.standard_normal((L, D))
     k = t64(RNG.standard_normal((w, D)))
     b = t64(RNG.standard_normal(D))
-    base = dc.conv1d_depthwise(t64(x), k, b)[0].data
+    base = mr.conv1d_depthwise(t64(x), k, b)[0].data
     bumped = x.copy()
     bumped[7] += 100.0
-    after = dc.conv1d_depthwise(t64(bumped), k, b)[0].data
+    after = mr.conv1d_depthwise(t64(bumped), k, b)[0].data
     assert np.array_equal(base[:7], after[:7])        # bit-identical before t
     assert not np.allclose(base[7:], after[7:])
 
@@ -94,7 +89,7 @@ def test_conv1d_depthwise_matches_manual():
     x = t64([[1.0], [2.0], [3.0]])
     k = t64([[0.5], [1.0]])                           # 0.5*x[t-1] + 1*x[t] + 0.5
     pre = np.array([[1.5], [3.0], [4.5]])
-    np.testing.assert_allclose(dc.conv1d_depthwise(x, k, t64([0.5]))[0].data,
+    np.testing.assert_allclose(mr.conv1d_depthwise(x, k, t64([0.5]))[0].data,
                                pre / (1.0 + np.exp(-pre)), rtol=1e-15)
 
 
@@ -104,15 +99,15 @@ def test_conv1d_depthwise_ctx_is_the_rows_before_x():
     ctx = RNG.standard_normal((w - 1, D))
     k = t64(RNG.standard_normal((w, D)))
     b = t64(RNG.standard_normal(D))
-    joined, joined_ctx = dc.conv1d_depthwise(t64(np.concatenate([ctx, x])), k, b)
-    y, ctx_final = dc.conv1d_depthwise(t64(x), k, b, ctx)
+    joined, joined_ctx = mr.conv1d_depthwise(t64(np.concatenate([ctx, x])), k, b)
+    y, ctx_final = mr.conv1d_depthwise(t64(x), k, b, ctx)
     assert np.array_equal(y.data, joined.data[w - 1:])
     # the returned context is the last w-1 inputs, whatever came before
     assert np.array_equal(ctx_final.data, x[L - w + 1:])
     assert np.array_equal(ctx_final.data, joined_ctx.data)
     # zeros when None
-    assert np.array_equal(dc.conv1d_depthwise(t64(x), k, b)[0].data,
-                          dc.conv1d_depthwise(t64(x), k, b, np.zeros((w - 1, D)))[0].data)
+    assert np.array_equal(mr.conv1d_depthwise(t64(x), k, b)[0].data,
+                          mr.conv1d_depthwise(t64(x), k, b, np.zeros((w - 1, D)))[0].data)
 
 
 def test_concat_slice_roundtrip():
@@ -176,7 +171,6 @@ def test_grad_every_primitive(trial):
     mix = rng.standard_normal((2, 3))
 
     _check(lambda x: dc.mean_pool(dc.matmul(x, t64(w32))), p23)
-    _check(lambda x: dc.mean_pool(dc.matmul(t64(w32.T), x, transpose_b=True)), p23)
     _check(lambda x: dc.mean_pool(dc.add(x, t64(bias))), p23)
     _check(lambda x: dc.mean_pool(dc.mul(x, t64(rows[:, None]))), p23)
     _check(lambda x: dc.mean_pool(dc.silu(x)), p23)
@@ -190,8 +184,8 @@ def test_grad_every_primitive(trial):
     _check(lambda x: dc.mean_pool(dc.mul(dc.mean_pool(x, axis=1), t64(rows))), p23)
     _check(lambda x: dc.mean_pool(dc.mul(dc.layer_norm(x, t64(np.ones(3)),
                                                       t64(np.zeros(3))), t64(mix))), p23)
-    _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(x, t64(kern), t64(bias))[0]), sig)
-    _check(lambda x: dc.mean_pool(dc.conv1d_depthwise(t64(sig), x, t64(bias))[0]), kern)
+    _check(lambda x: dc.mean_pool(mr.conv1d_depthwise(x, t64(kern), t64(bias))[0]), sig)
+    _check(lambda x: dc.mean_pool(mr.conv1d_depthwise(t64(sig), x, t64(bias))[0]), kern)
     _check(lambda x: dc.mean_pool(dc.mul(dc.log_softmax_rows(x), t64(mix))), p23)
     _check(lambda x: dc.mean_pool(dc.concat([x, dc.silu(x)], axis=1)), p23)
     _check(lambda x: dc.mean_pool(dc.tslice(x, axis=1, start=1, stop=3)), p23)
@@ -206,7 +200,7 @@ def test_grad_every_primitive(trial):
         def scan_loss(x, i=i):
             args = [t64(a) for a in scan_args]
             args[i] = x
-            y, _ = dc.selective_scan(*args, h0=h0)
+            y, _ = mr.selective_scan(*args, h0=h0)
             return dc.mean_pool(dc.mul(y, t64(readout)))
         _check(scan_loss, scan_args[i])
 
@@ -218,7 +212,7 @@ def test_grad_every_primitive(trial):
         def conv_loss(x, i=i):
             args = [t64(a) for a in conv_args]
             args[i] = x
-            y, _ = dc.conv1d_depthwise(*args, ctx)
+            y, _ = mr.conv1d_depthwise(*args, ctx)
             return dc.mean_pool(dc.mul(y, t64(sig)))
         _check(conv_loss, conv_args[i])
 
@@ -246,6 +240,16 @@ def _scan_inputs(rng, L=4, E=3, N=2):
             rng.standard_normal(E) * 0.5 - 1.0)
 
 
+def _transpose(x):
+    """x^T [n, m] from x [m, n] in primitives, exactly: row j is ones [1, m]
+    times the diagonal matrix of column j, a sum of one product by 1 and
+    m - 1 zeros."""
+    m, n = x.shape
+    ones, eye = t64(np.ones((1, m))), t64(np.eye(m))
+    return dc.concat([dc.matmul(ones, dc.mul(eye, dc.tslice(x, 1, j, j + 1)))
+                      for j in range(n)], axis=0)
+
+
 def _scan_composition(u, dt, A_log, B, C, D, z, dt_bias, h0):
     """The selective scan as the composition of primitives it replaces:
     delta = softplus(dt + dt_bias) as log(1 + exp(.)), ZOH discretization
@@ -253,12 +257,11 @@ def _scan_composition(u, dt, A_log, B, C, D, z, dt_bias, h0):
     gate silu(z).
 
     The state is kept transposed, h^T [N, E], so trailing broadcasting lines
-    the [1, E] rows delta_t and u_t up with it; multiplying the identity by
-    an operand with transpose_b transposes A_log and each B_t."""
+    the [1, E] rows delta_t and u_t up with it; `_transpose` gives A_log^T
+    and each B_t^T."""
     minus = t64(-1.0)
     delta = dc.log(dc.add(dc.exp(dc.add(dt, dt_bias)), t64(1.0)))
-    eye = t64(np.eye(A_log.shape[1]))
-    A_logT = dc.matmul(eye, A_log, transpose_b=True)                  # [N, E]
+    A_logT = _transpose(A_log)                                        # [N, E]
     negA = dc.mul(dc.exp(A_logT), minus)
     invA = dc.mul(dc.exp(dc.mul(A_logT, minus)), minus)
     hT = t64(np.asarray(h0).T)
@@ -266,7 +269,7 @@ def _scan_composition(u, dt, A_log, B, C, D, z, dt_bias, h0):
     for t in range(u.shape[0]):
         Abar = dc.exp(dc.mul(dc.tslice(delta, 0, t, t + 1), negA))    # [N, E]
         coef = dc.mul(dc.add(Abar, minus), invA)
-        B_t = dc.matmul(eye, dc.tslice(B, 0, t, t + 1), transpose_b=True)  # [N, 1]
+        B_t = _transpose(dc.tslice(B, 0, t, t + 1))                  # [N, 1]
         Bx = dc.mul(dc.mul(coef, B_t), dc.tslice(u, 0, t, t + 1))
         hT = dc.add(dc.mul(Abar, hT), Bx)
         ys.append(dc.matmul(dc.tslice(C, 0, t, t + 1), hT))          # [1, E]
@@ -291,7 +294,7 @@ def test_selective_scan_matches_per_step_composition():
     h0 = rng.standard_normal((5, 3))
     readout = t64(rng.standard_normal((9, 5)))
     results = []
-    for scan in (dc.selective_scan, _scan_composition):
+    for scan in (mr.selective_scan, _scan_composition):
         leaves = [t64(a, requires_grad=True) for a in arrays]
         y, h_final = scan(*leaves, h0)
         dc.backward(dc.mean_pool(dc.mul(y, readout)))
@@ -311,7 +314,7 @@ def test_conv1d_depthwise_matches_composition():
     ctx = rng.standard_normal((3, 5))
     readout = t64(rng.standard_normal((7, 5)))
     results = []
-    for conv in (dc.conv1d_depthwise, _conv_composition):
+    for conv in (mr.conv1d_depthwise, _conv_composition):
         leaves = [t64(a, requires_grad=True) for a in arrays]
         y, ctx_final = conv(*leaves, ctx)
         dc.backward(dc.mean_pool(dc.mul(y, readout)))
@@ -328,7 +331,7 @@ def test_selective_scan_matches_reference_kernels():
     rng = np.random.default_rng(8)
     u, dt, A_log, B, C, _, z, dt_bias = _scan_inputs(rng, L=12, E=4, N=3)
     h0 = rng.standard_normal((4, 3))
-    y, h_final = dc.selective_scan(t64(u), t64(dt), t64(A_log), t64(B), t64(C),
+    y, h_final = mr.selective_scan(t64(u), t64(dt), t64(A_log), t64(B), t64(C),
                                    t64(np.zeros(4)), t64(z), t64(dt_bias), h0=h0)
     Abar, Bbar = ref.discretize_zoh(-np.exp(A_log), B, ref.softplus(dt + dt_bias))
     y_ref, h_ref = ref._scan_per_step(Abar, Bbar, C, u, h0)
@@ -349,7 +352,7 @@ def test_selective_scan_discretization_is_bit_identical(dtype):
     Abar = np.exp(ref.softplus(dt + dt_bias)[:, :, None] * A)
     Bbar = (Abar - 1.0) * inv_A * B[:, None, :]
     for h0 in (None, rng.standard_normal((6, 4)).astype(dtype)):
-        y, h_final = dc.selective_scan(*(dc.tensor(a, dtype=dtype)
+        y, h_final = mr.selective_scan(*(dc.tensor(a, dtype=dtype)
                                          for a in (u, dt, A_log, B, C, D, z, dt_bias)),
                                        h0=h0)
         carry = np.zeros((6, 4), dtype) if h0 is None else h0
@@ -361,7 +364,7 @@ def test_selective_scan_discretization_is_bit_identical(dtype):
 
 def test_selective_scan_final_state_owns_its_memory():
     # generation carries h_final; a view would keep the whole trajectory alive
-    _, h_final = dc.selective_scan(*(t64(a) for a in _scan_inputs(np.random.default_rng(12))))
+    _, h_final = mr.selective_scan(*(t64(a) for a in _scan_inputs(np.random.default_rng(12))))
     assert h_final.data.flags.owndata
 
 
@@ -372,9 +375,9 @@ def test_selective_scan_without_gradient_equals_gradient_path(dtype):
     rng = np.random.default_rng(13)
     arrays = [a.astype(dtype) for a in _scan_inputs(rng, L=40, E=5, N=3)]
     h0 = rng.standard_normal((5, 3)).astype(dtype)
-    y, h_final = dc.selective_scan(*(dc.tensor(a, dtype) for a in arrays), h0=h0)
+    y, h_final = mr.selective_scan(*(dc.tensor(a, dtype) for a in arrays), h0=h0)
     leaves = [dc.tensor(a, dtype, requires_grad=True) for a in arrays]
-    y_grad, h_grad = dc.selective_scan(*leaves, h0=h0)
+    y_grad, h_grad = mr.selective_scan(*leaves, h0=h0)
     assert not y.requires_grad and y_grad.requires_grad
     assert np.array_equal(y.data, y_grad.data)
     assert np.array_equal(h_final.data, h_grad.data)
@@ -394,7 +397,7 @@ def test_split_float32_scan_equals_one_long_scan(grad):
 
     def scan(lo, hi, carry):
         args = [a[lo:hi] if rows else a for a, rows in zip(arrays, per_row)]
-        return dc.selective_scan(*(dc.tensor(a, requires_grad=grad) for a in args),
+        return mr.selective_scan(*(dc.tensor(a, requires_grad=grad) for a in args),
                                  h0=carry)
 
     y, h_final = scan(0, L, h0)
@@ -418,7 +421,7 @@ def test_selective_scan_forward_peak_memory(grad, bound):
     leaves = [dc.tensor(a, requires_grad=grad) for a in arrays]
     tracemalloc.start()
     try:
-        y, _ = dc.selective_scan(*leaves)
+        y, _ = mr.selective_scan(*leaves)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -431,7 +434,7 @@ def test_selective_scan_without_gradient_allocates_no_trajectory():
     args = [t64(a) for a in _scan_inputs(np.random.default_rng(14), L=L, E=E, N=N)]
     tracemalloc.start()
     try:
-        dc.selective_scan(*args, h0=np.zeros((E, N)))
+        mr.selective_scan(*args, h0=np.zeros((E, N)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -474,7 +477,7 @@ def test_mamba_inner_matches_its_11_node_composition(with_carry, starts):
     carries = _inner_carries(rng) if with_carry else (None, None)
     readout = t64(rng.standard_normal((6, 4)))
     results = []
-    for inner in (dc.mamba_inner, mamba_reference.inner_composition):
+    for inner in (dc.mamba_inner, mr.inner_composition):
         leaves = [t64(a, requires_grad=True) for a in arrays]
         out, h_final, ctx_final = inner(*leaves, *carries, starts)
         dc.backward(dc.mean_pool(dc.mul(out, readout)))
@@ -534,8 +537,6 @@ def test_mamba_inner_rejects_bad_inputs():
         carry[1, 1] = np.nan
         with pytest.raises(dc.NonFiniteError, match=f"mamba-inner: {name}"):
             dc.mamba_inner(*args, **{name: carry})
-    with pytest.raises(dc.ShapeError, match="starts"):
-        dc.mamba_inner(*args, starts=[0, 6])
     for i in range(9):
         args = fresh_args()
         args[i].data.flat[0] = np.nan
@@ -557,6 +558,29 @@ def test_mamba_inner_overflow_through_x_proj_raises(window):
     args[3][:, window] = 3e38              # x_proj
     with pytest.raises(dc.NonFiniteError, match="mamba-inner"):
         dc.mamba_inner(*(dc.tensor(a, np.float32) for a in args))
+
+
+def test_mamba_inner_dt_overflow_raises():
+    """Finite float64 inputs whose dt overflows: u >= silu(1) > 0.7 as in
+    the test above, so each dt_low entry is at least 2.8 and each dt entry
+    at least 5.6e308."""
+    args = list(_inner_inputs(np.random.default_rng(44)))
+    args[0][:, :4] = 4.0                   # the signal half of xz
+    args[1][:] = 0.25                      # conv_w
+    args[2][:] = 0.0                       # conv_b
+    args[3][:, :2] = 1.0                   # x_proj's dt_low columns
+    args[4][:] = 1e308                     # dt_proj
+    with pytest.raises(dc.NonFiniteError, match="mamba-inner: dt \\+ dt_bias overflows"):
+        dc.mamba_inner(*(t64(a) for a in args))
+
+
+@pytest.mark.parametrize("a_log", [800.0, -800.0])
+def test_mamba_inner_A_log_overflow_raises(a_log):
+    # A = -exp(A_log) overflows at 800, and 1/A = -exp(-A_log) at -800
+    args = list(_inner_inputs(np.random.default_rng(45)))
+    args[6][1, 2] = a_log
+    with pytest.raises(dc.NonFiniteError, match="mamba-inner: exp\\(\\+-A_log\\) overflows"):
+        dc.mamba_inner(*(t64(a) for a in args))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +637,7 @@ def test_selective_scan_packed_equals_each_sequence_alone(lengths, grad):
     rng = np.random.default_rng(30)
     L = sum(lengths)
     arrays = _scan_inputs(rng, L=L, E=5, N=3)
-    packed, alone = _packed_and_alone(dc.selective_scan, arrays, lengths,
+    packed, alone = _packed_and_alone(mr.selective_scan, arrays, lengths,
                                       {0, 1, 3, 4, 6}, rng.standard_normal((L, 5)), grad)
     _assert_packed_equals_alone(packed, alone, grad)
 
@@ -624,7 +648,7 @@ def test_conv1d_depthwise_packed_equals_each_sequence_alone(lengths):
     L = sum(lengths)
     arrays = (rng.standard_normal((L, 5)), rng.standard_normal((4, 5)),
               rng.standard_normal(5))
-    packed, alone = _packed_and_alone(dc.conv1d_depthwise, arrays, lengths, {0},
+    packed, alone = _packed_and_alone(mr.conv1d_depthwise, arrays, lengths, {0},
                                       rng.standard_normal((L, 5)), True)
     np.testing.assert_allclose(packed[0], alone[0], rtol=1e-12, atol=1e-14)
     # the carry continues the last sequence, zero-padded when it is short
@@ -638,7 +662,7 @@ def test_one_sequence_as_starts_is_bit_identical_to_none():
     scan_args = _scan_inputs(rng, L=20, E=4, N=3)
     conv_args = (rng.standard_normal((20, 4)), rng.standard_normal((4, 4)),
                  rng.standard_normal(4))
-    for prim, arrays in ((dc.selective_scan, scan_args), (dc.conv1d_depthwise, conv_args)):
+    for prim, arrays in ((mr.selective_scan, scan_args), (mr.conv1d_depthwise, conv_args)):
         for grad in (False, True):
             outs = [prim(*(t64(a, requires_grad=grad) for a in arrays), starts=starts)
                     for starts in (None, [0])]
@@ -655,7 +679,7 @@ def test_grad_check_through_interior_starts():
         def scan_loss(x, i=i):
             args = [t64(a) for a in scan_args]
             args[i] = x
-            y, _ = dc.selective_scan(*args, starts=starts)
+            y, _ = mr.selective_scan(*args, starts=starts)
             return dc.mean_pool(dc.mul(y, t64(readout)))
         _check(scan_loss, scan_args[i])
     conv_args = (rng.standard_normal((6, 3)), rng.standard_normal((3, 3)),
@@ -664,7 +688,7 @@ def test_grad_check_through_interior_starts():
         def conv_loss(x, i=i):
             args = [t64(a) for a in conv_args]
             args[i] = x
-            y, _ = dc.conv1d_depthwise(*args, starts=starts)
+            y, _ = mr.conv1d_depthwise(*args, starts=starts)
             return dc.mean_pool(dc.mul(y, t64(readout)))
         _check(conv_loss, conv_args[i])
 
@@ -678,8 +702,8 @@ def test_packed_sequences_do_not_leak():
     conv_args = [rng.standard_normal((L, 4)), rng.standard_normal((4, 4)),
                  rng.standard_normal(4)]
     readout = t64(rng.standard_normal((L, 4)))
-    for prim, arrays, seq_rows in ((dc.selective_scan, scan_args, (0, 1, 3, 4, 6)),
-                                   (dc.conv1d_depthwise, conv_args, (0,))):
+    for prim, arrays, seq_rows in ((mr.selective_scan, scan_args, (0, 1, 3, 4, 6)),
+                                   (mr.conv1d_depthwise, conv_args, (0,))):
         runs = []
         for perturb in (False, True):
             inputs = [a.copy() for a in arrays]
@@ -702,6 +726,7 @@ def test_bad_starts_raise_shape_error():
     scan_args = [t64(a) for a in _scan_inputs(rng, L=6, E=3, N=2)]
     conv_args = (t64(rng.standard_normal((6, 3))), t64(rng.standard_normal((3, 3))),
                  t64(rng.standard_normal(3)))
+    inner_args = [t64(a) for a in _inner_inputs(rng)]
     bad = ([2, 0, 4],                     # unsorted
            [0, 3, 3],                     # repeated
            [1, 3],                        # not from 0
@@ -712,9 +737,11 @@ def test_bad_starts_raise_shape_error():
            [0.0, 2.0])                    # not integers
     for starts in bad:
         with pytest.raises(dc.ShapeError, match="starts"):
-            dc.selective_scan(*scan_args, starts=starts)
+            mr.selective_scan(*scan_args, starts=starts)
         with pytest.raises(dc.ShapeError, match="starts"):
-            dc.conv1d_depthwise(*conv_args, starts=starts)
+            mr.conv1d_depthwise(*conv_args, starts=starts)
+        with pytest.raises(dc.ShapeError, match="mamba-inner: starts"):
+            dc.mamba_inner(*inner_args, starts=starts)
 
 
 def _inner_packed(*args, starts=None):
@@ -729,10 +756,10 @@ def _inner_packed(*args, starts=None):
 
 # the packed primitives' sequence-typed inputs, with (E, N) = (4, 3)
 _PACKED_PRIMS = {
-    "scan": (dc.selective_scan, {0, 1, 3, 4, 6},
+    "scan": (mr.selective_scan, {0, 1, 3, 4, 6},
              lambda rng, L: _scan_inputs(rng, L=L, E=4, N=3),
              lambda rng: rng.standard_normal((4, 3))),
-    "conv": (dc.conv1d_depthwise, {0},
+    "conv": (mr.conv1d_depthwise, {0},
              lambda rng, L: (rng.standard_normal((L, 4)), rng.standard_normal((4, 4)),
                              rng.standard_normal(4)),
              lambda rng: rng.standard_normal((3, 4))),
@@ -1014,39 +1041,6 @@ def test_shape_mismatch_raises():
         dc.matmul(t64(RNG.standard_normal((2, 3))), t64(RNG.standard_normal((2, 3))))
     with pytest.raises(dc.ShapeError):
         dc.add(t64(RNG.standard_normal((2, 3))), t64(RNG.standard_normal((4,))))
-    with pytest.raises(dc.ShapeError):
-        dc.conv1d_depthwise(t64(RNG.standard_normal((5, 2))),
-                            t64(RNG.standard_normal((3, 4))), t64(np.zeros(2)))
-
-
-def test_conv1d_depthwise_rejects_bad_ctx():
-    x = t64(RNG.standard_normal((5, 2)))
-    k = t64(RNG.standard_normal((3, 2)))
-    b = t64(np.zeros(2))
-    with pytest.raises(dc.ShapeError, match="ctx"):
-        dc.conv1d_depthwise(x, k, b, np.zeros((3, 2)))         # w rows, not w-1
-    with pytest.raises(dc.ShapeError, match="ctx"):
-        dc.conv1d_depthwise(x, k, b, np.zeros((2, 3)))
-    with pytest.raises(dc.ShapeError, match="ctx"):
-        dc.conv1d_depthwise(x, k, b, np.zeros((2, 2), dtype=np.float32))
-    for bad in (np.nan, np.inf):
-        ctx = np.zeros((2, 2))
-        ctx[1, 0] = bad
-        with pytest.raises(dc.NonFiniteError, match="ctx"):
-            dc.conv1d_depthwise(x, k, b, ctx)
-
-
-def test_conv1d_depthwise_rejects_bad_bias():
-    x = t64(RNG.standard_normal((5, 2)))
-    k = t64(RNG.standard_normal((3, 2)))
-    for shape in ((3,), (1, 2)):
-        with pytest.raises(dc.ShapeError, match="bias"):
-            dc.conv1d_depthwise(x, k, t64(np.zeros(shape)))
-    with pytest.raises(dc.ShapeError, match="mixed dtypes"):
-        dc.conv1d_depthwise(x, k, dc.tensor(np.zeros(2), dtype=np.float32))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(dc.NonFiniteError, match="conv1d-depthwise: input 2"):
-            dc.conv1d_depthwise(x, k, t64([0.0, bad]))
 
 
 def test_nonfinite_input_rejected():
@@ -1077,34 +1071,6 @@ def test_mixed_dtype_rejected():
         dc.add(a, b)
 
 
-def test_selective_scan_rejects_bad_shapes_and_dtypes():
-    args = [t64(a) for a in _scan_inputs(np.random.default_rng(9), L=4, E=3, N=2)]
-    h0 = np.zeros((3, 2))
-    bad_shapes = {0: (4, 2),      # u: E differs
-                  1: (5, 3),      # dt: L differs
-                  2: (3, 3),      # A_log: N differs from B and C
-                  4: (4, 3),      # C: N differs
-                  5: (2,),        # D: E differs
-                  6: (4, 2),      # z: E differs
-                  7: (3, 1)}      # dt_bias: not [E]
-    for i, shape in bad_shapes.items():
-        broken = list(args)
-        broken[i] = t64(np.zeros(shape))
-        with pytest.raises(dc.ShapeError):
-            dc.selective_scan(*broken, h0=h0)
-    with pytest.raises(dc.ShapeError):     # empty sequence
-        dc.selective_scan(*(t64(a.data[:0]) if a.shape[0] == 4 else a for a in args))
-    with pytest.raises(dc.ShapeError):
-        dc.selective_scan(*args, h0=np.zeros((2, 3)))
-    for i in (4, 6, 7):                    # C, z, dt_bias
-        broken = list(args)
-        broken[i] = dc.tensor(args[i].data, dtype=np.float32)
-        with pytest.raises(dc.ShapeError, match="mixed dtypes"):
-            dc.selective_scan(*broken)
-    with pytest.raises(dc.ShapeError):
-        dc.selective_scan(*args, h0=h0.astype(np.float32))
-
-
 def test_selective_scan_rejects_non_finite_inputs_and_carry():
     def fresh_args():                      # t64 wraps an array without copying it
         return [t64(a) for a in _scan_inputs(np.random.default_rng(10), L=4, E=3, N=2)]
@@ -1113,15 +1079,15 @@ def test_selective_scan_rejects_non_finite_inputs_and_carry():
         args = fresh_args()
         args[i].data.flat[0] = np.nan
         with pytest.raises(dc.NonFiniteError, match=f"selective-scan: input {i}"):
-            dc.selective_scan(*args)
+            mr.selective_scan(*args)
     args = fresh_args()                    # finite dt and dt_bias whose sum is not
     args[1].data.flat[0] = args[7].data[0] = 1e308
     with pytest.raises(dc.NonFiniteError, match="dt \\+ dt_bias overflows"):
-        dc.selective_scan(*args)
+        mr.selective_scan(*args)
     h0 = np.zeros((3, 2))
     h0[1, 1] = np.nan
     with pytest.raises(dc.NonFiniteError, match="selective-scan: h0"):
-        dc.selective_scan(*fresh_args(), h0=h0)
+        mr.selective_scan(*fresh_args(), h0=h0)
 
 
 # ---------------------------------------------------------------------------
@@ -1186,6 +1152,43 @@ def test_repeated_apply_is_bit_identical():
     a = dc.matmul(dc.silu(x), w).data
     b = dc.matmul(dc.silu(x), w).data
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the primitive set
+
+
+def _diffcore_calls(path):
+    """The diffcore functions a module calls, through `from mambavla import
+    diffcore as dc` (dc.name(...)) or `from mambavla.diffcore import name`."""
+    tree = ast.parse(path.read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    modules = {a.asname or a.name for n in imports if n.module == "mambavla"
+               for a in n.names if a.name == "diffcore"}
+    direct = {a.asname or a.name: a.name for n in imports
+              if n.module == "mambavla.diffcore" for a in n.names}
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and f.value.id in modules):
+            called.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in direct:
+            called.add(direct[f.id])
+    return called
+
+
+def test_every_primitive_is_called_by_the_package_and_exported():
+    """A primitive that no other module of the package calls is a kernel
+    off the model path: it belongs with the tests' references."""
+    package = pathlib.Path(dc.__file__).parent
+    called = set().union(*(_diffcore_calls(path) for path in package.glob("*.py")
+                           if path.name != "diffcore.py"))
+    names = {fn.__name__ for fn in dc.PRIMITIVES.values()}
+    assert names <= called, f"no package module calls {sorted(names - called)}"
+    assert names <= set(dc.__all__), f"__all__ lacks {sorted(names - set(dc.__all__))}"
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,10 @@ def test_delta_is_strictly_positive():
     B, _, dt = _select(blk, np.random.default_rng(7).standard_normal((9, 32)) * 3.0)
     L, E, N = 9, 32, 4
     const = lambda a: dc.tensor(a, np.float64)
-    y, _ = dc.selective_scan(const(np.zeros((L, E))), const(dt), blk.A_log, const(B),
-                             const(np.ones((L, N))), const(np.zeros(E)),
-                             const(np.full((L, E), 64.0)), blk.dt_bias,
-                             h0=np.ones((E, N)))
+    y, _ = mamba_reference.selective_scan(const(np.zeros((L, E))), const(dt), blk.A_log,
+                                          const(B), const(np.ones((L, N))),
+                                          const(np.zeros(E)), const(np.full((L, E), 64.0)),
+                                          blk.dt_bias, h0=np.ones((E, N)))
     decay = y.data / 64.0             # silu(64) = 64: sum_n prod_{s<=t} Abar_s
     assert (decay[0] < N).all() and (np.diff(decay, axis=0) < 0).all()
 
