@@ -185,7 +185,7 @@ class PoseHead:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         if cfg.head_variant not in HEAD_VARIANTS:
-            raise ValueError(f"unknown head variant {cfg.head_variant!r}; "
+            raise ValueError(f"unknown head_variant {cfg.head_variant!r}; "
                              f"expected one of {HEAD_VARIANTS}")
         M, H = cfg.d_model, cfg.head_hidden
         self.cfg = cfg

@@ -101,20 +101,11 @@ _BOX_SIGNS, _BOX_NORMALS = _box_tables()
 
 @dataclass
 class Triangles:
-    """K triangles in camera frame as parallel arrays.
-
-    Iterating yields one tuple per triangle: (verts, normal), or (verts,
-    normal, color, part_id) for a scene's triangles, which carry a part.
-    """
+    """K triangles in camera frame as parallel arrays."""
     verts: np.ndarray                  # [K, 3, 3], one vertex per row
     normal: np.ndarray                 # [K, 3] outward face normals
     color: np.ndarray | None = None    # [K, 3] unshaded part colour
     part_id: np.ndarray | None = None  # [K] u8: PART_BASE or PART_MOVABLE
-
-    def __iter__(self):
-        if self.color is None:
-            return zip(self.verts, self.normal)
-        return zip(self.verts, self.normal, self.color, self.part_id)
 
 
 @dataclass
@@ -633,5 +624,5 @@ def center_pixel_policy(obs: Observation) -> EndEffectorPose:
     """Constant baseline: image centre, straight-ahead approach."""
     R = np.eye(3)                       # z column = (0, 0, 1): into the scene
     pose = EndEffectorPose(a_dir=R, contact_pixel=(0.5, 0.5))
-    pose.a_pos = lift_to_3d(pose.contact_pixel, obs.depth, obs.cam)
+    pose.a_pos = lift_to_3d(pose.contact_pixel, obs.depth, CAMERA)
     return pose

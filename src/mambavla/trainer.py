@@ -10,7 +10,9 @@ bit-identical across a stage run.
 `requires_grad` follows the stage: `set_stage` turns it on for exactly the
 trainable parameters, so a forward builds no backward tape through frozen
 groups.  A model with no stage has no trainable group and builds no tape at
-all, which is the inference setting.
+all, which is the inference setting: `VlaModel(...)` and `load_checkpoint`
+both return one, since a checkpoint holds the weights and the model config
+only.
 
 An align or cotrain step is one graph: the batch's (image, text) rows are
 packed into one sequence (`vispipe.multimodal_forward_packed`), with the
@@ -386,9 +388,7 @@ def save_checkpoint(model: VlaModel, path: str) -> None:
             raise ValueError(
                 f"save_checkpoint: parameter {name!r} is {arr.dtype.name}; "
                 f"RMCK stores float32 only, so the weights would lose precision")
-    config = {"model": vars(model.cfg).copy(),
-              "stage": model.stage or ""}
-    fileio.write_rmck(path, tensors, config)
+    fileio.write_rmck(path, tensors, {"model": vars(model.cfg)})
 
 
 class _ZeroDraws:
@@ -402,35 +402,24 @@ class _ZeroDraws:
 
 
 def load_checkpoint(path: str) -> VlaModel:
+    """The model a checkpoint holds, with no stage: the inference setting,
+    as `VlaModel(...)` builds it.  A checkpoint is weights and the model
+    config; a "stage" key, which older checkpoints carry, is ignored."""
     tensors, config = fileio.read_rmck(path)
     cfg_dict = config.get("model")
     if not isinstance(cfg_dict, dict):
         raise fileio.FormatError("checkpoint config missing 'model' record")
-    defaults = vars(ModelConfig())
-    unknown = set(cfg_dict) - set(defaults)
+    unknown = set(cfg_dict) - set(vars(ModelConfig()))
     if unknown:
         raise fileio.FormatError(
             f"checkpoint config has unknown fields {sorted(unknown)}")
-    for name, value in cfg_dict.items():
-        # exact types: bool is an int subclass, and a float or string size
-        # would only fail deep inside a module constructor
-        if type(value) is not type(defaults[name]):
-            raise fileio.FormatError(
-                f"checkpoint config field {name!r} must be "
-                f"{type(defaults[name]).__name__}, got {type(value).__name__}")
-    stage = config.get("stage", "")
-    if stage not in ("", *STAGES):
-        raise fileio.FormatError(
-            f"checkpoint config field 'stage' must be '' or one of {STAGES}, "
-            f"got {stage!r}")
-    try:
-        cfg = ModelConfig(**cfg_dict)
-    except ValueError as err:
-        raise fileio.FormatError(f"checkpoint config: {err}") from err
     # every value is overwritten below, so the parameters start as zeros
     # rather than as random draws
     model = VlaModel.__new__(VlaModel)
-    model._build(cfg, _ZeroDraws(), np.float32)
+    try:
+        model._build(ModelConfig(**cfg_dict), _ZeroDraws(), np.float32)
+    except ValueError as err:
+        raise fileio.FormatError(f"checkpoint config: {err}") from err
     names = {name for name, _ in model.named_params()}
     if names != set(tensors):
         missing = sorted(names - set(tensors))[:3]
@@ -445,8 +434,6 @@ def load_checkpoint(path: str) -> VlaModel:
                 f"checkpoint tensor {name!r} has shape {t.shape}, "
                 f"expected {p.data.shape}")
         p.data = t.astype(p.data.dtype, copy=False)
-    if stage:
-        set_stage(model, stage)
     return model
 
 

@@ -31,7 +31,8 @@ def render_buffers_all_faces(scene: sw.Scene) -> sw.RenderResult:
     normal = np.zeros((H, W, 3))
     gu, gv = np.meshgrid(np.arange(W) + 0.5, np.arange(H) + 0.5)  # pixel centres
 
-    for verts, n, color, part_id in scene.triangles():
+    tris = scene.triangles()
+    for verts, n, color, part_id in zip(tris.verts, tris.normal, tris.color, tris.part_id):
         z = verts[:, 2]
         if np.min(z) < 1e-3:
             continue                      # behind / at the camera: drop

@@ -33,7 +33,8 @@ def raycast(scene, row, col, cam):
                   ((row + 0.5) - cam.cy) / cam.fy,
                   1.0])
     best = None
-    for verts, n, color, part_id in scene.triangles():
+    tris = scene.triangles()
+    for verts, n, color, part_id in zip(tris.verts, tris.normal, tris.color, tris.part_id):
         v0, v1, v2 = verts
         e1, e2 = v1 - v0, v2 - v0
         h = np.cross(d, e2)
@@ -250,7 +251,7 @@ def test_box_straddling_left_frame_edge_matches_raycast():
 def test_box_projecting_outside_frame_renders_empty(center):
     scene = plain_scene(sw.Box(center=np.array(center),
                                half=np.array([0.4, 0.4, 0.4])))
-    assert min(v[:, 2].min() for v, *_ in scene.triangles()) > 1.0
+    assert scene.triangles().verts[:, :, 2].min() > 1.0
     buf = sw.render_buffers(scene)
     assert np.all(buf.depth == 0.0) and np.all(buf.part_id == 0)
     assert np.all(buf.normal == 0.0)
@@ -263,25 +264,25 @@ def test_box_projecting_outside_frame_renders_empty(center):
 
 def test_drawer_opens_toward_camera():
     scene = sw.spawn_object(2, "drawer")
-    closed = np.mean([v[:, 2].mean() for v, _ in scene.obj.movable_triangles()])
+    closed = scene.obj.movable_triangles().verts[:, :, 2].mean()
     scene.obj.q = 0.2
-    opened = np.mean([v[:, 2].mean() for v, _ in scene.obj.movable_triangles()])
+    opened = scene.obj.movable_triangles().verts[:, :, 2].mean()
     assert opened == pytest.approx(closed - 0.2, abs=1e-12)
 
 
 def test_door_swings_toward_camera():
     scene = sw.spawn_object(2, "door")
-    closed = min(v[:, 2].min() for v, _ in scene.obj.movable_triangles())
+    closed = scene.obj.movable_triangles().verts[:, :, 2].min()
     scene.obj.q = 0.5
-    opened = min(v[:, 2].min() for v, _ in scene.obj.movable_triangles())
+    opened = scene.obj.movable_triangles().verts[:, :, 2].min()
     assert opened < closed - 0.05
 
 
 def test_lid_front_edge_rises():
     scene = sw.spawn_object(2, "lid")
-    closed = min(v[:, 1].min() for v, _ in scene.obj.movable_triangles())
+    closed = scene.obj.movable_triangles().verts[:, :, 1].min()
     scene.obj.q = 0.5
-    opened = min(v[:, 1].min() for v, _ in scene.obj.movable_triangles())
+    opened = scene.obj.movable_triangles().verts[:, :, 1].min()
     assert opened < closed - 0.05            # y is down: smaller y = higher
 
 
@@ -586,7 +587,7 @@ def test_culled_render_is_byte_identical_over_spawned_scenes():
 
 def triangles_equal(got, want):
     """Same triangles in the same order, every array byte for byte."""
-    got = list(got)
+    got = list(zip(got.verts, got.normal, got.color, got.part_id))
     return len(got) == len(want) and all(
         np.asarray(g).dtype == np.asarray(w).dtype == np.float64
         and np.asarray(g).tobytes() == np.asarray(w).tobytes()
