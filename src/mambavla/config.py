@@ -8,6 +8,7 @@ thresholds and AdamW's betas and epsilon are module constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,13 @@ def is_integer(value) -> bool:
     """The integer rule for a count or seed passed to a function: any
     integer, numpy's included, but not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_seed(caller: str, seed) -> int:
+    """A seed as a Python int: any integer >= 0, numpy's included, not a bool."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"{caller}: seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def _is_field_int(value) -> bool:
@@ -80,9 +88,10 @@ class StageHyperparams:
     def __post_init__(self):
         for name in ("lr", "weight_decay"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"StageHyperparams: {name} must be finite and >= 0, "
-                                 f"got {value}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value >= 0.0)):
+                raise ValueError(f"StageHyperparams: {name} must be a finite number >= 0, "
+                                 f"got {value!r}")
 
 
 @dataclass

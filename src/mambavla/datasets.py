@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from mambavla import simworld
-from mambavla.config import is_integer
+from mambavla.config import check_seed, is_integer
 
 __all__ = [
     "color_name",
@@ -92,7 +92,7 @@ def corpus_texts() -> list[str]:
         texts.append(_PROMPT_PLAN.format(kind=kind))
         texts.append(_PROMPT_AFFORD.format(kind=kind))
         texts.append(_PLANS[kind])
-        texts.append(simworld._PROMPTS[kind])
+        texts.append(simworld.PROMPTS[kind])
     texts.extend([_PROMPT_CAPTION, "yes", "no"])
     return texts
 
@@ -111,7 +111,7 @@ def _check_count(dataset: str, n) -> int:
 def make_caption_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.1 rows: {image: [H,W,3] array, prompt, answer}."""
     n = _check_count("caption", n)
-    seed = simworld._check_seed("caption dataset", seed)
+    seed = check_seed("caption dataset", seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     rows = []
     for i in range(n):
@@ -129,7 +129,7 @@ def make_caption_samples(n: int, seed: int) -> list[dict]:
 def make_instruct_samples(n: int, seed: int) -> list[dict]:
     """Stage-1.2 rows: captions mixed with planning and affordance QA."""
     n = _check_count("instruct", n)
-    seed = simworld._check_seed("instruct dataset", seed)
+    seed = check_seed("instruct dataset", seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     rows = []
     for i in range(n):
@@ -163,7 +163,7 @@ def make_manip_samples(n: int, seed: int, kind: str | None = None,
     trains on successful samples), drawing extra seeds until n remain.
     """
     n = _check_count("manip", n)
-    seed = simworld._check_seed("manip dataset", seed)
+    seed = check_seed("manip dataset", seed)
     episodes = []
     offset = 0
     while len(episodes) < n:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mambavla import diffcore as dc
-from mambavla.config import ModelConfig
+from mambavla.config import ModelConfig, is_integer
 from mambavla.diffcore import Tensor
 
 __all__ = [
@@ -73,9 +73,9 @@ class WordTokenizer:
     @classmethod
     def build(cls, corpus: list[str], max_vocab: int = 2048) -> "WordTokenizer":
         """Frequency-ranked vocabulary (ties alphabetical), capped at max_vocab."""
-        if max_vocab < len(cls.RESERVED):
-            raise ValueError(f"tokenizer: max_vocab must be >= {len(cls.RESERVED)} "
-                             f"(the reserved ids), got {max_vocab}")
+        if not (is_integer(max_vocab) and max_vocab >= len(cls.RESERVED)):
+            raise ValueError(f"tokenizer: max_vocab must be an integer >= "
+                             f"{len(cls.RESERVED)} (the reserved ids), got {max_vocab!r}")
         counts: dict[str, int] = {}
         for text in corpus:
             for tok in _TOKEN_RE.findall(text):

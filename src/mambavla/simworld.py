@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mambavla.config import SimConfig, is_integer
+from mambavla.config import SimConfig, check_seed, is_integer
 from mambavla.policy import EndEffectorPose, lift_to_3d, rotation_about_axis
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "Observation",
     "ManipEpisode",
     "ARCHETYPES",
+    "PROMPTS",
     "spawn_object",
     "render",
     "render_buffers",
@@ -393,13 +394,6 @@ def _build_lid(rng: np.random.Generator) -> ArticulatedObject:
 _BUILDERS = {"drawer": _build_drawer, "door": _build_door, "lid": _build_lid}
 
 
-def _check_seed(caller: str, seed) -> int:
-    """A seed as a Python int: any integer >= 0, numpy's included, not a bool."""
-    if not (is_integer(seed) and seed >= 0):
-        raise ValueError(f"{caller}: seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
-
-
 def spawn_object(seed: int, kind: str | None = None) -> Scene:
     """Deterministic scene from an integer seed.
 
@@ -407,7 +401,7 @@ def spawn_object(seed: int, kind: str | None = None) -> Scene:
     is visible: the movable part covers at least `_MIN_PART_PIXELS` (5%) and
     the base at least `_MIN_BASE_PIXELS` (2%) of the rendered pixels.
     """
-    seed = _check_seed("spawn_object", seed)
+    seed = check_seed("spawn_object", seed)
     rng = np.random.default_rng(seed)
     if kind is None:
         kind = ARCHETYPES[int(rng.integers(len(ARCHETYPES)))]
@@ -502,7 +496,7 @@ class ManipEpisode:
     archetype: str
 
 
-_PROMPTS = {
+PROMPTS = {
     "drawer": "pull the drawer open",
     "door": "swing the door open",
     "lid": "lift the lid open",
@@ -545,14 +539,14 @@ def _contact_pose(buf: RenderResult, rng: np.random.Generator | None) -> EndEffe
 
 def collect_episode(seed: int, kind: str | None = None) -> ManipEpisode:
     """One Appendix-B data-collection episode, reproducible from its seed."""
-    seed = _check_seed("collect_episode", seed)
+    seed = check_seed("collect_episode", seed)
     scene = spawn_object(seed, kind)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     buf = render_buffers(scene)
     pose = _contact_pose(buf, rng)
     success, dq = interact(scene, pose)
     return ManipEpisode(rgb=buf.rgb, depth=buf.depth,
-                        prompt=_PROMPTS[scene.obj.archetype],
+                        prompt=PROMPTS[scene.obj.archetype],
                         gt_pose=pose,
                         success=success, dq=dq, seed=seed,
                         archetype=scene.obj.archetype)
@@ -574,7 +568,7 @@ def evaluate(policy, episodes: int, seed: int,
     if not (is_integer(episodes) and episodes >= 1):
         raise ValueError(f"evaluate: episodes must be an integer >= 1, got {episodes!r}")
     episodes = int(episodes)
-    seed = _check_seed("evaluate", seed)
+    seed = check_seed("evaluate", seed)
     log = []
     successes = 0
     for i in range(episodes):
@@ -583,7 +577,7 @@ def evaluate(policy, episodes: int, seed: int,
         scene = spawn_object(ep_seed, archetype)
         buf = render_buffers(scene)
         obs = Observation(rgb=buf.rgb, depth=buf.depth,
-                          prompt=_PROMPTS[archetype], cam=CAMERA, scene=scene)
+                          prompt=PROMPTS[archetype], cam=CAMERA, scene=scene)
         entry = {"episode": i, "seed": ep_seed, "archetype": archetype,
                  "success": False, "dq": 0.0}
         try:

@@ -16,13 +16,17 @@ only.
 
 An align or cotrain step is one graph: the batch's (image, text) rows are
 packed into one sequence (`vispipe.multimodal_forward_packed`), with the
-scan state and conv context reset at each row's start, and the loss is the
-mean over rows of each row's masked mean, as if each row were its own graph.
+scan state and conv context reset at each row's start.  The packing sets
+the cross-entropy's weights: each of row i's n_i answer targets weighs
+1/(n_i B), so the loss is the mean over rows of each row's mean, as if each
+row were its own graph.  `run_stage` walks one stream of batches, each
+epoch in a fresh permutation, for at most `steps_limit` steps.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -112,16 +116,12 @@ def set_stage(model: VlaModel, stage: str) -> VlaModel:
 # losses
 
 
-def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
-                       starts=None) -> dc.Tensor:
-    """Mean negative log-softmax of the target class over unmasked positions.
+def cross_entropy_loss(logits: dc.Tensor, targets, weights) -> dc.Tensor:
+    """The weighted negative log-likelihood of the targets,
+    -sum_l weights[l] * log softmax(logits[l])[targets[l]].
 
-    ignore_mask: optional boolean [L]; True positions are excluded (visual
-    and prompt positions carry no supervision).  starts, the first row of
-    each sample packed into logits (None is one sample), checked as
-    `diffcore.mamba_inner` checks its own, makes the loss the mean over
-    samples of each sample's masked mean, so a sample weighs the same however
-    many positions it has; every sample needs an unmasked position.
+    weights: one finite weight per position, cast to the logits' dtype.
+    Uniform 1/L gives the mean; a zero weight leaves a position unsupervised.
     """
     L, V = logits.data.shape
     targets = np.asarray(targets)
@@ -132,26 +132,18 @@ def cross_entropy_loss(logits: dc.Tensor, targets, ignore_mask=None,
         raise ValueError(f"targets shape {targets.shape} != ({L},)")
     if np.any((targets < 0) | (targets >= V)):
         raise ValueError("cross_entropy: target id outside vocabulary")
-    keep = np.ones(L, dtype=bool) if ignore_mask is None \
-        else ~np.asarray(ignore_mask, dtype=bool)
-    if keep.shape != (L,):
-        raise ValueError("ignore_mask must have one entry per position")
-    starts = dc._check_starts("cross-entropy", starts, L)
-    # unmasked positions of each sample, spread back over its rows
-    n_keep = np.add.reduceat(keep, starts, dtype=np.intp)
-    if (n_keep == 0).any():
-        raise ValueError("cross_entropy: every position of a sample is masked")
-    n_keep = np.repeat(n_keep * len(starts), np.diff(starts, append=L))
-
     dtype = logits.data.dtype
+    weights = np.asarray(weights, dtype=dtype)
+    if weights.shape != (L,) or not np.isfinite(weights).all():
+        raise ValueError(f"cross_entropy: weights must be {L} finite values")
+
     onehot = np.zeros((L, V), dtype=dtype)
     onehot[np.arange(L), targets] = 1.0
     logp = dc.matmul(dc.mul(dc.log_softmax_rows(logits),
                             dc.tensor(onehot, dtype=dtype)),
                      dc.tensor(np.ones((V, 1), dtype=dtype), dtype=dtype))  # [L, 1]
-    # negated mask weights fold the sign into the masked means
-    weights = (-keep.astype(dtype) / n_keep).reshape(1, L)
-    return dc.matmul(dc.tensor(weights, dtype=dtype), logp)  # [1, 1]
+    # negated weights fold the sign into the sum
+    return dc.matmul(dc.tensor(-weights.reshape(1, L), dtype=dtype), logp)  # [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +237,25 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
 
 
 def _encode_pair(tokenizer: WordTokenizer, prompt: str, answer: str):
-    """Teacher-forced ids: inputs [BOS p.. a..], targets [p.. a.. EOS],
-    mask ignoring the prompt-token targets."""
+    """Teacher-forced ids: inputs [BOS p.. a..], targets [p.. a.. EOS], and
+    the number of leading targets that are prompt tokens."""
     p_ids = tokenizer.encode(prompt)
-    a_ids = tokenizer.encode(answer)
-    text = [tokenizer.BOS] + p_ids + a_ids + [tokenizer.EOS]
-    inputs, targets = text[:-1], text[1:]
-    ignore = np.zeros(len(targets), dtype=bool)
-    ignore[:len(p_ids)] = True            # targets that are prompt tokens
-    return inputs, np.asarray(targets), ignore
+    text = [tokenizer.BOS] + p_ids + tokenizer.encode(answer) + [tokenizer.EOS]
+    return text[:-1], np.asarray(text[1:]), len(p_ids)
 
 
 def _stage1_batch_loss(model: VlaModel, tokenizer: WordTokenizer,
                        rows: list[dict]) -> dc.Tensor:
     """The align/cotrain loss of a batch as one packed graph: the mean over
-    rows of each row's masked mean over its answer targets."""
-    inputs, targets, ignore = zip(*(_encode_pair(tokenizer, row["prompt"], row["answer"])
-                                    for row in rows))
+    rows of each row's mean over its answer targets (EOS included)."""
+    inputs, targets, n_prompt = zip(*(_encode_pair(tokenizer, row["prompt"], row["answer"])
+                                      for row in rows))
     out = multimodal_forward_packed(model.encoder, model.projector, model.lm,
                                     [np.asarray(row["image"]) for row in rows], list(inputs))
-    starts = np.cumsum([0] + [len(t) for t in targets[:-1]])
-    return cross_entropy_loss(out.text_logits, np.concatenate(targets),
-                              np.concatenate(ignore), starts)
+    # row i's n_i answer targets weigh 1 / (n_i B) each, so every row weighs 1/B
+    weights = np.concatenate([(np.arange(len(t)) >= n) / ((len(t) - n) * len(rows))
+                              for t, n in zip(targets, n_prompt)])
+    return cross_entropy_loss(out.text_logits, np.concatenate(targets), weights)
 
 
 def _backbone_feature(model: VlaModel, tokenizer: WordTokenizer,
@@ -326,49 +315,40 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
         cache = np.concatenate([_backbone_feature(model, tokenizer, row["image"],
                                                   row["prompt"]) for row in dataset])
 
+    size = train_cfg.batch_size
+    # each epoch's order is drawn when the epoch starts
+    batches = (order[start:start + size]
+               for order in (rng.permutation(len(dataset)) for _ in range(epochs))
+               for start in range(0, len(dataset), size))
     metrics = []
-    step = 0
-    done = False
-    for _ in range(epochs):
-        if done:
-            break
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size]
-            t0 = time.perf_counter()
-            if stage == "manip":
-                out = model.head.forward(dc.tensor(cache[batch], dtype=cache.dtype))
-                gt_uv = np.stack([dataset[i]["pos_uv"] for i in batch])
-                gt_rot = np.stack([dataset[i]["rot"] for i in batch])
-                loss = dc.add(position_loss(out.pixel, gt_uv),
-                              direction_loss(out.rot, gt_rot))
-            else:
-                loss = _stage1_batch_loss(model, tokenizer,
-                                          [dataset[idx] for idx in batch])
+    for step, batch in enumerate(itertools.islice(batches, steps_limit), start=1):
+        t0 = time.perf_counter()
+        if stage == "manip":
+            out = model.head.forward(dc.tensor(cache[batch], dtype=cache.dtype))
+            gt_uv = np.stack([dataset[i]["pos_uv"] for i in batch])
+            gt_rot = np.stack([dataset[i]["rot"] for i in batch])
+            loss = dc.add(position_loss(out.pixel, gt_uv),
+                          direction_loss(out.rot, gt_rot))
+        else:
+            loss = _stage1_batch_loss(model, tokenizer, [dataset[idx] for idx in batch])
 
-            tape_nodes = dc.tape_nodes(loss)
-            grads_by_tensor = dc.backward(loss)
-            grads = {name: grads_by_tensor[p] for name, p in params.items()
-                     if p in grads_by_tensor}
-            adamw_step(model, grads, state, lr=hyper.lr,
-                       weight_decay=hyper.weight_decay)
-            step += 1
-            metrics.append({"step": step, "stage": stage,
-                            "loss": float(loss.data.reshape(-1)[0]),
-                            "lr": hyper.lr,
-                            "tape_nodes": tape_nodes,
-                            "wall_ms": (time.perf_counter() - t0) * 1e3})
-            if steps_limit is not None and step >= steps_limit:
-                done = True
-                break
+        tape_nodes = dc.tape_nodes(loss)
+        grads_by_tensor = dc.backward(loss)
+        grads = {name: grads_by_tensor[p] for name, p in params.items()
+                 if p in grads_by_tensor}
+        adamw_step(model, grads, state, lr=hyper.lr, weight_decay=hyper.weight_decay)
+        metrics.append({"step": step, "stage": stage,
+                        "loss": float(loss.data.reshape(-1)[0]),
+                        "lr": hyper.lr,
+                        "tape_nodes": tape_nodes,
+                        "wall_ms": (time.perf_counter() - t0) * 1e3})
 
     ckpt_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, f"metrics_{stage}.csv")
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["step", "stage", "loss", "lr", "tape_nodes", "wall_ms"])
+            writer = csv.DictWriter(fh, fieldnames=list(metrics[0]))
             writer.writeheader()
             writer.writerows(metrics)
         ckpt_path = os.path.join(out_dir, f"ckpt_{stage}.rmck")

@@ -7,6 +7,7 @@ longer matches would end there as a failed run.  Here it fails Tier-1.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -50,23 +51,33 @@ def test_every_benchmark_call_shape(tmp_path):
     assert images[0].shape == (cfg.image_size, cfg.image_size, 3)
     assert all(tok.encode(text) for text in datasets.corpus_texts())
 
-    # the train phase: warm-up call, then each stage as a pass runs it
+    # the train phase: warm-up call, then two passes, each from the initial
+    # weights and no gradients as the benchmark restores them; the benchmark
+    # fails a run unless every pass gives the same steps_limit finite losses
     train_cfg = TrainConfig()
     trainer.run_stage(model, "align", stage_rows["align"], 1, train_cfg.align,
                       dataclasses.replace(train_cfg, batch_size=2), tok, seed=1)
-    for name, p in model.named_params():
-        p.data = initial[name].copy()
-        p.grad = None
-    for stage in trainer.STAGES:
-        before = {name: p.data.copy() for name, p in model.named_params()}
-        metrics, _ = trainer.run_stage(
-            model, stage, stage_rows[stage], 2,
-            getattr(train_cfg, stage), dataclasses.replace(train_cfg, batch_size=2), tok,
-            seed=1, out_dir=str(tmp_path), steps_limit=2)
-        assert [set(row) >= {"wall_ms", "loss"} for row in metrics] == [True, True]
+    passes = []
+    for _ in range(2):
         for name, p in model.named_params():
-            if not model.is_trainable(name):
-                assert np.array_equal(p.data, before[name]), name
+            p.data = initial[name].copy()
+            p.grad = None
+        losses = {}
+        for stage in trainer.STAGES:
+            before = {name: p.data.copy() for name, p in model.named_params()}
+            metrics, _ = trainer.run_stage(
+                model, stage, stage_rows[stage], 2,
+                getattr(train_cfg, stage), dataclasses.replace(train_cfg, batch_size=2), tok,
+                seed=1, out_dir=str(tmp_path), steps_limit=2)
+            assert [set(row) >= {"wall_ms", "loss"} for row in metrics] == [True, True]
+            for name, p in model.named_params():
+                if not model.is_trainable(name):
+                    assert np.array_equal(p.data, before[name]), name
+            losses[stage] = [row["loss"] for row in metrics]
+        passes.append(losses)
+    assert all(len(values) == 2 and all(map(math.isfinite, values))
+               for values in passes[0].values()), passes[0]
+    assert passes[0] == passes[1]
 
     # the control phase: the learned policy inside evaluate
     decisions = []

@@ -1191,6 +1191,37 @@ def test_every_primitive_is_called_by_the_package_and_exported():
     assert names <= set(dc.__all__), f"__all__ lacks {sorted(names - set(dc.__all__))}"
 
 
+def _private_reads(path):
+    """The other package modules' private names that a module reads, as
+    `module._name` or through `from mambavla.x import _name`."""
+    tree = ast.parse(path.read_text())
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mambavla"):
+            for a in node.names:
+                if a.name.startswith("_"):
+                    reads.append(f"from {node.module} import {a.name}")
+                elif node.module == "mambavla":
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.name.startswith("mambavla.") and a.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            reads.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_package_module_reads_another_modules_private_names():
+    """A leading underscore keeps a name inside its module; what another
+    module needs is public."""
+    package = pathlib.Path(dc.__file__).parent
+    reads = {path.name: _private_reads(path) for path in sorted(package.glob("*.py"))}
+    assert {name: r for name, r in reads.items() if r} == {}
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -65,6 +65,15 @@ def test_tokenizer_rejects_a_cap_below_the_reserved_ids(max_vocab):
     assert mamba.WordTokenizer.build(corpus, max_vocab=4).vocab_size == 4
 
 
+@pytest.mark.parametrize("max_vocab", [100.0, np.float64(60), "5", None], ids=repr)
+def test_tokenizer_rejects_a_non_integer_cap(max_vocab):
+    # unchecked, a float cap failed as "slice indices must be integers" and
+    # "5" or None as a TypeError from the comparison
+    with pytest.raises(ValueError, match="max_vocab must be an integer"):
+        mamba.WordTokenizer.build(["open the drawer"], max_vocab=max_vocab)
+    assert mamba.WordTokenizer.build(["open the drawer"], max_vocab=np.int64(4)).vocab_size == 4
+
+
 def test_tokenizer_punctuation_binds_left():
     tok = mamba.WordTokenizer.build(["pull the handle now ."])
     text = "pull the handle now."
@@ -413,6 +422,7 @@ def test_lm_forward_time_scales_linearly():
 
 
 def _timed(lm, ids):
-    t0 = time.perf_counter()
+    # CPU time of this process: another process on the host does not count
+    t0 = time.process_time()
     lm.lm_forward(ids)
-    return time.perf_counter() - t0
+    return time.process_time() - t0

@@ -444,7 +444,7 @@ def test_collect_episode_success_matches_threshold():
     for seed in range(30):
         ep = sw.collect_episode(seed)
         assert ep.success == (abs(ep.dq) > 0.1)
-        assert ep.prompt == sw._PROMPTS[ep.archetype]
+        assert ep.prompt == sw.PROMPTS[ep.archetype]
         assert ep.rgb.shape == (32, 32, 3) and ep.depth.shape == (32, 32)
 
 

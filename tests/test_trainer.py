@@ -111,10 +111,12 @@ def test_manip_stage_forward_builds_no_tape():
 def _sample_loss(model, tok, row):
     """One row's align/cotrain loss on its own graph: the per-sample
     composition that the packed batch loss must match."""
-    inputs, targets, ignore = trainer._encode_pair(tok, row["prompt"], row["answer"])
+    inputs, targets, n_prompt = trainer._encode_pair(tok, row["prompt"], row["answer"])
     out = vispipe.multimodal_forward(model.encoder, model.projector, model.lm,
                                      np.asarray(row["image"]), inputs)
-    return trainer.cross_entropy_loss(out.text_logits, targets, ignore)
+    # the mean over the answer targets
+    weights = (np.arange(len(targets)) >= n_prompt) / (len(targets) - n_prompt)
+    return trainer.cross_entropy_loss(out.text_logits, targets, weights)
 
 
 def _all_grads(model, tok, rows):
@@ -175,6 +177,33 @@ def test_packed_batch_matches_per_sample_composition(stage):
             assert grads[name] is None and ref is None, name
         else:
             np.testing.assert_allclose(grads[name], ref, rtol=1e-10, err_msg=name)
+
+
+def test_packed_batch_weights_give_every_row_one_share(monkeypatch):
+    """The packed loss weighs row i's n_i answer targets 1/(n_i B) each and
+    its prompt targets 0, so every row's weights sum to 1/B."""
+    tok = tokenizer()
+    rows = ds.make_instruct_samples(3, seed=5)
+    seen = []
+    cross_entropy_loss = trainer.cross_entropy_loss
+
+    def spy(logits, targets, weights):
+        seen.append(weights)
+        return cross_entropy_loss(logits, targets, weights)
+
+    monkeypatch.setattr(trainer, "cross_entropy_loss", spy)
+    trainer._stage1_batch_loss(tiny_model(), tok, rows)
+    (weights,) = seen
+    start = 0
+    for row in rows:
+        _, targets, n_prompt = trainer._encode_pair(tok, row["prompt"], row["answer"])
+        w = weights[start:start + len(targets)]
+        start += len(targets)
+        n = len(targets) - n_prompt
+        assert np.all(w[:n_prompt] == 0.0)
+        assert np.all(w[n_prompt:] == 1 / (n * len(rows)))
+        assert w.sum() == pytest.approx(1 / len(rows), rel=1e-12)
+    assert start == len(weights)
 
 
 # Central differences on these float64 losses carry rounding noise that
@@ -296,7 +325,7 @@ def test_unstaged_forward_holds_a_tenth_of_the_taped_one():
 
 def test_uniform_logits_gives_log_vocab():
     logits = dc.tensor(np.zeros((5, 16)), dtype=np.float64)
-    loss = trainer.cross_entropy_loss(logits, [3, 0, 15, 7, 1])
+    loss = trainer.cross_entropy_loss(logits, [3, 0, 15, 7, 1], np.full(5, 1 / 5))
     assert loss.data.reshape(()) == pytest.approx(math.log(16), abs=1e-12)
 
 
@@ -305,7 +334,7 @@ def test_confident_correct_logit_drives_loss_to_zero():
     targets = [2, 5, 0]
     logits[np.arange(3), targets] = 40.0
     loss = trainer.cross_entropy_loss(dc.tensor(logits, dtype=np.float64),
-                                      targets)
+                                      targets, np.full(3, 1 / 3))
     assert loss.data.reshape(()) < 1e-10
 
 
@@ -313,7 +342,7 @@ def test_confidently_wrong_logit_gives_a_large_finite_loss():
     # the target's softmax probability rounds to 0 in float32, so the log of
     # a softmax would be -inf; the log-softmax stays finite
     logits = dc.tensor([[0.0, 120.0]], dtype=np.float32)
-    loss = trainer.cross_entropy_loss(logits, [0])
+    loss = trainer.cross_entropy_loss(logits, [0], [1.0])
     assert loss.data.reshape(()) == 120.0
 
 
@@ -321,45 +350,16 @@ def test_masked_positions_have_zero_gradient():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((4, 8))
     logits = dc.tensor(raw, dtype=np.float64, requires_grad=True)
-    ignore = np.array([False, True, False, True])
-    loss = trainer.cross_entropy_loss(logits, [1, 2, 3, 4], ignore)
+    loss = trainer.cross_entropy_loss(logits, [1, 2, 3, 4], [0.5, 0.0, 0.5, 0.0])
     grads = dc.backward(loss)
     g = grads[logits]
     assert np.all(g[1] == 0.0) and np.all(g[3] == 0.0)
     assert np.any(g[0] != 0.0) and np.any(g[2] != 0.0)
-    # unmasked rows carry softmax-CE gradient (p - onehot) / n_keep
+    # weighted rows carry softmax-CE gradient (p - onehot) * weight
     p0 = np.exp(raw[0]) / np.exp(raw[0]).sum()
     expect = p0.copy()
     expect[1] -= 1.0
     assert np.allclose(g[0], expect / 2, atol=1e-12)
-
-
-def test_cross_entropy_starts_average_the_samples_masked_means():
-    """With starts the loss is the mean over samples of each sample's masked
-    mean, whatever their lengths and masks."""
-    rng = np.random.default_rng(4)
-    raw = rng.standard_normal((7, 6))
-    targets = [0, 2, 4, 1, 3, 5, 0]
-    ignore = np.array([True, False, False, False, True, False, True])
-    logits = dc.tensor(raw, dtype=np.float64)
-    packed = trainer.cross_entropy_loss(logits, targets, ignore, starts=[0, 2, 5])
-    alone = [trainer.cross_entropy_loss(dc.tensor(raw[a:b], dtype=np.float64),
-                                        targets[a:b], ignore[a:b]).item()
-             for a, b in ((0, 2), (2, 5), (5, 7))]
-    assert packed.item() == pytest.approx(np.mean(alone), rel=1e-14)
-    err = grad_check(lambda t: trainer.cross_entropy_loss(
-        t, targets, ignore, starts=[0, 2, 5]), logits)
-    assert err <= 1e-6
-
-
-def test_cross_entropy_rejects_bad_starts_and_masked_samples():
-    logits = dc.tensor(np.zeros((4, 3)), dtype=np.float64)
-    for starts in ([1, 2], [0, 2, 2], [0, 4], [2, 0], []):
-        with pytest.raises(ValueError, match="starts"):
-            trainer.cross_entropy_loss(logits, [0, 1, 2, 0], starts=starts)
-    with pytest.raises(ValueError, match="masked"):
-        trainer.cross_entropy_loss(logits, [0, 1, 2, 0], [False, False, True, True],
-                                   starts=[0, 2])
 
 
 def test_cross_entropy_gradient_check():
@@ -367,7 +367,7 @@ def test_cross_entropy_gradient_check():
     raw = rng.standard_normal((5, 6))
     point = dc.tensor(raw, dtype=np.float64, requires_grad=True)
     err = grad_check(
-        lambda t: trainer.cross_entropy_loss(t, [0, 2, 4, 1, 3]), point)
+        lambda t: trainer.cross_entropy_loss(t, [0, 2, 4, 1, 3], [0.1, 0.0, 0.3, 0.2, 0.4]), point)
     assert err <= 1e-6
 
 
@@ -377,16 +377,22 @@ def test_cross_entropy_rejects_non_integer_targets(targets):
     # [1.7, 2.2, 0.9] used to train on [1, 2, 0]
     logits = dc.tensor(np.zeros((3, 4)), dtype=np.float64)
     with pytest.raises(ValueError, match="integer ids"):
-        trainer.cross_entropy_loss(logits, targets)
+        trainer.cross_entropy_loss(logits, targets, np.full(3, 1 / 3))
 
 
 def test_cross_entropy_rejects_bad_inputs():
     logits = dc.tensor(np.zeros((3, 4)), dtype=np.float64)
-    with pytest.raises(ValueError, match="masked"):
-        trainer.cross_entropy_loss(logits, [0, 1, 2],
-                                   np.array([True, True, True]))
     with pytest.raises(ValueError, match="vocabulary"):
-        trainer.cross_entropy_loss(logits, [0, 1, 4])
+        trainer.cross_entropy_loss(logits, [0, 1, 4], np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("weights", [np.full(2, 0.5), np.full((3, 1), 1 / 3), [],
+                                     [0.5, float("nan"), 0.5], [0.5, float("inf"), 0.5]],
+                         ids=["short", "column", "empty", "nan", "inf"])
+def test_cross_entropy_rejects_bad_weights(weights):
+    logits = dc.tensor(np.zeros((3, 4)), dtype=np.float64)
+    with pytest.raises(ValueError, match="weights"):
+        trainer.cross_entropy_loss(logits, [0, 1, 2], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +746,11 @@ def test_model_config_accepts_its_boundaries():
     (float("inf"), 0.0, "lr"),
     (1e-3, -0.1, "weight_decay"),
     (1e-3, float("nan"), "weight_decay"),
+    # lr=True used to train at 1.0, and lr="1e-3" escaped as a TypeError
+    (True, 0.0, "lr"),
+    ("1e-3", 0.0, "lr"),
+    (1e-3, np.True_, "weight_decay"),
+    (1e-3, None, "weight_decay"),
 ])
 def test_stage_hyperparams_reject_bad_values(lr, weight_decay, field):
     with pytest.raises(ValueError, match=f"StageHyperparams: {field}"):
