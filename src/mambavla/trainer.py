@@ -7,12 +7,13 @@ align updates the projector, cotrain updates projector and language model,
 manip updates only the policy head.  Frozen groups are guaranteed
 bit-identical across a stage run.
 
-`requires_grad` follows the stage: `set_stage` turns it on for exactly the
-trainable parameters, so a forward builds no backward tape through frozen
-groups.  A model with no stage has no trainable group and builds no tape at
-all, which is the inference setting: `VlaModel(...)` and `load_checkpoint`
-both return one, since a checkpoint holds the weights and the model config
-only.
+`set_stage` turns `requires_grad` on for exactly the stage's trainable
+parameters, a pure function of the stage, so a forward builds no tape
+through frozen groups.  `run_stage` turns every flag off when it returns
+or raises, so a forward after it builds no tape at all, as on a model from
+`VlaModel(...)` or `load_checkpoint` (a checkpoint is weights and the model
+config only).  `model.stage` names the last stage set: the mask that
+`is_trainable`, `init_optim` and `param_report` read.
 
 An align or cotrain step is one graph: the batch's (image, text) rows are
 packed into one sequence (`vispipe.multimodal_forward_packed`), with the
@@ -102,8 +103,9 @@ class VlaModel:
 
 
 def set_stage(model: VlaModel, stage: str) -> VlaModel:
-    """Apply the stage's freeze mask: `requires_grad` on exactly the
-    trainable parameters; flags are a pure function of the stage."""
+    """Apply the stage's freeze mask: `model.stage` names it and
+    `requires_grad` is on for exactly its trainable parameters, a pure
+    function of the stage.  `run_stage` turns the flags off again."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     model.stage = stage
@@ -293,7 +295,9 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     Per-step metrics (loss, lr, the step's `tape_nodes` and wall time) go
     to `metrics_{stage}.csv` and the final weights to `ckpt_{stage}.rmck`
     when out_dir is given.  Parameters outside the stage's trainable set
-    are bit-identical before and after.
+    are bit-identical before and after.  `model.stage` stays `stage`, but
+    every `requires_grad` is off once it returns or raises after setting
+    the stage, so the model it leaves runs inference without a tape.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
@@ -304,44 +308,48 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
         raise ValueError(f"run_stage: steps_limit must be None or an integer >= 1, "
                          f"got {steps_limit!r}")
     set_stage(model, stage)
-    state = init_optim(model)
-    rng = np.random.default_rng(seed)
-    params = dict(model.named_params())
+    try:
+        state = init_optim(model)
+        rng = np.random.default_rng(seed)
+        params = dict(model.named_params())
 
-    cache = None
-    if stage == "manip":
-        # the backbone is frozen in stage 2, so its features are constants:
-        # compute them once per sample instead of once per step
-        cache = np.concatenate([_backbone_feature(model, tokenizer, row["image"],
-                                                  row["prompt"]) for row in dataset])
-
-    size = train_cfg.batch_size
-    # each epoch's order is drawn when the epoch starts
-    batches = (order[start:start + size]
-               for order in (rng.permutation(len(dataset)) for _ in range(epochs))
-               for start in range(0, len(dataset), size))
-    metrics = []
-    for step, batch in enumerate(itertools.islice(batches, steps_limit), start=1):
-        t0 = time.perf_counter()
+        cache = None
         if stage == "manip":
-            out = model.head.forward(dc.tensor(cache[batch], dtype=cache.dtype))
-            gt_uv = np.stack([dataset[i]["pos_uv"] for i in batch])
-            gt_rot = np.stack([dataset[i]["rot"] for i in batch])
-            loss = dc.add(position_loss(out.pixel, gt_uv),
-                          direction_loss(out.rot, gt_rot))
-        else:
-            loss = _stage1_batch_loss(model, tokenizer, [dataset[idx] for idx in batch])
+            # the backbone is frozen in stage 2, so its features are constants:
+            # compute them once per sample instead of once per step
+            cache = np.concatenate([_backbone_feature(model, tokenizer, row["image"],
+                                                      row["prompt"]) for row in dataset])
 
-        tape_nodes = dc.tape_nodes(loss)
-        grads_by_tensor = dc.backward(loss)
-        grads = {name: grads_by_tensor[p] for name, p in params.items()
-                 if p in grads_by_tensor}
-        adamw_step(model, grads, state, lr=hyper.lr, weight_decay=hyper.weight_decay)
-        metrics.append({"step": step, "stage": stage,
-                        "loss": float(loss.data.reshape(-1)[0]),
-                        "lr": hyper.lr,
-                        "tape_nodes": tape_nodes,
-                        "wall_ms": (time.perf_counter() - t0) * 1e3})
+        size = train_cfg.batch_size
+        # each epoch's order is drawn when the epoch starts
+        batches = (order[start:start + size]
+                   for order in (rng.permutation(len(dataset)) for _ in range(epochs))
+                   for start in range(0, len(dataset), size))
+        metrics = []
+        for step, batch in enumerate(itertools.islice(batches, steps_limit), start=1):
+            t0 = time.perf_counter()
+            if stage == "manip":
+                out = model.head.forward(dc.tensor(cache[batch], dtype=cache.dtype))
+                gt_uv = np.stack([dataset[i]["pos_uv"] for i in batch])
+                gt_rot = np.stack([dataset[i]["rot"] for i in batch])
+                loss = dc.add(position_loss(out.pixel, gt_uv),
+                              direction_loss(out.rot, gt_rot))
+            else:
+                loss = _stage1_batch_loss(model, tokenizer, [dataset[idx] for idx in batch])
+
+            tape_nodes = dc.tape_nodes(loss)
+            grads_by_tensor = dc.backward(loss)
+            grads = {name: grads_by_tensor[p] for name, p in params.items()
+                     if p in grads_by_tensor}
+            adamw_step(model, grads, state, lr=hyper.lr, weight_decay=hyper.weight_decay)
+            metrics.append({"step": step, "stage": stage,
+                            "loss": float(loss.data.reshape(-1)[0]),
+                            "lr": hyper.lr,
+                            "tape_nodes": tape_nodes,
+                            "wall_ms": (time.perf_counter() - t0) * 1e3})
+    finally:
+        for _, p in model.named_params():
+            p.requires_grad = False
 
     ckpt_path = None
     if out_dir is not None:

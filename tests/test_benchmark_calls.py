@@ -57,6 +57,10 @@ def test_every_benchmark_call_shape(tmp_path):
     train_cfg = TrainConfig()
     trainer.run_stage(model, "align", stage_rows["align"], 1, train_cfg.align,
                       dataclasses.replace(train_cfg, batch_size=2), tok, seed=1)
+    # the benchmark's first reason requests prefill on this model: no tape
+    warm = vispipe.multimodal_forward(model.encoder, model.projector, model.lm, images[0],
+                                      [tok.BOS] + tok.encode("describe the scene"))
+    assert diffcore.tape_nodes(warm.text_logits) == 0
     passes = []
     for _ in range(2):
         for name, p in model.named_params():
@@ -70,6 +74,8 @@ def test_every_benchmark_call_shape(tmp_path):
                 getattr(train_cfg, stage), dataclasses.replace(train_cfg, batch_size=2), tok,
                 seed=1, out_dir=str(tmp_path), steps_limit=2)
             assert [set(row) >= {"wall_ms", "loss"} for row in metrics] == [True, True]
+            # the stage run leaves its mask, which the frozen check reads
+            assert model.stage == stage
             for name, p in model.named_params():
                 if not model.is_trainable(name):
                     assert np.array_equal(p.data, before[name]), name

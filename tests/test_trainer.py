@@ -108,6 +108,60 @@ def test_manip_stage_forward_builds_no_tape():
         assert t._backward_fn is None and t._parents == () and not t.requires_grad
 
 
+_STAGE_GROUPS = {"align": {"projector"}, "cotrain": {"projector", "lm"},
+                 "manip": {"head"}}
+
+
+def _two_rows(stage):
+    if stage == "manip":
+        return manip_rows(2)
+    make = ds.make_caption_samples if stage == "align" else ds.make_instruct_samples
+    return make(2, seed=0)
+
+
+def _run_two_rows(model, stage, rows):
+    return trainer.run_stage(model, stage, rows, epochs=1,
+                             hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
+                             train_cfg=TrainConfig(batch_size=2), tokenizer=tokenizer())
+
+
+@pytest.mark.parametrize("stage", trainer.STAGES)
+def test_run_stage_returns_an_inference_model(stage):
+    """run_stage keeps the stage it ran as the model's mask but turns every
+    flag off, so a prefill and a head forward after it build no tape.  With
+    the flags left on, default-config align and cotrain built 33-34 nodes
+    behind the prefill's logits, and every stage 34-68 behind the head's
+    rotation."""
+    model = tiny_model()
+    _run_two_rows(model, stage, _two_rows(stage))
+    assert not any(p.requires_grad for _, p in model.named_params())
+    assert model.stage == stage
+    assert trainer.param_report(model)["trainable"] == sum(
+        p.data.size for name, p in model.named_params()
+        if name.split(".", 1)[0] in _STAGE_GROUPS[stage])
+    tok = tokenizer()
+    row = caption_row()
+    out = vispipe.multimodal_forward(model.encoder, model.projector, model.lm,
+                                     np.asarray(row["image"]),
+                                     [tok.BOS] + tok.encode(row["prompt"]))
+    assert dc.tape_nodes(out.text_logits) == 0
+    assert dc.tape_nodes(model.head.forward(policy.pool_global_token(out.hidden)).rot) == 0
+
+
+@pytest.mark.parametrize("stage", trainer.STAGES)
+def test_a_stage_run_that_raises_leaves_no_flag_on(stage):
+    """A schema-valid row whose image holds a NaN raises in the encoder,
+    after the stage is set: in the first step, or in the manip feature
+    cache."""
+    rows = _two_rows(stage)
+    rows[1]["image"][0, 0, 0] = np.nan
+    model = tiny_model()
+    with pytest.raises(dc.NonFiniteError, match="encode"):
+        _run_two_rows(model, stage, rows)
+    assert model.stage == stage
+    assert not any(p.requires_grad for _, p in model.named_params())
+
+
 def _sample_loss(model, tok, row):
     """One row's align/cotrain loss on its own graph: the per-sample
     composition that the packed batch loss must match."""
@@ -531,6 +585,8 @@ def test_run_stage_gradient_is_this_steps_alone():
     assert any(after_run[name] is not None for name, _ in model.named_params()
                if model.is_trainable(name))
 
+    # run_stage turns every flag off, so the fresh backward needs the stage again
+    trainer.set_stage(model, "align")
     loss = dc.mean_pool(dc.concat(
         [_sample_loss(model, tok, row)], axis=0))
     dc.backward(loss)
@@ -828,6 +884,28 @@ def test_manip_row_with_a_non_finite_pixel_is_named():
         trainer.run_stage(tiny_model(), "manip", rows, epochs=1,
                           hyper=StageHyperparams(1e-3, 0.0, 0),
                           train_cfg=TrainConfig(batch_size=2), tokenizer=tokenizer())
+
+
+def test_run_stage_batch_order_follows_the_seed():
+    """5 rows at batch size 2 over 5 steps span two epochs, each in its own
+    permutation: the same seed gives the same losses, and a seed whose
+    permutation differs gives others."""
+    rows = ds.make_caption_samples(5, seed=2)
+
+    def losses(seed):
+        metrics, _ = trainer.run_stage(
+            tiny_model(seed=1), "align", rows, epochs=2,
+            hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
+            train_cfg=TrainConfig(batch_size=2), tokenizer=tokenizer(),
+            seed=seed, steps_limit=5)
+        return [row["loss"] for row in metrics]
+
+    assert not np.array_equal(np.random.default_rng(0).permutation(5),
+                              np.random.default_rng(1).permutation(5))
+    first = losses(0)
+    assert len(first) == 5
+    assert losses(0) == first
+    assert losses(1) != first
 
 
 def test_stage_runs_are_deterministic(tmp_path):
