@@ -520,24 +520,19 @@ def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, ctx: np.n
     return pre * sig, ctx_final, (xp, kernel, later, pre, sig)
 
 
-def _conv_backward(g: np.ndarray, saved: tuple, need_x: bool, need_kernel: bool,
-                   need_bias: bool) -> tuple:
-    """Gradients (x, kernel, bias) of the conv from dL/dy, None where not needed."""
+def _conv_backward(g: np.ndarray, saved: tuple, need_params: bool) -> tuple:
+    """Gradients (x, kernel, bias) of the conv from dL/dy; kernel and bias
+    are None unless need_params."""
     xp, kernel, later, pre, sig = saved
     L, w = g.shape[0], kernel.shape[0]
     g = g * (sig * (1.0 + pre * (1.0 - sig)))           # through the SiLU
-    gx = gk = gb = None
-    if need_bias:
-        gb = g.sum(axis=0)
-    if need_x:
-        gxp = np.zeros_like(xp)
-        for i in range(w):
-            gxp[i:i + L] += _own_taps(kernel[i] * g, i, w, later)
-        gx = gxp[w - 1:]
-    if need_kernel:
-        gk = np.stack([_own_taps(xp[i:i + L] * g, i, w, later).sum(axis=0)
-                       for i in range(w)])
-    return gx, gk, gb
+    gxp = np.zeros_like(xp)
+    for i in range(w):
+        gxp[i:i + L] += _own_taps(kernel[i] * g, i, w, later)
+    if not need_params:
+        return gxp[w - 1:], None, None
+    gk = np.stack([_own_taps(xp[i:i + L] * g, i, w, later).sum(axis=0) for i in range(w)])
+    return gxp[w - 1:], gk, g.sum(axis=0)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -740,68 +735,51 @@ def _scan_forward(kind: str, u: np.ndarray, dt: np.ndarray, A: np.ndarray,
     return y * silu_z, h_final, saved
 
 
-def _scan_backward(g: np.ndarray, saved: tuple, need_u: bool, need_dt: bool,
-                   need_A_log: bool, need_B: bool, need_C: bool, need_D: bool,
-                   need_z: bool, need_dt_bias: bool) -> list:
-    """Gradients (u, dt, A_log, B, C, D, z, dt_bias) of the scan from dL/dy,
-    None where not needed: the reverse-time adjoint dh_t = dy_t C_t +
-    Abar_{t+1} dh_{t+1} once, everything else vectorised over [L, N, E]."""
+def _scan_backward(g: np.ndarray, saved: tuple, need_params: bool) -> tuple:
+    """Gradients (u, dt, A_log, B, C, D, z, dt_bias) of the scan from dL/dy;
+    those of A_log, D and dt_bias are None unless need_params.  The
+    reverse-time adjoint dh_t = dy_t C_t + Abar_{t+1} dh_{t+1} runs once,
+    everything else is vectorised over [L, N, E]."""
     (u, x, delta, A, inv_A, B, C, D, z, h0, resets, Abar, coef, states, y, sig,
      silu_z) = saved
     L = u.shape[0]
-    grads = [None] * 8
-    need_delta = need_dt or need_dt_bias
     # reductions go through einsum: summing a short axis with .sum() is
     # several times slower in numpy
-    if need_z:
-        grads[6] = g * y * (sig * (1.0 + z * (1.0 - sig)))
+    dgate = g * y * (sig * (1.0 + z * (1.0 - sig)))
     g = g * silu_z                                                  # d/dy before the gate
-    if need_C:
-        grads[4] = np.einsum("le,lne->ln", g, states)
-    if need_D:
-        grads[5] = (g * u).sum(axis=0)
-    if not (need_u or need_delta or need_A_log or need_B):
-        return grads
+    dC = np.einsum("le,lne->ln", g, states)
     dh = C[:, :, None] * g[:, None, :]                              # dy_t C_t
     carry = np.empty(dh.shape[1:], dh.dtype)
     for t in range(L - 2, -1, -1):
         if t + 1 not in resets:
             dh[t] += np.multiply(Abar[t + 1], dh[t + 1], out=carry)
-    dh_coef = None
-    if need_u or need_B:
-        # Bbar = coef B is not kept: dh coef serves both gradients
-        dh_coef = dh * coef
-        if need_u:
-            grads[0] = np.einsum("lne,ln->le", dh_coef, B)
-            grads[0] += g * D
-        if need_B:
-            grads[3] = np.einsum("lne,le->ln", dh_coef, u)
-    if need_delta or need_A_log:
-        # into the spent dh coef, not a fresh [L, N, E] array whose pages
-        # would each be faulted in
-        dz = np.multiply(dh, u[:, None, :], out=dh_coef)            # d/dBbar, then
-        dz *= B[:, :, None]                                         # d/dcoef
-        if need_A_log:
-            # d(1/A)/dA_log = -1/A, and (Abar - 1) / A is coef
-            dA_log = -np.einsum("lne,lne->ne", dz, coef)
-        # d/d(delta A) = (dh_t h_{t-1} + dcoef / A) Abar_t; dh is spent,
-        # so it takes dh_t h_{t-1}, with h_{t-1} a shifted view of states
-        dz *= inv_A
-        dh_h = np.multiply(dh[1:], states[:-1], out=dh[1:])
-        dh_h[[t - 1 for t in resets]] = 0.0                         # h_{t-1} is not h_t's
-        dz[1:] += dh_h
-        if h0 is not None:
-            dz[0] += np.multiply(dh[0], h0.T, out=dh[0])
-        dz *= Abar
-        if need_delta:
-            gx = np.einsum("lne,ne->le", dz, A)
-            gx *= _sigmoid(x)                                       # softplus' = sigmoid
-            grads[1] = gx if need_dt else None
-            grads[7] = gx.sum(axis=0) if need_dt_bias else None
-        if need_A_log:
-            dA_log += np.einsum("lne,le->ne", dz, delta) * A        # dA/dA_log = A
-            grads[2] = dA_log.T
-    return grads
+    # Bbar = coef B is not kept: dh coef serves both gradients
+    dh_coef = dh * coef
+    du = np.einsum("lne,ln->le", dh_coef, B)
+    du += g * D
+    dB = np.einsum("lne,le->ln", dh_coef, u)
+    # into the spent dh coef, not a fresh [L, N, E] array whose pages would
+    # each be faulted in
+    dz = np.multiply(dh, u[:, None, :], out=dh_coef)                # d/dBbar, then
+    dz *= B[:, :, None]                                             # d/dcoef
+    if need_params:
+        # d(1/A)/dA_log = -1/A, and (Abar - 1) / A is coef
+        dA_log = -np.einsum("lne,lne->ne", dz, coef)
+    # d/d(delta A) = (dh_t h_{t-1} + dcoef / A) Abar_t; dh is spent, so it
+    # takes dh_t h_{t-1}, with h_{t-1} a shifted view of states
+    dz *= inv_A
+    dh_h = np.multiply(dh[1:], states[:-1], out=dh[1:])
+    dh_h[[t - 1 for t in resets]] = 0.0                             # h_{t-1} is not h_t's
+    dz[1:] += dh_h
+    if h0 is not None:
+        dz[0] += np.multiply(dh[0], h0.T, out=dh[0])
+    dz *= Abar
+    gx = np.einsum("lne,ne->le", dz, A)
+    gx *= _sigmoid(x)                                               # softplus' = sigmoid
+    if not need_params:
+        return du, gx, None, dB, dC, None, dgate, None
+    dA_log += np.einsum("lne,le->ne", dz, delta) * A                # dA/dA_log = A
+    return du, gx, dA_log.T, dB, dC, (g * u).sum(axis=0), dgate, gx.sum(axis=0)
 
 
 def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
@@ -826,9 +804,14 @@ def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
     in the operation order of the 11 nodes it replaces, so a float32 result
     is bit-identical to them, and returns (y out_proj [L, M], h_final [E, N],
     ctx_final [w-1, E]).  It checks what those nodes check: u, u x_proj,
-    dt + dt_bias, exp(+-A_log), y, the output and both carries.  The
-    backward writes the u and z gradients into column windows of one
-    [L, 2E] array.
+    dt + dt_bias, exp(+-A_log), y, the output and both carries.
+
+    The backward has two modes.  It always forms the gradient of xz, the u
+    and z gradients written into column windows of one [L, 2E] array.  The
+    8 parameters' gradients it forms together, as mamba_inner_fn does, and
+    only when one of them has requires_grad, so a step that trains none of
+    them (align) runs no parameter-gradient product.  It accumulates into
+    the inputs that have requires_grad.
     """
     kind = "mamba-inner"
     inputs = (xz, conv_w, conv_b, x_proj, dt_proj, dt_bias, A_log, D, out_proj)
@@ -849,7 +832,6 @@ def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
            else _check_carry(kind, "ctx", ctx, (w - 1, E), dtype))
     if h0 is not None:
         h0 = _check_carry(kind, "h0", h0, (E, N), dtype)
-    needs = [t.requires_grad for t in inputs]
     A, inv_A = _derived_A(kind, A_log)
 
     # an overflow is caught by the check after it, not warned about
@@ -859,38 +841,27 @@ def mamba_inner(xz: Tensor, conv_w: Tensor, conv_b: Tensor, x_proj: Tensor,
         _check_finite_output(kind, u)
         sel = _check_finite_output(kind, u @ x_proj.data)            # [L, R+2N]
         dt_low, B, C = sel[:, :R].copy(), sel[:, R:R + N].copy(), sel[:, R + N:].copy()
-        y, h_final, scan_saved = _scan_forward(kind, u, dt_low @ dt_proj.data, A, inv_A, B,
-                                               C, D.data, xz.data[:, E:], dt_bias.data, h0,
-                                               set(later), any(needs))
+        y, h_final, scan_saved = _scan_forward(
+            kind, u, dt_low @ dt_proj.data, A, inv_A, B, C, D.data, xz.data[:, E:],
+            dt_bias.data, h0, set(later), any(t.requires_grad for t in inputs))
         _check_finite_output(kind, y)
         out_data = y @ out_proj.data
 
     def backward_fn(g: np.ndarray) -> None:
-        need_xz, need_conv_w, need_conv_b, need_x_proj, need_dt_proj = needs[:5]
-        need_u = need_xz or need_conv_w or need_conv_b
-        need_sel = need_u or need_x_proj
-        grads = [None] * 9
-        if needs[8]:
-            grads[8] = y.T @ g
-        du, ddt, grads[6], dB, dC, grads[7], dz, grads[5] = _scan_backward(
-            g @ out_proj.data.T, scan_saved, need_u, need_sel or need_dt_proj, needs[6],
-            need_sel, need_sel, needs[7], need_xz, needs[5])
-        if need_dt_proj:
-            grads[4] = dt_low.T @ ddt
-        if need_sel:
-            dsel = np.concatenate([ddt @ dt_proj.data.T, dB, dC], axis=1)
-            if need_x_proj:
-                grads[3] = u.T @ dsel
-            if need_u:
-                du += dsel @ x_proj.data.T
-                gu, grads[1], grads[2] = _conv_backward(du, conv_saved, need_xz,
-                                                        need_conv_w, need_conv_b)
-                if need_xz:
-                    grads[0] = np.empty_like(xz.data)
-                    grads[0][:, :E] = gu
-                    grads[0][:, E:] = dz
+        need_params = any(t.requires_grad for t in inputs[1:])
+        du, ddt, dA_log, dB, dC, dD, dz, ddt_bias = _scan_backward(
+            g @ out_proj.data.T, scan_saved, need_params)
+        dsel = np.concatenate([ddt @ dt_proj.data.T, dB, dC], axis=1)
+        du += dsel @ x_proj.data.T
+        gu, dconv_w, dconv_b = _conv_backward(du, conv_saved, need_params)
+        dxz = np.empty_like(xz.data)
+        dxz[:, :E] = gu
+        dxz[:, E:] = dz
+        grads = (dxz, dconv_w, dconv_b)
+        if need_params:
+            grads += (u.T @ dsel, dt_low.T @ ddt, ddt_bias, dA_log, dD, y.T @ g)
         for t, grad in zip(inputs, grads):
-            if grad is not None:
+            if t.requires_grad:
                 _accumulate(t, grad)
 
     return (_make_node(kind, out_data, inputs, backward_fn), _carry(h_final),

@@ -9,11 +9,11 @@ bit-identical across a stage run.
 
 `set_stage` turns `requires_grad` on for exactly the stage's trainable
 parameters, a pure function of the stage, so a forward builds no tape
-through frozen groups.  `run_stage` turns every flag off when it returns
-or raises, so a forward after it builds no tape at all, as on a model from
-`VlaModel(...)` or `load_checkpoint` (a checkpoint is weights and the model
-config only).  `model.stage` names the last stage set: the mask that
-`is_trainable`, `init_optim` and `param_report` read.
+through frozen groups.  `run_stage` turns every flag off and frees every
+`.grad` when it returns or raises, so a forward after it builds no tape at
+all, as on a model from `VlaModel(...)` or `load_checkpoint` (a checkpoint
+is weights and the model config only).  `model.stage` names the last stage
+set: the mask that `is_trainable`, `init_optim` and `param_report` read.
 
 An align or cotrain step is one graph: the batch's (image, text) rows are
 packed into one sequence (`vispipe.multimodal_forward_packed`), with the
@@ -182,13 +182,15 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
     """Decoupled-weight-decay Adam over the parameters that have moments in
     `state`: the trainable ones when `init_optim` ran.
 
-    grads maps 'group.name' to a numpy array; missing entries are treated as
-    zero gradient (decay still applies).  Non-finite gradients raise, naming
-    the parameter group, and so does an update with non-finite new values,
-    which leaves that parameter unchanged: the write is in place, so no
-    primitive would check it again, and it calls `drop_derived` so that
-    values cached from the old ones, like the scan's A, are derived anew
-    (see `diffcore`).
+    grads maps 'group.name' to a numpy array of the parameter's shape;
+    missing entries are treated as zero gradient (decay still applies).  A
+    gradient of another shape raises a ValueError naming the parameter, as
+    broadcasting would spread it over every entry.  Non-finite gradients
+    raise, naming the parameter group, and so does an update with
+    non-finite new values, which leaves that parameter unchanged: the write
+    is in place, so no primitive would check it again, and it calls
+    `drop_derived` so that values cached from the old ones, like the scan's
+    A, are derived anew (see `diffcore`).
 
     The update runs in place in the state's scratch arrays, in the operation
     order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
@@ -203,6 +205,9 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
+        elif np.shape(g) != p.data.shape:
+            raise ValueError(f"adamw_step: gradient for {name} has shape {np.shape(g)}, "
+                             f"the parameter {p.data.shape}")
         elif not np.all(np.isfinite(g)):
             raise FloatingPointError(
                 f"non-finite gradient in parameter group "
@@ -296,8 +301,9 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     to `metrics_{stage}.csv` and the final weights to `ckpt_{stage}.rmck`
     when out_dir is given.  Parameters outside the stage's trainable set
     are bit-identical before and after.  `model.stage` stays `stage`, but
-    every `requires_grad` is off once it returns or raises after setting
-    the stage, so the model it leaves runs inference without a tape.
+    every `requires_grad` is off and every `.grad` freed once it returns or
+    raises after setting the stage, so the model it leaves runs inference
+    without a tape and holds no gradients.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
@@ -350,6 +356,7 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     finally:
         for _, p in model.named_params():
             p.requires_grad = False
+            p.grad = None
 
     ckpt_path = None
     if out_dir is not None:

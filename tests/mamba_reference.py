@@ -12,6 +12,12 @@ dt_proj matmul, the scan and the out_proj matmul.  `block_composition` adds
 the layer-norm, the in_proj matmul and the residual add.  The fused node
 runs the same kernels in the same operation order, so the tests hold it to
 these bit for bit in float32 and to 1e-10 in float64, forward and backward.
+
+The kernels' backwards have the fused node's two modes: they always form
+the gradients of their signal inputs (the scan's u, dt, B, C and z, the
+conv's x) and form those of their parameters (the scan's A_log, D and
+dt_bias, the conv's kernel and bias) only when one of those trains.  A
+wrapper accumulates only into the inputs that have requires_grad.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from mambavla.mamba import BlockState
 
 def _accumulate_all(inputs, grads):
     for t, grad in zip(inputs, grads):
-        if grad is not None:
+        if t.requires_grad:
             dc._accumulate(t, grad)
 
 
@@ -40,12 +46,13 @@ def selective_scan(u, dt, A_log, B, C, D, z, dt_bias, h0=None, starts=None):
     resets = set(dc._check_starts(kind, starts, u.shape[0])[1:])
     if h0 is not None:
         h0 = dc._check_carry(kind, "h0", h0, A_log.shape, dtype)
-    needs = [t.requires_grad for t in inputs]
     A, inv_A = dc._derived_A(kind, A_log)
     y, h_final, saved = dc._scan_forward(kind, u.data, dt.data, A, inv_A, B.data, C.data,
-                                         D.data, z.data, dt_bias.data, h0, resets, any(needs))
+                                         D.data, z.data, dt_bias.data, h0, resets,
+                                         any(t.requires_grad for t in inputs))
+    need_params = any(t.requires_grad for t in (A_log, D, dt_bias))
     backward_fn = None if saved is None else (
-        lambda g: _accumulate_all(inputs, dc._scan_backward(g, saved, *needs)))
+        lambda g: _accumulate_all(inputs, dc._scan_backward(g, saved, need_params)))
     return dc._make_node(kind, y, inputs, backward_fn), dc._carry(h_final)
 
 
@@ -63,8 +70,8 @@ def conv1d_depthwise(x, kernel, bias, ctx=None, starts=None):
     ctx = (np.zeros((w - 1, D), dtype) if ctx is None
            else dc._check_carry(kind, "ctx", ctx, (w - 1, D), dtype))
     y, ctx_final, saved = dc._conv_forward(x.data, kernel.data, bias.data, ctx, later)
-    needs = [t.requires_grad for t in inputs]
-    backward_fn = lambda g: _accumulate_all(inputs, dc._conv_backward(g, saved, *needs))
+    need_params = kernel.requires_grad or bias.requires_grad
+    backward_fn = lambda g: _accumulate_all(inputs, dc._conv_backward(g, saved, need_params))
     return dc._make_node(kind, y, inputs, backward_fn), dc._carry(ctx_final)
 
 

@@ -74,8 +74,10 @@ def test_every_benchmark_call_shape(tmp_path):
                 getattr(train_cfg, stage), dataclasses.replace(train_cfg, batch_size=2), tok,
                 seed=1, out_dir=str(tmp_path), steps_limit=2)
             assert [set(row) >= {"wall_ms", "loss"} for row in metrics] == [True, True]
-            # the stage run leaves its mask, which the frozen check reads
+            # the stage run leaves its mask, which the frozen check reads,
+            # and no gradient
             assert model.stage == stage
+            assert all(p.grad is None for _, p in model.named_params())
             for name, p in model.named_params():
                 if not model.is_trainable(name):
                     assert np.array_equal(p.data, before[name]), name

@@ -468,23 +468,33 @@ def _inner_carries(rng, E=4, N=3, w=4):
 INNER_RUNS = [(False, None), (True, None), (False, [0, 2, 5]), (True, [0, 2, 5])]
 
 
+# the inputs that train in each of the backward's gradient modes: all 9,
+# xz alone (align) and the 8 parameters alone
+GRAD_MODES = {"all": range(9), "xz": range(1), "params": range(1, 9)}
+
+
 @pytest.mark.parametrize("with_carry, starts", INNER_RUNS)
 def test_mamba_inner_matches_its_11_node_composition(with_carry, starts):
     """The fused node runs the composition's kernels in its operation order:
-    output, both carries and the gradient of every input are bit-identical."""
+    in each gradient mode, output, both carries and the gradient of every
+    input that trains are bit-identical, and an input that does not train
+    gets no .grad."""
     rng = np.random.default_rng(40)
     arrays = _inner_inputs(rng)
     carries = _inner_carries(rng) if with_carry else (None, None)
     readout = t64(rng.standard_normal((6, 4)))
-    results = []
-    for inner in (dc.mamba_inner, mr.inner_composition):
-        leaves = [t64(a, requires_grad=True) for a in arrays]
-        out, h_final, ctx_final = inner(*leaves, *carries, starts)
-        dc.backward(dc.mean_pool(dc.mul(out, readout)))
-        results.append([out.data, h_final.data, ctx_final.data]
-                       + [leaf.grad for leaf in leaves])
-    for i, (got, want) in enumerate(zip(*results)):
-        assert np.array_equal(got, want), i
+    for mode, trained in GRAD_MODES.items():
+        results = []
+        for inner in (dc.mamba_inner, mr.inner_composition):
+            leaves = [t64(a, requires_grad=i in trained) for i, a in enumerate(arrays)]
+            out, h_final, ctx_final = inner(*leaves, *carries, starts)
+            dc.backward(dc.mean_pool(dc.mul(out, readout)))
+            assert [leaf.grad is None for leaf in leaves] == [
+                i not in trained for i in range(9)], mode
+            results.append([out.data, h_final.data, ctx_final.data]
+                           + [leaves[i].grad for i in trained])
+        for i, (got, want) in enumerate(zip(*results)):
+            assert np.array_equal(got, want), (mode, i)
 
 
 @pytest.mark.parametrize("with_carry, starts", INNER_RUNS)

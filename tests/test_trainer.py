@@ -135,6 +135,7 @@ def test_run_stage_returns_an_inference_model(stage):
     model = tiny_model()
     _run_two_rows(model, stage, _two_rows(stage))
     assert not any(p.requires_grad for _, p in model.named_params())
+    assert all(p.grad is None for _, p in model.named_params())
     assert model.stage == stage
     assert trainer.param_report(model)["trainable"] == sum(
         p.data.size for name, p in model.named_params()
@@ -160,6 +161,25 @@ def test_a_stage_run_that_raises_leaves_no_flag_on(stage):
         _run_two_rows(model, stage, rows)
     assert model.stage == stage
     assert not any(p.requires_grad for _, p in model.named_params())
+
+
+@pytest.mark.parametrize("stage, modes", [("align", [False, False]),
+                                          ("cotrain", [True, True]), ("manip", [])])
+def test_mamba_backward_forms_parameter_gradients_only_when_they_train(monkeypatch, stage,
+                                                                       modes):
+    """mamba-inner forms its parameters' gradients only when one of them
+    trains: an align step passes need_params=False to both kernels'
+    backwards at each of the 2 blocks, a cotrain step True, and a manip
+    step, behind its frozen backbone, runs neither."""
+    calls = {"_scan_backward": [], "_conv_backward": []}
+    for name, seen in calls.items():
+        def spy(g, saved, need_params, kernel=getattr(dc, name), seen=seen):
+            seen.append(need_params)
+            return kernel(g, saved, need_params)
+        monkeypatch.setattr(dc, name, spy)
+    metrics, _ = _run_two_rows(tiny_model(), stage, _two_rows(stage))
+    assert len(metrics) == 1
+    assert calls == {"_scan_backward": modes, "_conv_backward": modes}
 
 
 def _sample_loss(model, tok, row):
@@ -502,6 +522,21 @@ def test_adamw_nonfinite_gradient_names_group():
         trainer.adamw_step(model, {name: bad}, state, lr=0.1)
 
 
+def test_adamw_refuses_a_gradient_of_another_shape():
+    """A (1,) gradient would broadcast over the [32] D_skip and move every
+    entry of it."""
+    model = tiny_model()
+    trainer.set_stage(model, "cotrain")
+    state = trainer.init_optim(model)
+    name = "lm.blocks.0.D_skip"
+    p = dict(model.named_params())[name]
+    assert p.data.shape == (32,)
+    before = p.data.copy()
+    with pytest.raises(ValueError, match=re.escape(name)):
+        trainer.adamw_step(model, {name: np.ones(1, np.float32)}, state, lr=0.1)
+    assert np.array_equal(p.data, before)
+
+
 def test_adamw_overflowing_update_names_parameter():
     model = tiny_model()
     trainer.set_stage(model, "manip")
@@ -570,18 +605,28 @@ def test_align_overfit_loss_strictly_decreases():
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
-def test_run_stage_gradient_is_this_steps_alone():
+def test_run_stage_gradient_is_this_steps_alone(monkeypatch):
     """At lr 0 the weights never move, so after several steps on one batch
-    every parameter's .grad must equal one fresh backward on that batch:
-    nothing from earlier steps may be added in."""
+    the last step's gradients, as adamw_step receives them, must equal one
+    fresh backward on that batch: nothing from earlier steps may be added
+    in."""
     model = tiny_model(seed=1)
     tok = tokenizer()
     row = caption_row(seed=4)
+    steps = []
+    adamw_step = trainer.adamw_step
+
+    def spy(model, grads, *args, **kwargs):
+        steps.append(grads)
+        return adamw_step(model, grads, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamw_step", spy)
     trainer.run_stage(
         model, "align", [row], epochs=4,
         hyper=StageHyperparams(lr=0.0, weight_decay=0.0, epochs=0),
         train_cfg=TrainConfig(batch_size=1), tokenizer=tok, seed=0)
-    after_run = {name: p.grad for name, p in model.named_params()}
+    assert len(steps) == 4
+    after_run = {name: steps[-1].get(name) for name, _ in model.named_params()}
     assert any(after_run[name] is not None for name, _ in model.named_params()
                if model.is_trainable(name))
 
