@@ -6,9 +6,10 @@ causal conv are kernels inside `mamba-inner`, not primitives of their own.
 Each primitive validates input shapes/dtypes, rejects non-finite values,
 and registers a backward closure on the implicit tape (the parent links of
 the output tensor) when an input has `requires_grad`, the only gradient
-flag.  `backward` clears the `.grad` of every tensor it reaches before its
-sweep, so a leaf's `.grad` is the last sweep's gradient, never a sum over
-sweeps.
+flag.  The seven single-input primitives share one node builder, `_unary`.
+`backward` clears the `.grad` of every tensor it reaches before its sweep,
+so a leaf's `.grad` is the last sweep's gradient, never a sum over sweeps;
+it and `tape_nodes` share one tape walk, `_topo`.
 
 Each array is checked for finiteness once, by one rule for every primitive:
 a primitive checks and marks its output, `param` checks and marks a
@@ -239,10 +240,10 @@ def _common_dtype(kind: str, tensors: Sequence[Tensor]):
 
 
 def _make_node(kind: str, out_data: np.ndarray, parents: Sequence[Tensor],
-               backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
+               backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(_check_finite_output(kind, out_data))
     out._checked = out.data
-    if backward_fn is not None and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -292,6 +293,17 @@ def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(b, _unbroadcast(g * a.data, b))
 
     return _make_node(kind, out_data, (a, b), backward_fn)
+
+
+def _unary(kind: str, x: Tensor, forward: Callable[[np.ndarray], np.ndarray],
+           backward: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Tensor:
+    """The node of a single-input primitive: x is checked, out = forward(a)
+    on a = x.data runs with over, divide and invalid ignored (the output check
+    catches what they hide), and the closure adds backward(g, a, out) to x."""
+    _check_finite_inputs(kind, (x,))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = forward(x.data)
+    return _make_node(kind, out, (x,), lambda g: _accumulate(x, backward(g, x.data, out)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,63 +359,36 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     """1 / (1 + exp(-x)), saturating to exactly 0 and 1; sigmoid(0) = 0.5."""
-    _check_finite_inputs("sigmoid", (x,))
-    out_data = _sigmoid(x.data)
+    def backward(g: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # e / (1 + e)^2 with e = exp(-|a|) is even in a: both tails keep full
+        # relative precision, where out * (1 - out) would round 1 - out
+        e = np.exp(-np.abs(a))
+        return g * (e / ((1.0 + e) * (1.0 + e)))
 
-    def backward_fn(g: np.ndarray) -> None:
-        # sigmoid'(x) = e / (1 + e)^2 with e = exp(-|x|): even in x, so both
-        # tails keep full relative precision, where out * (1 - out) would
-        # round 1 - out for large x
-        e = np.exp(-np.abs(x.data))
-        _accumulate(x, g * (e / ((1.0 + e) * (1.0 + e))))
-
-    return _make_node("sigmoid", out_data, (x,), backward_fn)
+    return _unary("sigmoid", x, _sigmoid, backward)
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x); derivative at 0 is exactly 0.5."""
-    _check_finite_inputs("silu", (x,))
-    sig = _sigmoid(x.data)
-    out_data = x.data * sig
+    def backward(g: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        sig = _sigmoid(a)               # the forward's bits, computed again
+        return g * (sig * (1.0 + a * (1.0 - sig)))
 
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, g * (sig * (1.0 + x.data * (1.0 - sig))))
-
-    return _make_node("silu", out_data, (x,), backward_fn)
+    return _unary("silu", x, lambda a: a * _sigmoid(a), backward)
 
 
 def exp(x: Tensor) -> Tensor:
-    _check_finite_inputs("exp", (x,))
-    with np.errstate(over="ignore"):
-        out_data = np.exp(x.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, g * out_data)
-
-    return _make_node("exp", out_data, (x,), backward_fn)
+    return _unary("exp", x, np.exp, lambda g, a, out: g * out)
 
 
 def log(x: Tensor) -> Tensor:
     """Natural log; non-positive inputs surface as NonFiniteError."""
-    _check_finite_inputs("log", (x,))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(x.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, g / x.data)
-
-    return _make_node("log", out_data, (x,), backward_fn)
+    return _unary("log", x, np.log, lambda g, a, out: g / a)
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at the kink."""
-    _check_finite_inputs("abs", (x,))
-    out_data = np.abs(x.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, g * np.sign(x.data))
-
-    return _make_node("abs", out_data, (x,), backward_fn)
+    return _unary("abs", x, np.abs, lambda g, a, out: g * np.sign(a))
 
 
 def arccos(x: Tensor) -> Tensor:
@@ -412,16 +397,13 @@ def arccos(x: Tensor) -> Tensor:
     The clamp keeps the output and gradient finite at the endpoints; the
     gradient is zero where the clamp is active.
     """
-    _check_finite_inputs("arccos", (x,))
     lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
-    clamped = np.clip(x.data, lo, hi)
-    out_data = np.arccos(clamped)
-    inside = (x.data > lo) & (x.data < hi)
 
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, np.where(inside, -g / np.sqrt(1.0 - clamped * clamped), 0.0))
+    def backward(g: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        clamped = np.clip(a, lo, hi)
+        return np.where((a > lo) & (a < hi), -g / np.sqrt(1.0 - clamped * clamped), 0.0)
 
-    return _make_node("arccos", out_data, (x,), backward_fn)
+    return _unary("arccos", x, lambda a: np.arccos(np.clip(a, lo, hi)), backward)
 
 
 def mean_pool(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -541,14 +523,13 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     Every entry stays finite: a logit far below its row's maximum gives a
     large negative y, where the log of a softmax would underflow to log(0).
     """
-    _check_finite_inputs("log-softmax-rows", (x,))
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
+    def forward(a: np.ndarray) -> np.ndarray:
+        y = a - a.max(axis=-1, keepdims=True)
+        y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
+        return y
 
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(x, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
-
-    return _make_node("log-softmax-rows", y, (x,), backward_fn)
+    return _unary("log-softmax-rows", x, forward,
+                  lambda g, a, y: g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -892,6 +873,23 @@ PRIMITIVES: dict[str, Callable] = {
 # backward pass
 
 
+def _topo(root: Tensor) -> list[Tensor]:
+    """Every tensor root reaches, each once, parents before children: the
+    one tape walk, iterative as model graphs can be thousands of nodes deep."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    return topo
+
+
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar root.
 
@@ -905,24 +903,9 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     if root._consumed:
         raise TapeError("backward: tape already consumed for this root")
 
-    # iterative topological order (model graphs can be thousands of nodes deep)
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            node.grad = None            # drop what an earlier sweep left
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-
+    topo = _topo(root)
+    for node in topo:
+        node.grad = None                # drop what an earlier sweep left
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
@@ -946,12 +929,4 @@ def tape_nodes(root: Tensor) -> int:
     """Nodes on the tape behind root: the backward closures a `backward`
     from it would run, found by walking the parent links, so call it before
     that backward consumes them."""
-    seen, stack, nodes = set(), [root], 0
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes += t._backward_fn is not None
-            stack.extend(t._parents)
-    return nodes
-
+    return sum(t._backward_fn is not None for t in _topo(root))

@@ -186,19 +186,19 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
     missing entries are treated as zero gradient (decay still applies).  A
     gradient of another shape raises a ValueError naming the parameter, as
     broadcasting would spread it over every entry.  Non-finite gradients
-    raise, naming the parameter group, and so does an update with
-    non-finite new values, which leaves that parameter unchanged: the write
-    is in place, so no primitive would check it again, and it calls
-    `drop_derived` so that values cached from the old ones, like the scan's
-    A, are derived anew (see `diffcore`).
+    raise, naming the parameter group.  Every gradient is checked before
+    the first write, so a refused gradient leaves every parameter, moment
+    and `state.step` as they were.  An update with non-finite new values
+    raises too and leaves that parameter unchanged: the write is in place,
+    so no primitive would check it again, and it calls `drop_derived` so
+    that values cached from the old ones, like the scan's A, are derived
+    anew (see `diffcore`).
 
     The update runs in place in the state's scratch arrays, in the operation
     order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p - lr (m_hat / (sqrt(v_hat) + eps) + wd p).
     """
-    state.step += 1
-    t = state.step
-    c1, c2 = 1 - _BETA1 ** t, 1 - _BETA2 ** t
+    updates = []
     for name, p in model.named_params():
         if name not in state.m:
             continue
@@ -212,6 +212,11 @@ def adamw_step(model: VlaModel, grads: dict, state: OptimState, lr: float,
             raise FloatingPointError(
                 f"non-finite gradient in parameter group "
                 f"{name.split('.', 1)[0]!r} ({name})")
+        updates.append((name, p, g))
+    state.step += 1
+    t = state.step
+    c1, c2 = 1 - _BETA1 ** t, 1 - _BETA2 ** t
+    for name, p, g in updates:
         m, v = state.m[name], state.v[name]
         s, s2 = (buf[:p.data.size].reshape(p.data.shape) for buf in state.scratch)
         m *= _BETA1
@@ -298,8 +303,10 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     """Train one stage; returns (metrics rows, checkpoint path or None).
 
     Per-step metrics (loss, lr, the step's `tape_nodes` and wall time) go
-    to `metrics_{stage}.csv` and the final weights to `ckpt_{stage}.rmck`
-    when out_dir is given.  Parameters outside the stage's trainable set
+    to `metrics_{stage}.csv` when out_dir is given, each row written as its
+    step ends, so a run that raises keeps the rows of the steps it finished;
+    the final weights go to `ckpt_{stage}.rmck` only when the stage
+    completes.  Parameters outside the stage's trainable set
     are bit-identical before and after.  `model.stage` stays `stage`, but
     every `requires_grad` is off and every `.grad` freed once it returns or
     raises after setting the stage, so the model it leaves runs inference
@@ -314,7 +321,15 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
         raise ValueError(f"run_stage: steps_limit must be None or an integer >= 1, "
                          f"got {steps_limit!r}")
     set_stage(model, stage)
+    metrics_file = None
     try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            metrics_file = open(os.path.join(out_dir, f"metrics_{stage}.csv"), "w",
+                                newline="", encoding="utf-8")
+            writer = csv.DictWriter(metrics_file, fieldnames=["step", "stage", "loss", "lr",
+                                                              "tape_nodes", "wall_ms"])
+            writer.writeheader()
         state = init_optim(model)
         rng = np.random.default_rng(seed)
         params = dict(model.named_params())
@@ -353,19 +368,18 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
                             "lr": hyper.lr,
                             "tape_nodes": tape_nodes,
                             "wall_ms": (time.perf_counter() - t0) * 1e3})
+            if metrics_file is not None:
+                writer.writerow(metrics[-1])
+                metrics_file.flush()
     finally:
+        if metrics_file is not None:
+            metrics_file.close()
         for _, p in model.named_params():
             p.requires_grad = False
             p.grad = None
 
     ckpt_path = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, f"metrics_{stage}.csv")
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(metrics[0]))
-            writer.writeheader()
-            writer.writerows(metrics)
         ckpt_path = os.path.join(out_dir, f"ckpt_{stage}.rmck")
         save_checkpoint(model, ckpt_path)
     return metrics, ckpt_path

@@ -1033,6 +1033,26 @@ def test_backward_clears_the_gradient_of_an_earlier_sweep():
     assert x.grad is second[x]
 
 
+def test_tape_nodes_counts_a_shared_node_once():
+    """A diamond, sigmoid(x) read by both exp and log: tape_nodes counts it
+    once, equals the closures the following backward runs, and the shared
+    node passes on the sum of both paths' gradients."""
+    x = t64([0.3, -1.2], requires_grad=True)
+    s = dc.sigmoid(x)
+    e, lg = dc.exp(s), dc.log(s)
+    total = dc.add(e, lg)
+    root = dc.mean_pool(total)
+    nodes = [s, e, lg, total, root]
+    ran = []
+    for t in nodes:
+        t._backward_fn = lambda g, fn=t._backward_fn, t=t: (ran.append(t), fn(g))[1]
+    assert dc.tape_nodes(root) == len(nodes)
+    dc.backward(root)
+    assert sorted(map(id, ran)) == sorted(map(id, nodes))
+    sv = s.data
+    np.testing.assert_allclose(x.grad, (np.exp(sv) + 1.0 / sv) * sv * (1.0 - sv) / 2.0)
+
+
 def test_deep_chain_no_recursion_limit():
     x = t64([0.5], requires_grad=True)
     y = x
@@ -1065,6 +1085,15 @@ def test_nonfinite_input_rejected():
         dc.tslice(table, 0, 0, 2)
     with pytest.raises(dc.NonFiniteError, match="gather-rows: input 0"):
         dc.gather_rows(table, [0, 1])
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "silu", "exp", "log", "abs", "arccos",
+                                  "log-softmax-rows"])
+def test_single_input_primitive_rejects_a_nonfinite_input(kind):
+    """The seven single-input primitives share one node builder: each checks
+    its input before its forward runs."""
+    with pytest.raises(dc.NonFiniteError, match=f"{kind}: input 0"):
+        dc.PRIMITIVES[kind](t64([[np.nan, 0.5]]))
 
 
 def test_nonfinite_output_rejected():

@@ -549,6 +549,32 @@ def test_adamw_overflowing_update_names_parameter():
     assert np.all(p.data == np.float32(3e38))
 
 
+def test_adamw_refused_gradient_changes_nothing():
+    """Every gradient is checked before the first write: a NaN in the
+    gradient of lm.lm_head, the last of cotrain's 30 trainable tensors,
+    leaves every parameter, every moment and the step count bit-identical.
+    Checked inside the update loop, the other 29 tensors had moved."""
+    model = tiny_model()
+    trainer.set_stage(model, "cotrain")
+    state = trainer.init_optim(model)
+    names = [name for name, _ in model.named_params() if name in state.m]
+    assert len(names) == 30 and names[-1] == "lm.lm_head"
+    grads = {name: np.full_like(p.data, 0.1) for name, p in model.named_params()
+             if name in state.m}
+    trainer.adamw_step(model, grads, state, lr=1e-3)       # moments away from 0
+    params, step = snapshot(model), state.step
+    m = {name: a.copy() for name, a in state.m.items()}
+    v = {name: a.copy() for name, a in state.v.items()}
+    grads["lm.lm_head"] = grads["lm.lm_head"].copy()
+    grads["lm.lm_head"].reshape(-1)[-1] = np.nan
+    with pytest.raises(FloatingPointError, match=re.escape("lm.lm_head")):
+        trainer.adamw_step(model, grads, state, lr=1e-3)
+    assert state.step == step
+    assert all(np.array_equal(p.data, params[name]) for name, p in model.named_params())
+    assert all(np.array_equal(state.m[name], m[name]) for name in names)
+    assert all(np.array_equal(state.v[name], v[name]) for name in names)
+
+
 def test_scan_reads_A_log_after_in_place_and_new_array_writes(tmp_path):
     """The scan derives A = -exp(A_log) once per A_log array: after
     adamw_step writes A_log in place, and after A_log is given a new array,
@@ -692,6 +718,31 @@ def test_manip_freezes_backbone_bitwise(tmp_path):
     assert lines[0] == "step,stage,loss,lr,tape_nodes,wall_ms"
     assert len(lines) == len(metrics) + 1
     assert os.path.exists(ckpt)
+
+
+def test_a_stage_that_raises_keeps_the_rows_of_its_finished_steps(monkeypatch, tmp_path):
+    """Each metrics row is written as its step ends: when the third step's
+    update raises, metrics_align.csv holds the header and the first two
+    rows, and no checkpoint is written."""
+    adamw_step, calls = trainer.adamw_step, []
+
+    def third_call_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("the third update is refused")
+        adamw_step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamw_step", third_call_raises)
+    with pytest.raises(FloatingPointError, match="third update"):
+        trainer.run_stage(tiny_model(), "align", ds.make_caption_samples(6, seed=0),
+                          epochs=1, hyper=StageHyperparams(lr=1e-3, weight_decay=0.0,
+                                                           epochs=0),
+                          train_cfg=TrainConfig(batch_size=1), tokenizer=tokenizer(),
+                          out_dir=str(tmp_path))
+    lines = (tmp_path / "metrics_align.csv").read_text().splitlines()
+    assert lines[0] == "step,stage,loss,lr,tape_nodes,wall_ms"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "align"], ["2", "align"]]
+    assert not (tmp_path / "ckpt_align.rmck").exists()
 
 
 def test_manip_head_learns():
