@@ -160,20 +160,20 @@ def make_manip_samples(n: int, seed: int, kind: str | None = None,
     """Stage-2 episodes; per-episode seeds are seed+index.
 
     With successful_only, failed episodes are dropped (the Appendix-B recipe
-    trains on successful samples), drawing extra seeds until n remain.
+    trains on successful samples), drawing extra seeds until n remain, at
+    most 20 n + 100 draws in all.
     """
     n = _check_count("manip", n)
     seed = check_seed("manip dataset", seed)
     episodes = []
     offset = 0
     while len(episodes) < n:
+        if offset == 20 * n + 100:
+            raise RuntimeError("manip dataset: too many failed episodes")
         ep = simworld.collect_episode(seed + offset, kind)
         offset += 1
-        if successful_only and not ep.success:
-            continue
-        episodes.append(ep)
-        if offset > 20 * n + 100:
-            raise RuntimeError("manip dataset: too many failed episodes")
+        if ep.success or not successful_only:
+            episodes.append(ep)
     return episodes
 
 

@@ -6,7 +6,12 @@ causal conv are kernels inside `mamba-inner`, not primitives of their own.
 Each primitive validates input shapes/dtypes, rejects non-finite values,
 and registers a backward closure on the implicit tape (the parent links of
 the output tensor) when an input has `requires_grad`, the only gradient
-flag.  The seven single-input primitives share one node builder, `_unary`.
+flag.  Nodes are built by `_node` from one gradient function per input,
+called only for the inputs that have `requires_grad`, so a frozen operand
+costs nothing in the backward; the seven single-input primitives reach it
+through `_unary`.  Three keep their own closures: `tslice` and
+`gather_rows` scatter into a window of the input's `.grad`, and
+`mamba_inner` forms its gradients together.
 `backward` clears the `.grad` of every tensor it reaches before its sweep,
 so a leaf's `.grad` is the last sweep's gradient, never a sum over sweeps;
 it and `tape_nodes` share one tape walk, `_topo`.
@@ -271,39 +276,39 @@ def _unbroadcast(grad: np.ndarray, operand: Tensor) -> np.ndarray:
     return grad.reshape(operand.data.shape)
 
 
-def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor) -> Tensor:
+def _node(kind: str, out_data: np.ndarray, parents: Sequence[Tensor],
+          grads: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The node of out_data, whose closure adds grads[i](g) to parent i for
+    each parent that has requires_grad, in parent order; no other grads[i] runs."""
+    def backward_fn(g: np.ndarray) -> None:
+        for p, grad in zip(parents, grads):
+            if p.requires_grad:
+                _accumulate(p, grad(g))
+
+    return _make_node(kind, out_data, parents, backward_fn)
+
+
+def _binary_broadcast(kind: str, op, a: Tensor, b: Tensor, grads: tuple) -> Tensor:
+    """op(a, b), with grads the (a, b) gradients before unbroadcasting."""
     _common_dtype(kind, (a, b))
     _check_finite_inputs(kind, (a, b))
     try:
         out_data = op(a.data, b.data)
     except ValueError as err:
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from err
-
-    if kind == "add":
-        def backward_fn(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g, b))
-    else:  # mul
-        def backward_fn(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g * b.data, a))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g * a.data, b))
-
-    return _make_node(kind, out_data, (a, b), backward_fn)
+    return _node(kind, out_data, (a, b), (lambda g: _unbroadcast(grads[0](g), a),
+                                          lambda g: _unbroadcast(grads[1](g), b)))
 
 
 def _unary(kind: str, x: Tensor, forward: Callable[[np.ndarray], np.ndarray],
            backward: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Tensor:
     """The node of a single-input primitive: x is checked, out = forward(a)
     on a = x.data runs with over, divide and invalid ignored (the output check
-    catches what they hide), and the closure adds backward(g, a, out) to x."""
+    catches what they hide), and x's gradient is backward(g, a, out)."""
     _check_finite_inputs(kind, (x,))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = forward(x.data)
-    return _make_node(kind, out, (x,), lambda g: _accumulate(x, backward(g, x.data, out)))
+    return _node(kind, out, (x,), (lambda g: backward(g, x.data, out),))
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +324,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     am, bm = a.data, b.data
     if am.shape[1] != bm.shape[0]:
         raise ShapeError(f"matmul: inner dims differ: {am.shape} @ {bm.shape}")
-    out_data = am @ bm
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ bm.T)
-        if b.requires_grad:
-            _accumulate(b, am.T @ g)
-
-    return _make_node("matmul", out_data, (a, b), backward_fn)
+    return _node("matmul", am @ bm, (a, b), (lambda g: g @ bm.T, lambda g: am.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy's trailing-axis broadcasting."""
-    return _binary_broadcast("add", np.add, a, b)
+    return _binary_broadcast("add", np.add, a, b, (lambda g: g, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy's trailing-axis broadcasting."""
-    return _binary_broadcast("mul", np.multiply, a, b)
+    return _binary_broadcast("mul", np.multiply, a, b,
+                             (lambda g: g * b.data, lambda g: g * a.data))
 
 
 # The logistic kernel and the scan's softplus use exp forms, not np.logaddexp:
@@ -414,14 +412,13 @@ def mean_pool(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     out_data = np.mean(x.data, axis=axis, keepdims=keepdims)
     count = x.data.size if axis is None else x.data.shape[axis]
 
-    def backward_fn(g: np.ndarray) -> None:
+    def grad(g: np.ndarray) -> np.ndarray:
         if axis is None:
-            _accumulate(x, np.full_like(x.data, g.sum() / count))
-        else:
-            gexp = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.repeat(gexp / count, x.data.shape[axis], axis=axis))
+            return np.full_like(x.data, g.sum() / count)
+        gexp = g if keepdims else np.expand_dims(g, axis)
+        return np.repeat(gexp / count, x.data.shape[axis], axis=axis)
 
-    return _make_node("mean-pool", out_data, (x,), backward_fn)
+    return _node("mean-pool", out_data, (x,), (grad,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -449,19 +446,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out_data = y * gain.data
     out_data += bias.data
 
-    def backward_fn(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * y, gain))
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias))
-        if x.requires_grad:
-            # d/dx of (x-mu)/sigma: project out the mean and the y-component
-            gy = g * gain.data
-            gm = gy.mean(axis=-1, keepdims=True)
-            gyy = (gy * y).mean(axis=-1, keepdims=True)
-            _accumulate(x, (gy - gm - y * gyy) * inv)
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        # d/dx of (x-mu)/sigma: project out the mean and the y-component
+        gy = g * gain.data
+        gm = gy.mean(axis=-1, keepdims=True)
+        gyy = (gy * y).mean(axis=-1, keepdims=True)
+        return (gy - gm - y * gyy) * inv
 
-    return _make_node(kind, out_data, (x, gain, bias), backward_fn)
+    return _node(kind, out_data, (x, gain, bias),
+                 (grad_x, lambda g: _unbroadcast(g * y, gain), lambda g: _unbroadcast(g, bias)))
 
 
 def _own_taps(taps: np.ndarray, i: int, w: int, later: Sequence[int]) -> np.ndarray:
@@ -543,17 +536,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     except ValueError as err:
         raise ShapeError(f"concat: incompatible shapes "
                          f"{[t.shape for t in tensors]} on axis {axis}") from err
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [np.s_[:]] * g.ndim
-                sl[axis] = np.s_[start:stop]
-                _accumulate(t, g[tuple(sl)])
-
-    return _make_node("concat", out_data, tuple(tensors), backward_fn)
+    # input i's gradient is its window of g along the axis
+    lead, stop, grads = (slice(None),) * (axis % out_data.ndim), 0, []
+    for t in tensors:
+        start, stop = stop, stop + t.data.shape[axis]
+        grads.append(lambda g, w=lead + (slice(start, stop),): g[w])
+    return _node("concat", out_data, tuple(tensors), grads)
 
 
 def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -37,6 +37,7 @@ __all__ = [
     "position_loss",
     "direction_loss",
     "lift_to_3d",
+    "require_rotations",
     "rotation_about_axis",
 ]
 
@@ -71,7 +72,7 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def _require_rotations(name: str, mats: np.ndarray) -> None:
+def require_rotations(name: str, mats: np.ndarray) -> None:
     """Raise naming the first bad matrix i of a [B, 3, 3] batch as name[i]."""
     with np.errstate(invalid="ignore", over="ignore"):
         err = np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(3)).max(axis=(1, 2))
@@ -317,8 +318,8 @@ def direction_loss(pred_rots: Tensor, gt_rots: np.ndarray) -> Tensor:
                          f"{pred_rots.shape[0]} vs {gt.shape[0]}")
     if gt.shape[0] == 0:
         raise ShapeError("direction_loss: empty batch")
-    _require_rotations("direction_loss: pred", pred_rots.data.reshape(-1, 3, 3))
-    _require_rotations("direction_loss: gt", gt)
+    require_rotations("direction_loss: pred", pred_rots.data.reshape(-1, 3, 3))
+    require_rotations("direction_loss: gt", gt)
     dt = pred_rots.data.dtype
     # tr(G^T R) is the sum of the elementwise product
     tr = _row_dot(pred_rots, dc.tensor(gt.reshape(-1, 9), dtype=dt))   # [N,1]
@@ -336,7 +337,8 @@ def lift_to_3d(pixel: tuple[float, float], depth: np.ndarray,
     """(u, v) in [0,1]^2 plus a depth map -> (X, Y, Z) metres, camera frame.
 
     Depth is sampled at the containing integer pixel; the ray uses the
-    continuous pixel coordinates.  Zero depth marks an invalid sample.
+    continuous pixel coordinates.  Zero depth marks an invalid sample; a
+    negative or non-finite one is refused too, naming the pixel.
     """
     u, v = pixel
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
@@ -346,9 +348,9 @@ def lift_to_3d(pixel: tuple[float, float], depth: np.ndarray,
     col = min(int(u_px), w - 1)
     row = min(int(v_px), h - 1)
     d = float(depth[row, col])
-    if d <= 0.0:
-        raise ValueError(f"lift_to_3d: invalid (zero) depth at pixel "
-                         f"({col}, {row})")
+    if not 0.0 < d < np.inf:                # NaN fails both comparisons
+        what = "zero" if d <= 0.0 else "non-finite"
+        raise ValueError(f"lift_to_3d: invalid ({what}) depth at pixel ({col}, {row})")
     return np.array([(u_px - cam.cx) * d / cam.fx,
                      (v_px - cam.cy) * d / cam.fy,
                      d])

@@ -38,7 +38,8 @@ from mambavla import diffcore as dc
 from mambavla import fileio
 from mambavla.config import ModelConfig, StageHyperparams, TrainConfig, is_integer
 from mambavla.mamba import LanguageModel, WordTokenizer
-from mambavla.policy import PoseHead, direction_loss, pool_global_token, position_loss
+from mambavla.policy import (PoseHead, direction_loss, pool_global_token, position_loss,
+                             require_rotations)
 from mambavla.vispipe import (MlpProjector, PatchEncoder, multimodal_forward,
                                multimodal_forward_packed)
 
@@ -279,17 +280,45 @@ def _backbone_feature(model: VlaModel, tokenizer: WordTokenizer,
     return pool_global_token(out.hidden).data
 
 
-def _check_schema(stage: str, dataset) -> None:
+def _column(dataset, key: str, shape: tuple) -> np.ndarray:
+    """Every row's `key`, each a real array of this shape, stacked in float64."""
+    for i, row in enumerate(dataset):
+        arr = np.asarray(row[key])
+        if arr.shape != shape or arr.dtype.kind not in "iuf":
+            raise ValueError(f"run_stage: {key}[{i}] must be {shape} real numbers, "
+                             f"got {arr.shape} of {arr.dtype}")
+    return np.array([row[key] for row in dataset], dtype=np.float64)
+
+
+def _check_rows(stage: str, dataset, encoder: PatchEncoder) -> None:
+    """Refuse a row that a step would fail on, naming row i's field as
+    field[i]: its keys, its image by the encoder's rules, its prompt (and
+    answer outside manip) a str, and in manip its pos_uv two finite values
+    in [0, 1] and its rot a rotation by the pose losses' rule."""
     if len(dataset) == 0:
         raise ValueError("run_stage: dataset is empty")
-    stage1_keys = {"image", "prompt", "answer"}
-    manip_keys = {"image", "prompt", "pos_uv", "rot"}
-    want = manip_keys if stage == "manip" else stage1_keys
-    for row in dataset:
+    texts = ("prompt",) if stage == "manip" else ("prompt", "answer")
+    want = {"image", *texts} | ({"pos_uv", "rot"} if stage == "manip" else set())
+    for i, row in enumerate(dataset):
         if not isinstance(row, dict) or not want.issubset(row):
             raise ValueError(
                 f"dataset schema mismatch for stage {stage!r}: "
                 f"rows need keys {sorted(want)}")
+        try:
+            encoder.check_image(row["image"])
+        except (ValueError, dc.NonFiniteError) as err:
+            raise type(err)(f"run_stage: image[{i}]: {err}") from err
+        for key in texts:
+            if not isinstance(row[key], str):
+                raise ValueError(f"run_stage: {key}[{i}] must be a str, "
+                                 f"got {type(row[key]).__name__}")
+    if stage == "manip":
+        uv = _column(dataset, "pos_uv", (2,))
+        bad = np.flatnonzero(~((uv >= 0.0) & (uv <= 1.0)).all(axis=1))  # NaN fails both
+        if bad.size:
+            raise ValueError(f"run_stage: pos_uv[{bad[0]}] must be two finite values "
+                             f"in [0, 1], got {tuple(uv[bad[0]].tolist())}")
+        require_rotations("run_stage: rot", _column(dataset, "rot", (3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +331,8 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
               out_dir: str | None = None, steps_limit: int | None = None):
     """Train one stage; returns (metrics rows, checkpoint path or None).
 
+    Every row is checked before the stage is set or out_dir opened, so a
+    bad row raises, naming its index and field, before any weight moves.
     Per-step metrics (loss, lr, the step's `tape_nodes` and wall time) go
     to `metrics_{stage}.csv` when out_dir is given, each row written as its
     step ends, so a run that raises keeps the rows of the steps it finished;
@@ -314,7 +345,7 @@ def run_stage(model: VlaModel, stage: str, dataset: list, epochs: int,
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    _check_schema(stage, dataset)
+    _check_rows(stage, dataset, model.encoder)
     if not (is_integer(epochs) and epochs >= 1):
         raise ValueError(f"run_stage: epochs must be an integer >= 1, got {epochs!r}")
     if not (steps_limit is None or (is_integer(steps_limit) and steps_limit >= 1)):

@@ -46,9 +46,9 @@ class PatchEncoder:
         yield "b_patch", self.b_patch
         yield "pos", self.pos
 
-    def encode(self, image: np.ndarray) -> Tensor:
-        """RGB image [H, W, 3] of floats in [0, 1] -> visual features
-        [n_patches, d_vis].  A bad image fails here, naming the image."""
+    def check_image(self, image) -> np.ndarray:
+        """The image as an array, if it is what `encode` takes: [H, W, 3] at
+        the configured size, floats in [0, 1]; raises otherwise."""
         p = self.cfg.patch_size
         image = np.asarray(image)
         if image.ndim != 3 or image.shape[2] != 3:
@@ -69,6 +69,14 @@ class PatchEncoder:
         if image.min() < 0.0 or image.max() > 1.0:
             raise ValueError(f"encode: image values must lie in [0, 1], got "
                              f"[{image.min()}, {image.max()}]")
+        return image
+
+    def encode(self, image: np.ndarray) -> Tensor:
+        """RGB image [H, W, 3] of floats in [0, 1] -> visual features
+        [n_patches, d_vis].  A bad image fails here, naming the image."""
+        image = self.check_image(image)
+        p = self.cfg.patch_size
+        side = image.shape[0] // p
         patches = (image.reshape(side, p, side, p, 3)
                         .transpose(0, 2, 1, 3, 4)
                         .reshape(side * side, p * p * 3))

@@ -1,6 +1,8 @@
 """Dataset generators: caption grounding, QA grounding, vocabulary closure,
 and byte-identical regeneration from a seed."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,24 @@ def test_manip_samples_successful_only():
     assert all(ep.success for ep in eps)
     seeds = [ep.seed for ep in eps]
     assert seeds == sorted(seeds) and seeds[0] >= 0
+
+
+def test_manip_samples_give_up_after_their_draw_bound(monkeypatch):
+    """With every episode failing, successful_only stops at 20 n + 100 draws
+    (140 for n = 2).  The bound used to be checked only after a kept
+    episode, so a run of failures drew forever; the spy stops that at
+    1,000 calls."""
+    drawn = []
+
+    def always_fails(seed, kind=None):
+        drawn.append(seed)
+        assert len(drawn) <= 1000, "the draw bound was never checked"
+        return types.SimpleNamespace(seed=seed, success=False)
+
+    monkeypatch.setattr(simworld, "collect_episode", always_fails)
+    with pytest.raises(RuntimeError, match="too many failed episodes"):
+        ds.make_manip_samples(2, seed=7, successful_only=True)
+    assert drawn == list(range(7, 7 + 140))
 
 
 def test_generators_reject_empty():

@@ -1053,6 +1053,27 @@ def test_tape_nodes_counts_a_shared_node_once():
     np.testing.assert_allclose(x.grad, (np.exp(sv) + 1.0 / sv) * sv * (1.0 - sv) / 2.0)
 
 
+def test_node_forms_only_the_gradients_of_parents_that_train():
+    """The builder's contract: with only the first parent trainable, the
+    backward calls grads[0] once and grads[1] never, and adds what it
+    returned to the first parent alone."""
+    calls = []
+
+    def recording(i):
+        def grad(g):
+            calls.append(i)
+            return (i + 2.0) * g
+        return grad
+
+    a, b = t64([1.0, 2.0], requires_grad=True), t64([3.0, 4.0])
+    out = dc._node("add", a.data + b.data, (a, b), (recording(0), recording(1)))
+    grads = dc.backward(dc.mean_pool(out))
+    assert calls == [0]
+    assert list(grads) == [a]
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+    assert b.grad is None
+
+
 def test_deep_chain_no_recursion_limit():
     x = t64([0.5], requires_grad=True)
     y = x

@@ -384,10 +384,13 @@ def test_lift_scales_with_depth():
     np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
 
-def test_lift_zero_depth_errors_naming_pixel():
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_lift_zero_depth_errors_naming_pixel(bad):
+    """A depth that is not positive and finite names its pixel: NaN and inf
+    used to lift to [nan nan nan] and [nan nan inf]."""
     cam = SimConfig()
     depth = np.full((32, 32), 2.0)
-    depth[9, 25] = 0.0
+    depth[9, 25] = bad
     with pytest.raises(ValueError, match=r"\(25, 9\)"):
         policy.lift_to_3d((25.5 / 32, 9.5 / 32), depth, cam)
     with pytest.raises(ValueError):

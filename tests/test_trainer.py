@@ -150,17 +150,78 @@ def test_run_stage_returns_an_inference_model(stage):
 
 
 @pytest.mark.parametrize("stage", trainer.STAGES)
-def test_a_stage_run_that_raises_leaves_no_flag_on(stage):
-    """A schema-valid row whose image holds a NaN raises in the encoder,
-    after the stage is set: in the first step, or in the manip feature
-    cache."""
-    rows = _two_rows(stage)
-    rows[1]["image"][0, 0, 0] = np.nan
+def test_a_stage_run_that_raises_leaves_no_flag_on(monkeypatch, stage):
+    """A run that raises after the stage is set, here in its first update,
+    keeps the stage's name but turns every flag off and frees every .grad."""
+    def refuse(*args, **kwargs):
+        raise FloatingPointError("the update is refused")
+
+    monkeypatch.setattr(trainer, "adamw_step", refuse)
     model = tiny_model()
-    with pytest.raises(dc.NonFiniteError, match="encode"):
-        _run_two_rows(model, stage, rows)
+    with pytest.raises(FloatingPointError, match="refused"):
+        _run_two_rows(model, stage, _two_rows(stage))
     assert model.stage == stage
     assert not any(p.requires_grad for _, p in model.named_params())
+    assert all(p.grad is None for _, p in model.named_params())
+
+
+@pytest.mark.parametrize("stage", trainer.STAGES)
+def test_a_bad_row_fails_before_the_first_step(tmp_path, stage):
+    """A NaN pixel in the last of 6 rows, at batch 1.  Unchecked, the encoder
+    refused it only when a step or the manip feature cache drew it, after
+    the stage was set, out_dir opened and earlier steps had moved weights.
+    run_stage names the row before any of that, so nothing moves."""
+    rows = manip_rows(6) if stage == "manip" else _two_rows(stage) * 3
+    rows = [dict(row, image=np.array(row["image"])) for row in rows]
+    rows[-1]["image"][3, 4, 1] = np.nan
+    model = tiny_model()
+    snap = snapshot(model)
+    with pytest.raises(dc.NonFiniteError,
+                       match=r"run_stage: image\[5\]: encode: image contains non-finite"):
+        trainer.run_stage(model, stage, rows, epochs=1,
+                          hyper=StageHyperparams(lr=1e-3, weight_decay=0.0, epochs=0),
+                          train_cfg=TrainConfig(batch_size=1), tokenizer=tokenizer(),
+                          out_dir=str(tmp_path))
+    assert model.stage is None
+    assert all(np.array_equal(p.data, snap[name]) for name, p in model.named_params())
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("stage, key, value, error, match", [
+    pytest.param("align", "prompt", 3, ValueError,
+                 r"run_stage: prompt\[1\] must be a str, got int", id="prompt-int"),
+    pytest.param("cotrain", "answer", None, ValueError,
+                 r"run_stage: answer\[1\] must be a str, got NoneType", id="answer-none"),
+    pytest.param("manip", "prompt", b"pull", ValueError,
+                 r"run_stage: prompt\[1\] must be a str, got bytes", id="manip-prompt-bytes"),
+    pytest.param("align", "image", np.zeros((32, 32, 3), np.uint8), dc.ShapeError,
+                 r"run_stage: image\[1\]: encode: image must hold floats", id="image-uint8"),
+    pytest.param("manip", "image", np.full((32, 32, 3), 1.5, np.float32), ValueError,
+                 r"run_stage: image\[1\]: encode: image values must lie in \[0, 1\]",
+                 id="manip-image-above-1"),
+    pytest.param("manip", "pos_uv", (0.5, 1.5), ValueError,
+                 r"run_stage: pos_uv\[1\] must be two finite values in \[0, 1\], "
+                 r"got \(0.5, 1.5\)", id="pos_uv-above-1"),
+    pytest.param("manip", "pos_uv", (np.inf, 0.5), ValueError,
+                 r"run_stage: pos_uv\[1\] must be two finite", id="pos_uv-inf"),
+    pytest.param("manip", "pos_uv", (0.5,), ValueError,
+                 r"run_stage: pos_uv\[1\] must be \(2,\) real numbers", id="pos_uv-one-value"),
+    pytest.param("manip", "rot", 2.0 * np.eye(3), ValueError,
+                 r"run_stage: rot\[1\]: input is not orthonormal", id="rot-scaled"),
+    pytest.param("manip", "rot", np.full((3, 3), np.nan), ValueError,
+                 r"run_stage: rot\[1\]: matrix has non-finite entries", id="rot-nan"),
+    pytest.param("manip", "rot", np.eye(2), ValueError,
+                 r"run_stage: rot\[1\] must be \(3, 3\) real numbers", id="rot-2x2"),
+])
+def test_run_stage_names_the_bad_row_and_field(stage, key, value, error, match):
+    """Each field is checked by the rule of the layer that reads it, and the
+    error names the row's field as field[i] before the stage is set."""
+    rows = _two_rows(stage)
+    rows[1][key] = value
+    model = tiny_model()
+    with pytest.raises(error, match=match):
+        _run_two_rows(model, stage, rows)
+    assert model.stage is None
 
 
 @pytest.mark.parametrize("stage, modes", [("align", [False, False]),
@@ -976,7 +1037,7 @@ def test_manip_row_with_a_non_finite_pixel_is_named():
     # unchecked, it fails deep inside diffcore as "NonFiniteError: mul: input 0"
     rows = manip_rows(2)
     rows[1]["pos_uv"] = (float("nan"), 0.5)
-    with pytest.raises(ValueError, match=r"position_loss: gt\[[01]\] has non-finite"):
+    with pytest.raises(ValueError, match=r"run_stage: pos_uv\[1\] must be two finite"):
         trainer.run_stage(tiny_model(), "manip", rows, epochs=1,
                           hyper=StageHyperparams(1e-3, 0.0, 0),
                           train_cfg=TrainConfig(batch_size=2), tokenizer=tokenizer())
